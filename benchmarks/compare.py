@@ -8,7 +8,7 @@ Usage::
     python benchmarks/compare.py BENCH_sim.json \
         benchmarks/baseline/BENCH_sim.json [--threshold 0.25]
 
-Two independent checks, both of which must pass:
+Four independent checks, all of which must pass:
 
 1. **Baseline regression** — every benchmark present in both files must
    not be more than ``threshold`` (fraction, default 0.25) slower than
@@ -23,51 +23,26 @@ Two independent checks, both of which must pass:
    faster.  This is a same-machine, same-run ratio, so it is meaningful
    on any hardware and enforces the repo's headline acceptance
    criterion.
-3. **Extrapolation speedup** — every ``test_<stem>_extrapolate_on`` /
-   ``_off`` pair in the current run must show at least
-   ``--min-extrapolate-speedup`` (default 5.0,
-   ``$BENCH_MIN_EXTRAPOLATE_SPEEDUP`` overrides) batched-vs-serial
-   speedup, and must not fall below 85%% of the speedup committed in
-   ``benchmarks/baseline/BENCH_extrapolate.json`` (the >=15%%
-   regression gate).  ``--extrapolate-out PATH`` merge-updates that
-   artifact with the measured ``cold_s`` / ``extrapolated_s`` /
-   ``speedup`` per workload stem.
-4. **Megawarp vectorization speedup** — the same contract for every
-   ``test_<stem>_vector_on`` / ``_off`` pair on divergent kernels:
-   at least ``--min-vector-speedup`` (default 5.0,
-   ``$BENCH_MIN_VECTOR_SPEEDUP`` overrides) megawarp-vs-serial, with
-   the 85%% retain gate against
-   ``benchmarks/baseline/BENCH_vector.json`` and ``--vector-out`` to
-   merge-update it.
-5. **Decision-provenance overhead** — when the current run contains
+3. **Decision-provenance overhead** — when the current run contains
    the ``test_workload_provenance_on`` / ``_off`` pair, collecting the
    decision trace must cost at most ``--max-provenance-overhead``
    (fraction, default 0.05 = 5%%,
    ``$BENCH_MAX_PROVENANCE_OVERHEAD`` overrides) over the same
    workload with ``R2D2_PROVENANCE=0``.  Same-run, same-machine ratio.
-6. **Sharded suite speedup** — every ``test_<stem>_shard_on`` /
-   ``_off`` pair (sharded scheduler vs serial suite run) must show at
-   least ``--min-shard-speedup`` (default 2.0,
-   ``$BENCH_MIN_SHARD_SPEEDUP`` overrides), with the 85%% retain gate
-   against ``benchmarks/baseline/BENCH_shard.json`` and
-   ``--shard-out`` to merge-update it.  The ``warmrerun`` stem is the
-   incremental-rerun acceptance ratio and holds on any machine; the
-   ``minisuite`` stem needs real cores and skips itself on
-   single-core boxes.
-7. **Event-driven timing speedup** — every ``test_<stem>_timing_on`` /
-   ``_off`` pair (event-driven engine vs reference loop on a divergent
-   timing-replay trace) must show at least ``--min-timing-speedup``
-   (default 5.0, ``$BENCH_MIN_TIMING_SPEEDUP`` overrides), with the
-   85%% retain gate against ``benchmarks/baseline/BENCH_timing.json``
-   and ``--timing-out`` to merge-update it.
-8. **Reduction-tree engine speedup** — every
-   ``test_<stem>_reduction_on`` / ``_off`` pair (megawarp vs serial on
-   the divergent shared-memory reduction tree,
-   ``benchmarks/test_reduction_engines.py``) must show at least
-   ``--min-reduction-speedup`` (default 4.0,
-   ``$BENCH_MIN_REDUCTION_SPEEDUP`` overrides), with the 85%% retain
-   gate against ``benchmarks/baseline/BENCH_reduction.json`` and
-   ``--reduction-out`` to merge-update it.
+4. **Engine speedup pairs** — for each family ``f`` of
+   :data:`SPEEDUP_PAIRS`, every ``test_<stem>_<f>_on`` / ``_off`` pair
+   in the current run must show at least ``--min-<f>-speedup``
+   (``$BENCH_MIN_<F>_SPEEDUP`` overrides the table default), and must
+   not fall below 85%% of the speedup committed in
+   ``--<f>-baseline`` (default ``benchmarks/baseline/BENCH_<f>.json``;
+   ``/dev/null`` disables this retain gate).  ``--<f>-out PATH``
+   merge-updates that artifact with the measured seconds and speedup
+   per stem.  The families: ``vector`` (megawarp vs serial
+   interpretation), ``shard`` (sharded scheduler vs serial suite run;
+   the ``minisuite`` stem needs real cores and skips itself on
+   single-core boxes), ``timing`` (event-driven engine vs reference
+   timing loop), ``reduction`` (megawarp vs serial on the divergent
+   shared-memory reduction tree).
 
 Exit status 0 on pass, 1 on regression, 2 on usage/IO errors.
 """
@@ -82,20 +57,20 @@ from typing import Dict, Optional
 
 DEDUP_BENCH = "test_timing_replay_throughput"
 REFERENCE_BENCH = "test_timing_replay_reference_throughput"
-EXTRAPOLATE_ON_SUFFIX = "_extrapolate_on"
-EXTRAPOLATE_OFF_SUFFIX = "_extrapolate_off"
-VECTOR_ON_SUFFIX = "_vector_on"
-VECTOR_OFF_SUFFIX = "_vector_off"
-SHARD_ON_SUFFIX = "_shard_on"
-SHARD_OFF_SUFFIX = "_shard_off"
-TIMING_ON_SUFFIX = "_timing_on"
-TIMING_OFF_SUFFIX = "_timing_off"
-REDUCTION_ON_SUFFIX = "_reduction_on"
-REDUCTION_OFF_SUFFIX = "_reduction_off"
 PROVENANCE_ON_BENCH = "test_workload_provenance_on"
 PROVENANCE_OFF_BENCH = "test_workload_provenance_off"
 #: Fraction of the committed speedup the current run must retain.
 SPEEDUP_RETAIN = 0.85
+
+#: ``(family, off_key, on_key, default_min)`` per on/off speedup family:
+#: benchmarks named ``test_<stem>_<family>_on`` / ``_off``, the seconds
+#: columns of their committed artifact, and the required speedup.
+SPEEDUP_PAIRS = (
+    ("vector", "serial_s", "vector_s", 5.0),
+    ("shard", "serial_s", "sharded_s", 2.0),
+    ("timing", "reference_s", "fast_s", 5.0),
+    ("reduction", "serial_s", "vector_s", 4.0),
+)
 
 
 def load_means(path: str) -> Dict[str, float]:
@@ -107,62 +82,26 @@ def load_means(path: str) -> Dict[str, float]:
     return means
 
 
-def _on_off_pairs(
-    means: Dict[str, float], on_suffix: str, off_suffix: str,
-    off_key: str, on_key: str,
+def on_off_pairs(
+    means: Dict[str, float], family: str, off_key: str, on_key: str,
 ) -> Dict[str, Dict[str, float]]:
     """``{stem: {off_key, on_key, speedup}}`` for every complete
-    ``test_<stem><on_suffix>/<off_suffix>`` pair in a benchmark run."""
+    ``test_<stem>_<family>_on/_off`` pair in a benchmark run."""
+    on_suffix = f"_{family}_on"
     pairs: Dict[str, Dict[str, float]] = {}
     for name, on_mean in means.items():
         if not name.endswith(on_suffix):
             continue
         stem = name[len("test_"):-len(on_suffix)]
-        off_name = f"test_{stem}{off_suffix}"
-        if off_name not in means:
+        off_mean = means.get(f"test_{stem}_{family}_off")
+        if off_mean is None:
             continue
-        off_mean = means[off_name]
         pairs[stem] = {
             off_key: off_mean,
             on_key: on_mean,
             "speedup": round(off_mean / on_mean, 2),
         }
     return pairs
-
-
-def extrapolate_pairs(means: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    return _on_off_pairs(
-        means, EXTRAPOLATE_ON_SUFFIX, EXTRAPOLATE_OFF_SUFFIX,
-        "cold_s", "extrapolated_s",
-    )
-
-
-def vector_pairs(means: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    return _on_off_pairs(
-        means, VECTOR_ON_SUFFIX, VECTOR_OFF_SUFFIX,
-        "serial_s", "vector_s",
-    )
-
-
-def shard_pairs(means: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    return _on_off_pairs(
-        means, SHARD_ON_SUFFIX, SHARD_OFF_SUFFIX,
-        "serial_s", "sharded_s",
-    )
-
-
-def timing_pairs(means: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    return _on_off_pairs(
-        means, TIMING_ON_SUFFIX, TIMING_OFF_SUFFIX,
-        "reference_s", "fast_s",
-    )
-
-
-def reduction_pairs(means: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    return _on_off_pairs(
-        means, REDUCTION_ON_SUFFIX, REDUCTION_OFF_SUFFIX,
-        "serial_s", "vector_s",
-    )
 
 
 def _gate_pairs(
@@ -236,101 +175,26 @@ def main(argv: Optional[list] = None) -> int:
         "--min-dedup-speedup", type=float, default=3.0,
         help="required dedup-vs-reference replay speedup (default: 3.0)",
     )
-    parser.add_argument(
-        "--min-extrapolate-speedup",
-        type=float,
-        default=float(
-            os.environ.get("BENCH_MIN_EXTRAPOLATE_SPEEDUP", "5.0")
-        ),
-        help="required batched-vs-serial extrapolation speedup per "
-             "workload pair (default: 5.0; "
-             "$BENCH_MIN_EXTRAPOLATE_SPEEDUP overrides)",
-    )
-    parser.add_argument(
-        "--extrapolate-baseline",
-        default="benchmarks/baseline/BENCH_extrapolate.json",
-        help="committed extrapolation-speedup artifact "
-             "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--extrapolate-out", metavar="PATH", default=None,
-        help="merge-update PATH with the measured extrapolation "
-             "speedups from the current run",
-    )
-    parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=float(os.environ.get("BENCH_MIN_VECTOR_SPEEDUP", "5.0")),
-        help="required megawarp-vs-serial vectorization speedup per "
-             "kernel pair (default: 5.0; $BENCH_MIN_VECTOR_SPEEDUP "
-             "overrides)",
-    )
-    parser.add_argument(
-        "--vector-baseline",
-        default="benchmarks/baseline/BENCH_vector.json",
-        help="committed vectorization-speedup artifact "
-             "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--vector-out", metavar="PATH", default=None,
-        help="merge-update PATH with the measured vectorization "
-             "speedups from the current run",
-    )
-    parser.add_argument(
-        "--min-shard-speedup",
-        type=float,
-        default=float(os.environ.get("BENCH_MIN_SHARD_SPEEDUP", "2.0")),
-        help="required sharded-vs-serial suite speedup per pair "
-             "(default: 2.0; $BENCH_MIN_SHARD_SPEEDUP overrides)",
-    )
-    parser.add_argument(
-        "--shard-baseline",
-        default="benchmarks/baseline/BENCH_shard.json",
-        help="committed shard-speedup artifact (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--shard-out", metavar="PATH", default=None,
-        help="merge-update PATH with the measured shard speedups from "
-             "the current run",
-    )
-    parser.add_argument(
-        "--min-timing-speedup",
-        type=float,
-        default=float(os.environ.get("BENCH_MIN_TIMING_SPEEDUP", "5.0")),
-        help="required event-driven-vs-reference timing-replay speedup "
-             "per pair (default: 5.0; $BENCH_MIN_TIMING_SPEEDUP "
-             "overrides)",
-    )
-    parser.add_argument(
-        "--timing-baseline",
-        default="benchmarks/baseline/BENCH_timing.json",
-        help="committed timing-speedup artifact (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--timing-out", metavar="PATH", default=None,
-        help="merge-update PATH with the measured timing-engine "
-             "speedups from the current run",
-    )
-    parser.add_argument(
-        "--min-reduction-speedup",
-        type=float,
-        default=float(
-            os.environ.get("BENCH_MIN_REDUCTION_SPEEDUP", "4.0")
-        ),
-        help="required megawarp-vs-serial speedup on the reduction-tree "
-             "pair (default: 4.0; $BENCH_MIN_REDUCTION_SPEEDUP "
-             "overrides)",
-    )
-    parser.add_argument(
-        "--reduction-baseline",
-        default="benchmarks/baseline/BENCH_reduction.json",
-        help="committed reduction-speedup artifact (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--reduction-out", metavar="PATH", default=None,
-        help="merge-update PATH with the measured reduction-tree "
-             "speedups from the current run",
-    )
+    for family, _, _, default_min in SPEEDUP_PAIRS:
+        env = f"BENCH_MIN_{family.upper()}_SPEEDUP"
+        parser.add_argument(
+            f"--min-{family}-speedup",
+            type=float,
+            default=float(os.environ.get(env, default_min)),
+            help=f"required {family} on-vs-off speedup per pair "
+                 f"(default: {default_min}; ${env} overrides)",
+        )
+        parser.add_argument(
+            f"--{family}-baseline",
+            default=f"benchmarks/baseline/BENCH_{family}.json",
+            help=f"committed {family}-speedup artifact "
+                 "(default: %(default)s)",
+        )
+        parser.add_argument(
+            f"--{family}-out", metavar="PATH", default=None,
+            help=f"merge-update PATH with the measured {family} "
+                 "speedups from the current run",
+        )
     parser.add_argument(
         "--max-provenance-overhead",
         type=float,
@@ -399,23 +263,7 @@ def main(argv: Optional[list] = None) -> int:
         )
         failed = failed or not ok
 
-    # -- check 3: extrapolation speedup (ratio + committed gate) --------
-    failed |= _gate_pairs(
-        "extrapolate", extrapolate_pairs(current),
-        "cold_s", "extrapolated_s",
-        args.min_extrapolate_speedup,
-        args.extrapolate_baseline, args.extrapolate_out,
-    )
-
-    # -- check 4: megawarp vectorization speedup ------------------------
-    failed |= _gate_pairs(
-        "vector", vector_pairs(current),
-        "serial_s", "vector_s",
-        args.min_vector_speedup,
-        args.vector_baseline, args.vector_out,
-    )
-
-    # -- check 5: decision-provenance overhead (same machine, same run) -
+    # -- check 3: decision-provenance overhead (same machine, same run) -
     if PROVENANCE_ON_BENCH in current and PROVENANCE_OFF_BENCH in current:
         overhead = (
             current[PROVENANCE_ON_BENCH] / current[PROVENANCE_OFF_BENCH]
@@ -429,29 +277,15 @@ def main(argv: Optional[list] = None) -> int:
         )
         failed = failed or not ok
 
-    # -- check 6: sharded suite speedup ---------------------------------
-    failed |= _gate_pairs(
-        "shard", shard_pairs(current),
-        "serial_s", "sharded_s",
-        args.min_shard_speedup,
-        args.shard_baseline, args.shard_out,
-    )
-
-    # -- check 7: event-driven timing speedup ---------------------------
-    failed |= _gate_pairs(
-        "timing", timing_pairs(current),
-        "reference_s", "fast_s",
-        args.min_timing_speedup,
-        args.timing_baseline, args.timing_out,
-    )
-
-    # -- check 8: reduction-tree engine speedup -------------------------
-    failed |= _gate_pairs(
-        "reduction", reduction_pairs(current),
-        "serial_s", "vector_s",
-        args.min_reduction_speedup,
-        args.reduction_baseline, args.reduction_out,
-    )
+    # -- check 4: engine speedup pairs (ratio + committed retain gate) --
+    opts = vars(args)
+    for family, off_key, on_key, _ in SPEEDUP_PAIRS:
+        failed |= _gate_pairs(
+            family, on_off_pairs(current, family, off_key, on_key),
+            off_key, on_key,
+            opts[f"min_{family}_speedup"],
+            opts[f"{family}_baseline"], opts[f"{family}_out"],
+        )
 
     return 1 if failed else 0
 

@@ -4,7 +4,7 @@ The divergent tree kernel (RED0's ``tid % (2*s)`` halving reduction —
 barrier-heavy, shared-memory strided, divergent on every tree step) is
 the megawarp vector engine's worst-case workload shape, so this file
 pins its megawarp-vs-serial speedup as a ``test_<stem>_reduction_on`` /
-``_off`` pair.  ``compare.py`` (check 8) enforces
+``_off`` pair.  ``compare.py`` (its ``reduction`` speedup row) enforces
 ``BENCH_MIN_REDUCTION_SPEEDUP`` and the 85% retain gate against
 ``benchmarks/baseline/BENCH_reduction.json``.
 
@@ -44,7 +44,7 @@ def _reduction_bench(benchmark, mode, rounds=3):
             args=(d_in, d_out),
         )
         trace = FunctionalExecutor(
-            _KERNEL, launch, dev.memory, extrapolate="0", vector=mode
+            _KERNEL, launch, dev.memory, vector=mode
         ).run()
         # the partial sums must actually be correct in both engines
         got = dev.download(d_out, R_BLOCKS, np.int32)

@@ -152,11 +152,13 @@ def test_transform_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Block-trace extrapolation (R2D2_EXTRAPOLATE): cold serial execution vs
-# the batched engine, on regular workloads at the largest configured
-# grid.  ``compare.py`` pairs ``test_<stem>_extrapolate_on/_off``,
-# enforces the >=5x speedup, and records the trajectory in
-# BENCH_extrapolate.json.
+# Megawarp vectorization (R2D2_VECTOR): serial interpretation vs the
+# masked megawarp engine.  ``compare.py`` pairs
+# ``test_<stem>_vector_on/_off``, enforces the >=5x speedup, and records
+# the trajectory in BENCH_vector.json.  Two pairs: ``smem_shift`` — an
+# affine shared-memory kernel with a block-wide barrier at 256 blocks x
+# 256 threads, which gates the hazard check on barrier-ordered shared
+# words — and ``dyntrip`` below.
 # ---------------------------------------------------------------------------
 
 X_BLOCKS = 256
@@ -183,7 +185,7 @@ def _saxpy_kernel():
 
 def _smem_shift_kernel():
     """Stage through shared memory with a reversed (still affine) read
-    after a block-wide barrier — exercises the batched shared arena."""
+    after a block-wide barrier — exercises the megawarp shared arena."""
     b = KernelBuilder(
         "smem_shift",
         params=[Param("x", is_pointer=True), Param("o", is_pointer=True),
@@ -205,7 +207,7 @@ def _smem_shift_kernel():
     return b.build()
 
 
-def _extrapolate_bench(benchmark, kernel, mode):
+def _smem_shift_bench(benchmark, mode):
     def setup():
         dev = Device(tiny())
         p0 = dev.upload(np.ones(X_N, dtype=np.float32))
@@ -217,12 +219,8 @@ def _extrapolate_bench(benchmark, kernel, mode):
             grid=Dim3(X_BLOCKS), block=Dim3(X_THREADS),
             args=(p0, p1, X_N),
         )
-        # vector="0" pins the off side to the serial interpreter so the
-        # pair keeps measuring extrapolate-vs-serial (the committed
-        # cold_s baseline); without it the megawarp engine absorbs the
-        # "cold" run and the ratio measures two fast paths.
         return FunctionalExecutor(
-            kernel, launch, dev.memory, extrapolate=mode, vector="0"
+            _smem_shift_kernel(), launch, dev.memory, vector=mode
         ).run()
 
     trace = benchmark.pedantic(run, setup=setup, rounds=3)
@@ -230,44 +228,21 @@ def _extrapolate_bench(benchmark, kernel, mode):
     return trace
 
 
-def test_vscale_extrapolate_on(benchmark):
-    trace = _extrapolate_bench(benchmark, _vadd_kernel(), "1")
-    assert trace.extrapolation.blocks_extrapolated == X_BLOCKS
+def test_smem_shift_vector_on(benchmark):
+    report = _smem_shift_bench(benchmark, "1").vector
+    assert report.engaged and not report.bailed
+    assert report.warps_vectorized == report.warps_total
 
 
-def test_vscale_extrapolate_off(benchmark):
-    _extrapolate_bench(benchmark, _vadd_kernel(), "0")
+def test_smem_shift_vector_off(benchmark):
+    _smem_shift_bench(benchmark, "0")
 
 
-def test_saxpy_extrapolate_on(benchmark):
-    trace = _extrapolate_bench(benchmark, _saxpy_kernel(), "1")
-    assert trace.extrapolation.blocks_extrapolated == X_BLOCKS
-
-
-def test_saxpy_extrapolate_off(benchmark):
-    _extrapolate_bench(benchmark, _saxpy_kernel(), "0")
-
-
-def test_smem_shift_extrapolate_on(benchmark):
-    trace = _extrapolate_bench(benchmark, _smem_shift_kernel(), "1")
-    assert trace.extrapolation.blocks_extrapolated == X_BLOCKS
-
-
-def test_smem_shift_extrapolate_off(benchmark):
-    _extrapolate_bench(benchmark, _smem_shift_kernel(), "0")
-
-
-# ---------------------------------------------------------------------------
-# Megawarp vectorization (R2D2_VECTOR): serial interpretation vs the
-# masked megawarp engine on a divergent kernel extrapolation can never
-# take.  ``compare.py`` pairs ``test_<stem>_vector_on/_off``, enforces
-# the >=5x speedup, and records the trajectory in BENCH_vector.json.
-# The gated pair runs ``dyntrip`` — per-lane data-dependent trip
-# counts, the paper's "divergent loop" shape — sized so the serial
-# side stays a few seconds per round; collatz (unbounded while loop)
-# is covered by the bit-identity check below and by the divergent
+# The ``dyntrip`` pair — per-lane data-dependent trip counts, the
+# paper's "divergent loop" shape — is sized so the serial side stays a
+# few seconds per round; collatz (unbounded while loop) is covered by
+# the bit-identity check below and by the divergent
 # functional-throughput benchmark above.
-# ---------------------------------------------------------------------------
 
 V_BLOCKS = 512
 V_THREADS = 128
@@ -304,7 +279,7 @@ def _vector_bench(benchmark, kernel, mode, rounds=3):
             grid=Dim3(V_BLOCKS), block=Dim3(V_THREADS), args=(p0, p1)
         )
         return FunctionalExecutor(
-            kernel, launch, dev.memory, extrapolate="0", vector=mode
+            kernel, launch, dev.memory, vector=mode
         ).run()
 
     trace = benchmark.pedantic(run, setup=setup, rounds=rounds)
@@ -426,43 +401,33 @@ def test_workload_provenance_off(benchmark):
 
 
 def test_vector_engines_agree():
-    """Not a timing benchmark: on divergent workloads the megawarp must
-    leave memory bit-identical to serial execution."""
-    for kernel_fn, blocks in ((_dyntrip_kernel, 64), (_collatz_kernel, 16)):
+    """Not a timing benchmark: on divergent, regular and shared-memory
+    kernels the megawarp must leave memory bit-identical to serial
+    execution."""
+    cases = (
+        # (kernel, blocks, threads, float input + trailing n argument)
+        (_dyntrip_kernel, 64, V_THREADS, False),
+        (_collatz_kernel, 16, V_THREADS, False),
+        (_saxpy_kernel, X_BLOCKS, X_THREADS, True),
+        (_smem_shift_kernel, X_BLOCKS, X_THREADS, True),
+    )
+    for kernel_fn, blocks, threads, affine in cases:
         outs = {}
-        n = blocks * V_THREADS
+        n = blocks * threads
         for mode in ("0", "1"):
             dev = Device(tiny())
             rng = np.random.default_rng(11)
-            p0 = dev.upload(rng.integers(1, 40, n).astype(np.int32))
-            p1 = dev.alloc(4 * n)
+            if affine:
+                p0 = dev.upload(rng.standard_normal(n).astype(np.float32))
+                args = (p0, dev.alloc(4 * n), n)
+            else:
+                p0 = dev.upload(rng.integers(1, 40, n).astype(np.int32))
+                args = (p0, dev.alloc(4 * n))
             launch = LaunchConfig(
-                grid=Dim3(blocks), block=Dim3(V_THREADS), args=(p0, p1)
+                grid=Dim3(blocks), block=Dim3(threads), args=args
             )
             FunctionalExecutor(
-                kernel_fn(), launch, dev.memory,
-                extrapolate="0", vector=mode,
-            ).run()
-            outs[mode] = dev.memory.buf.copy()
-        assert np.array_equal(outs["0"], outs["1"])
-
-
-def test_extrapolate_engines_agree():
-    """Not a timing benchmark: on each benchmarked workload the batched
-    engine must leave memory bit-identical to serial execution."""
-    for kernel_fn in (_vadd_kernel, _saxpy_kernel, _smem_shift_kernel):
-        outs = {}
-        for mode in ("0", "1"):
-            dev = Device(tiny())
-            rng = np.random.default_rng(7)
-            p0 = dev.upload(rng.standard_normal(X_N).astype(np.float32))
-            p1 = dev.alloc(4 * X_N)
-            launch = LaunchConfig(
-                grid=Dim3(X_BLOCKS), block=Dim3(X_THREADS),
-                args=(p0, p1, X_N),
-            )
-            FunctionalExecutor(
-                kernel_fn(), launch, dev.memory, extrapolate=mode
+                kernel_fn(), launch, dev.memory, vector=mode
             ).run()
             outs[mode] = dev.memory.buf.copy()
         assert np.array_equal(outs["0"], outs["1"])

@@ -495,20 +495,15 @@ REDUCTION_LADDER: Tuple[Tuple[str, str], ...] = (
 
 
 def _engine_summary(decisions: Sequence[dict]) -> str:
-    """One cell summarizing the run's engine outcomes, e.g.
-    ``ext:skip(barrier) vec:engage``."""
-    parts = []
-    for engine in ("extrapolate", "vector"):
-        for d in decisions:
-            if d.get("engine") != engine:
-                continue
-            word = str(d.get("decision", "?"))
+    """One cell summarizing the run's first megawarp outcome, e.g.
+    ``vec:engage`` or ``vec:bail(cross-warp-memory-conflict)``."""
+    for d in decisions:
+        if d.get("engine") == "vector":
             reason = d.get("reason")
-            parts.append(
-                f"{engine[:3]}:{word}" + (f"({reason})" if reason else "")
+            return f"vec:{d.get('decision', '?')}" + (
+                f"({reason})" if reason else ""
             )
-            break
-    return " ".join(parts) if parts else "-"
+    return "-"
 
 
 def _top_demotion(abbr: str, scale: str) -> str:

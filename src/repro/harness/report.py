@@ -142,8 +142,7 @@ def obs_phase_table(snapshot: Dict[str, object]) -> Table:
 
 def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
     """Per-kernel fast-path counters (timing-engine mix, dedup replay,
-    block-trace extrapolation, megawarp vectorization) from a
-    snapshot's flattened counter keys.
+    megawarp vectorization) from a snapshot's flattened counter keys.
 
     The ``timing`` column renders the engine mix per kernel (``dedup``,
     ``fast``, ``reference``, ``verify``), with dedup decline reasons in
@@ -152,7 +151,6 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
 
     counters: Dict[str, float] = dict(snapshot.get("counters") or {})
     per_kernel: Dict[str, Dict[str, float]] = {}
-    reasons: Dict[str, str] = {}
     vreasons: Dict[str, Dict[str, int]] = {}
     tengines: Dict[str, Dict[str, int]] = {}
     dfallbacks: Dict[str, Dict[str, int]] = {}
@@ -163,14 +161,9 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
             continue
         bucket = per_kernel.setdefault(kernel, {})
         bucket[name] = bucket.get(name, 0) + value
-        if name in ("extrapolate.ineligible", "extrapolate.bailed"):
-            reasons[kernel] = labels.get("reason", reasons.get(kernel, ""))
         if name in ("vector.ineligible", "vector.bailed"):
             slug = labels.get("reason", "")
-            # "extrapolated" is not a demotion: the launch took the
-            # faster engine.  Everything else names why the megawarp
-            # could not (or declined to) take it.
-            if slug and slug != "extrapolated":
+            if slug:
                 vbucket = vreasons.setdefault(kernel, {})
                 vbucket[slug] = vbucket.get(slug, 0) + int(value)
         if name == "timing.engine":
@@ -185,8 +178,8 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
 
     table = Table(
         "Per-kernel fast-path counters",
-        ["kernel", "timing", "dedup_sms", "cloned", "xblocks", "xtotal",
-         "fallback", "vwarps", "vtotal", "vfallback"],
+        ["kernel", "timing", "dedup_sms", "cloned", "vwarps", "vtotal",
+         "vfallback"],
     )
     for kernel in sorted(per_kernel):
         c = per_kernel[kernel]
@@ -199,9 +192,6 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
             timing,
             int(c.get("dedup.sms.simulated", 0)),
             int(c.get("dedup.sms.cloned", 0)),
-            int(c.get("extrapolate.blocks_extrapolated", 0)),
-            int(c.get("extrapolate.blocks_total", 0)),
-            reasons.get(kernel, ""),
             int(c.get("vector.warps_vectorized", 0)),
             int(c.get("vector.warps_total", 0)),
             format_fallbacks(vreasons.get(kernel, {})),

@@ -92,12 +92,9 @@ class WorkloadResult:
     stats: Dict[str, ArchStats] = field(default_factory=dict)
     verified: bool = False
     outputs_identical: bool = False
-    #: Per-launch engine outcomes (dicts from
-    #: ``DecisionEvent.to_dict``): both the extrapolation and megawarp
-    #: engines report eligibility/bail/engage through this one unified
-    #: list — machine-readable speedup/skip reasons for the run report.
-    #: Empty for results deserialized from caches written before
-    #: decision provenance existed.
+    #: Per-launch megawarp outcomes (dicts from
+    #: ``DecisionEvent.to_dict``): engage/skip/bail with a
+    #: machine-readable reason for the run report.
     engine_decisions: List[dict] = field(default_factory=list)
 
     def __getitem__(self, arch: str) -> ArchStats:
@@ -210,13 +207,10 @@ def _run_workload_phases(
     result = WorkloadResult(abbr=workload.abbr, scale=workload.scale)
     result.verified = verify
     for trace in traces:
-        # getattr twice over: cached traces may predate the report
-        # fields, and cached reports may predate ``to_decision``.
-        for attr in ("extrapolation", "vector"):
-            report = getattr(trace, attr, None)
-            to_decision = getattr(report, "to_decision", None)
-            if to_decision is not None:
-                result.engine_decisions.append(to_decision().to_dict())
+        if trace.vector is not None:
+            result.engine_decisions.append(
+                trace.vector.to_decision().to_dict()
+            )
 
     trace_arches = [n for n in arch_names if n != "r2d2"]
     with obs.span("analyze"):

@@ -8,7 +8,7 @@ reports into.  Three pieces:
   stays small over thousands of launches.
 - **Counters/gauges** (:mod:`repro.obs.registry`) —
   ``obs.inc("dedup.sms.cloned", 3, kernel=name)`` records typed,
-  labelled metrics (dedup replay ratios, extrapolation fallback
+  labelled metrics (dedup replay ratios, megawarp fallback
   reasons, trace-cache hits, parallel-runner demotions, ...).
 - **Exporters** (:mod:`repro.obs.export`) — ``R2D2_TRACE_LOG`` appends
   JSON-lines events; :func:`write_metrics` backs the harness

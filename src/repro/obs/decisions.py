@@ -1,7 +1,7 @@
 """The unified per-run decision trace (decision-level provenance).
 
 Every consequential choice the pipeline makes — an engine declining a
-launch (extrapolation ineligibility, megawarp bail-to-serial, dedup
+launch (megawarp skip or bail-to-serial, dedup
 opt-out), a cache hit or miss, the linear analyzer demoting an
 instruction out of the affine domain — is recorded as one typed
 :class:`DecisionEvent` in the process-wide :data:`repro.obs.DECISIONS`
@@ -47,8 +47,8 @@ def provenance_enabled() -> bool:
 class DecisionEvent:
     """One engine/analyzer decision.
 
-    ``engine`` names the deciding subsystem (``extrapolate``,
-    ``vector``, ``dedup``, ``cache``, ``analyzer``); ``decision`` is
+    ``engine`` names the deciding subsystem (``vector``, ``timing``,
+    ``dedup``, ``cache``, ``analyzer``); ``decision`` is
     what it decided (``skip``, ``bail``, ``engage``, ``hit``, ``miss``,
     ``demote``, ``promote``, ``retract``); ``reason`` is the
     machine-readable slug shared with the counter labels and event log.

@@ -34,7 +34,6 @@ from ..isa.validate import collect_errors
 from ..linear.analyzer import analyze_kernel
 from ..sim.config import GPUConfig, tiny
 from ..sim.executor import FunctionalExecutor
-from ..sim.extrapolate import ExtrapolationMismatch
 from ..sim.vector import VectorMismatch
 from ..sim.gpu import Device
 from ..sim.timing import (
@@ -231,65 +230,17 @@ def _check_spec(
         )
     )
 
-    # --- block-trace extrapolation ------------------------------------
-    # verify mode: batched execution must be bit-identical to serial
-    # (trace records + memory); then the committing path ("1") must
-    # leave the same memory as the serial run above, and its synthesized
-    # trace must replay identically through dedup on/off.
-    dev_x, args_x, _ = _prepare_device(spec, config)
-    launch_x = LaunchConfig(args=args_x, **launch_geom)
-    try:
-        FunctionalExecutor(
-            kernel, launch_x, dev_x.memory, extrapolate="verify"
-        ).run()
-    except ExtrapolationMismatch as exc:
-        vio.append(Violation("extrapolate-mismatch", str(exc)))
-    except Exception as exc:  # noqa: BLE001
-        vio.append(
-            Violation(
-                "extrapolate-run-crash", f"{type(exc).__name__}: {exc}"
-            )
-        )
-    else:
-        dev_y, args_y, _ = _prepare_device(spec, config)
-        launch_y = LaunchConfig(args=args_y, **launch_geom)
-        try:
-            trace_x = FunctionalExecutor(
-                kernel, launch_y, dev_y.memory, extrapolate="1"
-            ).run()
-        except Exception as exc:  # noqa: BLE001
-            vio.append(
-                Violation(
-                    "extrapolate-run-crash",
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-        else:
-            if not np.array_equal(dev_y.memory.buf, dev_a.memory.buf):
-                bad = np.flatnonzero(dev_y.memory.buf != dev_a.memory.buf)
-                vio.append(
-                    Violation(
-                        "extrapolate-commit-mismatch",
-                        f"memory differs at {bad.size} byte(s), first "
-                        f"at address {int(bad[0])}",
-                    )
-                )
-            for kind, diff in _timing_engine_diffs(config, trace_x):
-                vio.append(Violation(kind, f"extrapolated {diff}"))
-
     # --- megawarp vectorization ---------------------------------------
-    # Same contract as extrapolation, for the universal engine: verify
-    # mode must be bit-identical to serial on every kernel (divergent
-    # ones included), and the committing path must leave serial memory
-    # and a dedup-replay-identical trace.  Extrapolation is forced off
-    # so the megawarp takes regular kernels too instead of skipping
-    # with "extrapolated".
+    # verify mode must be bit-identical to serial (trace records +
+    # memory) on every kernel, divergent ones included; then the
+    # committing path ("1") must leave the same memory as the serial
+    # run above, and its trace must replay identically through every
+    # timing engine.
     dev_v, args_v, _ = _prepare_device(spec, config)
     launch_v = LaunchConfig(args=args_v, **launch_geom)
     try:
         FunctionalExecutor(
-            kernel, launch_v, dev_v.memory, extrapolate="0",
-            vector="verify",
+            kernel, launch_v, dev_v.memory, vector="verify",
         ).run()
     except VectorMismatch as exc:
         vio.append(Violation("vector-mismatch", str(exc)))
@@ -302,8 +253,7 @@ def _check_spec(
         launch_w = LaunchConfig(args=args_w, **launch_geom)
         try:
             trace_v = FunctionalExecutor(
-                kernel, launch_w, dev_w.memory, extrapolate="0",
-                vector="1",
+                kernel, launch_w, dev_w.memory, vector="1",
             ).run()
         except Exception as exc:  # noqa: BLE001
             vio.append(

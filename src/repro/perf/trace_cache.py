@@ -47,7 +47,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from .. import obs
 
 #: Bump whenever the pickled payloads or the key recipe change shape.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DEFAULT_MAX_MB = 512.0
 

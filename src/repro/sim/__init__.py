@@ -17,12 +17,6 @@ from .executor import (
     WarpContext,
     WARP_SIZE,
 )
-from .extrapolate import (
-    ExtrapolationMismatch,
-    ExtrapolationReport,
-    check_eligibility,
-    extrapolation_mode,
-)
 from .gpu import Device, as_dim3
 from .memory import ByteSpace, GlobalMemory, MemoryError_, SharedMemory
 from .timing import (
@@ -60,8 +54,6 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyConfig",
     "ExecutionError",
-    "ExtrapolationMismatch",
-    "ExtrapolationReport",
     "FunctionalExecutor",
     "GlobalMemory",
     "GPUConfig",
@@ -85,9 +77,7 @@ __all__ = [
     "WARP_SIZE",
     "as_dim3",
     "bank_conflict_degree",
-    "check_eligibility",
     "coalesce",
-    "extrapolation_mode",
     "timing_differences",
     "timing_mode_from_env",
     "vector_mode",

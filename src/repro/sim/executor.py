@@ -200,7 +200,6 @@ class FunctionalExecutor:
         collect_trace: bool = True,
         max_warp_instructions: int = 20_000_000,
         line_bytes: int = 128,
-        extrapolate: Optional[str] = None,
         vector: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
@@ -217,11 +216,8 @@ class FunctionalExecutor:
                 f"kernel {kernel.name} takes {len(kernel.params)} args, "
                 f"got {len(launch.args)}"
             )
-        from .extrapolate import extrapolation_mode
         from .vector import vector_mode
 
-        self.extrapolate = extrapolation_mode(extrapolate)
-        self._pending_verify: Optional[tuple] = None
         self.vector = vector_mode(vector)
         self._pending_vector_verify: Optional[tuple] = None
         # Register-name -> slot map shared by every warp of the launch
@@ -250,45 +246,25 @@ class FunctionalExecutor:
         # overflow or divide by zero without affecting any visible state.
         with np.errstate(over="ignore", invalid="ignore",
                          divide="ignore"):
-            start = self._maybe_extrapolate(trace)
-            start = self._maybe_vectorize(trace, start)
+            start = self._maybe_vectorize(trace)
             for block_id in range(start, grid.count):
                 block_xyz = grid.linear_to_xyz(block_id)
                 block_trace = self._run_block(block_id, block_xyz)
                 trace.blocks.append(block_trace)
-            if self.extrapolate == "verify":
-                self._verify_extrapolation(trace)
             if self.vector == "verify":
                 self._verify_vectorization(trace)
         return trace
 
-    def _maybe_extrapolate(self, trace: KernelTrace) -> int:
-        """Try block-trace extrapolation; returns how many leading
-        blocks it covered (0 when ineligible/disabled/bailed).  Gated to
-        exactly this class: subclasses (probes, tests) override pieces
-        of the interpreter the batched engine would bypass."""
+    def _maybe_vectorize(self, trace: KernelTrace) -> int:
+        """Try megawarp vectorization; returns how many leading blocks
+        it covered (0 when skipped or bailed).  Gated to exactly this
+        class: subclasses (probes, tests) override pieces of the
+        interpreter the megawarp would bypass."""
         if type(self) is not FunctionalExecutor:
             return 0
-        from .extrapolate import attempt_extrapolation
-
-        return attempt_extrapolation(self, trace)
-
-    def _verify_extrapolation(self, trace: KernelTrace) -> None:
-        if type(self) is not FunctionalExecutor:
-            return
-        from .extrapolate import verify_against
-
-        verify_against(self, trace)
-
-    def _maybe_vectorize(self, trace: KernelTrace, covered: int) -> int:
-        """Try megawarp vectorization of whatever the extrapolator left
-        uncovered; returns the new covered-block count.  Gated to exactly
-        this class for the same reason as ``_maybe_extrapolate``."""
-        if type(self) is not FunctionalExecutor:
-            return covered
         from .vector import attempt_vectorization
 
-        return attempt_vectorization(self, trace, covered)
+        return attempt_vectorization(self, trace)
 
     def _verify_vectorization(self, trace: KernelTrace) -> None:
         if type(self) is not FunctionalExecutor:
@@ -847,11 +823,10 @@ class FunctionalExecutor:
 # DARSIE's value-based skip detection keys records on a hash of
 # (pc, active mask, source values).  The scheme is a deterministic
 # multiply-sum digest over uint64 lane bits: unlike ``hash(bytes)`` it
-# is stable across processes, and — crucially for the megawarp and
-# block-batch engines — it vectorizes over the row axis, where a
-# bytes-join forces a python loop per warp.  Three implementations must
-# stay bit-identical (serial, per-block batch, per-warp megawarp);
-# serial is `hash_sources`, the batched engines use `hash_source_rows`.
+# is stable across processes, and — crucially for the megawarp engine —
+# it vectorizes over the row axis, where a bytes-join forces a python
+# loop per warp.  The two implementations must stay bit-identical:
+# serial is `hash_sources`, the megawarp uses `hash_source_rows`.
 
 _MASK64 = (1 << 64) - 1
 _H_PC = 0x9E3779B97F4A7C15

@@ -50,7 +50,7 @@ class ByteSpace:
 
         The dtype view cache starts empty — cached views alias ``buf``
         and must never leak across the fork boundary.  Speculative
-        execution (block-trace extrapolation) runs against a fork and
+        execution (the megawarp engine) runs against a fork and
         either commits it back with ``buf[:] = fork.buf`` (in place, so
         the original's views stay valid) or discards it.
         """

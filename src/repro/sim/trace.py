@@ -105,8 +105,8 @@ class WarpTrace:
     block_linear_id: int
     warp_in_block: int
     records: List[TraceRecord] = field(default_factory=list)
-    #: Interned tuple of ``static_issue_key()``s, set by the block-trace
-    #: extrapolator; lets the warp-dedup engine group warps by identity
+    #: Interned tuple of ``static_issue_key()``s, set by the megawarp
+    #: engine; lets the warp-dedup engine group warps by identity
     #: comparison instead of re-walking every record.
     sig_base: Optional[Tuple] = field(
         default=None, compare=False, repr=False
@@ -138,9 +138,8 @@ class KernelTrace:
     #: Set by the R2D2 transform: decoupled linear-phase instruction
     #: streams (see repro.arch.r2d2).
     linear_phase: Optional[object] = None
-    #: Outcome of the block-trace extrapolation attempt for this launch
-    #: (an ``ExtrapolationReport``); ``None`` for traces produced before
-    #: the extrapolator existed (old cache pickles).
+    #: Always ``None``: the block-trace extrapolator that filled it is
+    #: gone, and the field stays only for readers that still check it.
     extrapolation: Optional[object] = None
     #: Outcome of the megawarp vectorization attempt for this launch
     #: (a ``VectorReport``); ``None`` for traces produced before the

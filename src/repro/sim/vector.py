@@ -1,13 +1,9 @@
 """Universal vectorized interpretation: masked megawarp execution.
 
-Block-trace extrapolation (:mod:`repro.sim.extrapolate`) removes the
-redundancy of *regular* kernels — affine addresses, loop-free control
-flow — by executing one block-batch and deriving the grid.  Everything
-it rejects (data-dependent branches, loops, atomics: bfs, mummer, the
-branchy Rodinia kernels) still pays the serial per-warp interpreter.
-
-This module generalizes the ``(rows, 32)`` register-column model to
-arbitrary control flow:
+The serial interpreter (:class:`FunctionalExecutor`) runs one warp at a
+time, so every instruction pays Python dispatch once per warp.  This
+module executes all warps of a launch as ``(rows, 32)`` register
+columns, for arbitrary control flow:
 
 1. **Megawarp execution** (:class:`_MegaWarpEngine`).  All warps of a
    chunk of blocks share ``(W, 32)`` register matrices.  Each step the
@@ -42,12 +38,11 @@ arbitrary control flow:
    lines, and bank conflicts as the serial interpreter.
    ``R2D2_VECTOR=verify`` runs *both* engines and raises
    :class:`VectorMismatch` on any divergence; the differential oracle
-   fuzzes this mode exactly like ``R2D2_EXTRAPOLATE=verify``.
+   fuzzes this mode.
 
-Engine selection is extrapolate → vector → serial: the extrapolator
-keeps the affine fast path (one block-batch for the whole grid), the
-megawarp takes what it rejects, and the serial interpreter remains the
-reference implementation and last resort.
+Engine selection is vector → serial: the megawarp takes every launch it
+can, and the serial interpreter remains the reference implementation
+and last resort.
 """
 
 from __future__ import annotations
@@ -69,16 +64,21 @@ from .executor import (
     hash_source_rows,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
-from .trace import BlockTrace, KernelTrace, TraceRecord, WarpTrace
-from .extrapolate import _LineMemo, _affine_cols, _trace_diffs, _uniform_cols
+from .trace import (
+    BlockTrace,
+    KernelTrace,
+    TraceRecord,
+    WarpTrace,
+    bank_conflict_degree,
+    coalesce,
+)
 
 ENV_KNOB = "R2D2_VECTOR"
-ENV_CHUNK = "R2D2_VECTOR_CHUNK"
 
 #: Below this many warps the megawarp set-up outweighs the win.
 MIN_WARPS = 4
 
-#: Default cap on warps per megawarp chunk; bounds the (W, 32)
+#: Cap on warps per megawarp chunk; bounds the (W, 32)
 #: register-matrix footprint (4096 warps ≈ 1 MiB per live register).
 DEFAULT_CHUNK_WARPS = 4096
 
@@ -108,12 +108,12 @@ class _VBail(Exception):
 class VectorReport:
     """Machine-readable outcome of the megawarp attempt for one launch;
     attached to ``KernelTrace.vector`` and surfaced in harness run
-    reports next to the extrapolation report."""
+    reports."""
 
     kernel: str
     mode: str
     engaged: bool
-    #: Skip/bail slug ("extrapolated", "disabled", "transformed-kernel",
+    #: Skip/bail slug ("disabled", "transformed-kernel",
     #: "launch-too-small", "cross-warp-memory-conflict", "deadlock",
     #: "hazard-log-overflow", "register-dtype-promotion", ...); empty
     #: when the launch vectorized cleanly.
@@ -165,11 +165,118 @@ def vector_mode(override: Optional[str] = None) -> str:
     return "1"
 
 
-def _chunk_warps() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_CHUNK, DEFAULT_CHUNK_WARPS)))
-    except ValueError:
-        return DEFAULT_CHUNK_WARPS
+# ----------------------------------------------------------------------
+# Per-row trace classification
+# ----------------------------------------------------------------------
+def _uniform_cols(srcs, act: np.ndarray, shape, idx0, rows) -> np.ndarray:
+    """Vectorized ``FunctionalExecutor._is_uniform`` over the row axis:
+    per row, all active lanes of every vector source agree."""
+    out = np.ones(shape[0], dtype=bool)
+    for s in srcs:
+        if np.ndim(s) == 0:
+            continue
+        vals = np.asarray(s)
+        if vals.ndim == 2 and vals.shape[1] == 1:
+            continue  # per-row scalar: the serial source is a scalar
+        mat = np.broadcast_to(vals, shape)
+        first = mat[rows, idx0]
+        out &= ((mat == first[:, None]) | ~act).all(axis=1)
+    return out
+
+
+def _affine_cols(result, instr, act: np.ndarray, n_act: np.ndarray,
+                 shape) -> np.ndarray:
+    """Vectorized ``FunctionalExecutor._is_affine`` over the row axis."""
+    R = shape[0]
+    if result is None or not instr.dtype.is_integer:
+        return np.zeros(R, dtype=bool)
+    vals = np.asarray(result)
+    if vals.ndim == 0 or (vals.ndim == 2 and vals.shape[1] == 1):
+        return n_act >= 3
+    mat = np.broadcast_to(vals, shape)
+    out = np.zeros(R, dtype=bool)
+    # Fast path: all rows share one active pattern (full warps, or a
+    # group-uniform boundary guard).
+    if bool((act == act[0]).all()):
+        cols = np.flatnonzero(act[0])
+        if cols.size < 3:
+            return out
+        sub = mat[:, cols]
+        diffs = np.diff(sub, axis=1)
+        return (diffs == diffs[:, :1]).all(axis=1)
+    # Varying masks: compress each row's active lanes to the front with
+    # a stable argsort (False sorts before True on ~act), then a single
+    # vectorized diff; positions past a row's active count are padded
+    # as matching.
+    order = np.argsort(~act, axis=1, kind="stable")
+    sub = np.take_along_axis(mat, order, axis=1)
+    diffs = np.diff(sub, axis=1)
+    pos = np.arange(diffs.shape[1])
+    pad = pos[None, :] >= (n_act[:, None] - 1)
+    return ((diffs == diffs[:, :1]) | pad).all(axis=1) & (n_act >= 3)
+
+
+class _LineMemo:
+    """``(segment, Δ)`` memoization for coalescing and bank conflicts.
+
+    Two address rows with the same pattern relative to their first
+    lane's 128-byte segment produce the same line-offset tuple, and —
+    because a 128-byte shift moves every address by a whole multiple of
+    the 32-bank × 4-byte period — the same bank-conflict degree.  Each
+    distinct pattern is computed once and rebased per row by adding
+    the segment base back.
+    """
+
+    __slots__ = ("lines", "banks")
+
+    def __init__(self) -> None:
+        self.lines: Dict[bytes, Tuple[int, ...]] = {}
+        self.banks: Dict[bytes, int] = {}
+
+    def coalesce(self, addrs: np.ndarray, line_bytes: int) -> Tuple[int, ...]:
+        seg = int(addrs[0]) // line_bytes * line_bytes
+        rel = addrs - seg
+        key = rel.tobytes()
+        pattern = self.lines.get(key)
+        if pattern is None:
+            pattern = coalesce(rel, line_bytes)
+            self.lines[key] = pattern
+        if seg == 0:
+            return pattern
+        return tuple(seg + off for off in pattern)
+
+    def bank_conflict(self, addrs: np.ndarray) -> int:
+        seg = int(addrs[0]) // 128 * 128
+        rel = addrs - seg
+        key = rel.tobytes()
+        degree = self.banks.get(key)
+        if degree is None:
+            degree = bank_conflict_degree(rel)
+            self.banks[key] = degree
+        return degree
+
+
+# ----------------------------------------------------------------------
+# Hazard-log grouping
+# ----------------------------------------------------------------------
+def _new_run(keys: np.ndarray) -> np.ndarray:
+    """True where a sorted key array starts a new run."""
+    return np.concatenate(([True], keys[1:] != keys[:-1]))
+
+
+def _spread(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per run (``starts`` from :func:`_new_run`): values differ."""
+    return (np.minimum.reduceat(values, starts)
+            != np.maximum.reduceat(values, starts))
+
+
+def _suspect(gw: np.ndarray, wr: np.ndarray, sid: np.ndarray,
+             starts: np.ndarray) -> np.ndarray:
+    """Per run of accesses: more than one warp, at least one write, and
+    not all writes of a single PC-group step."""
+    return _spread(gw, starts) & np.maximum.reduceat(wr, starts) & ~(
+        np.minimum.reduceat(wr, starts) & ~_spread(sid, starts)
+    )
 
 
 class _VEntry:
@@ -247,8 +354,6 @@ class _MegaWarpEngine(FunctionalExecutor):
         self.line_bytes = host.line_bytes
         self.cfg = host.cfg
         self._executed = executed0
-        self.extrapolate = "0"
-        self._pending_verify = None
         self.vector = "0"
         self._pending_vector_verify = None
 
@@ -897,44 +1002,32 @@ class _MegaWarpEngine(FunctionalExecutor):
         ep = ep[order]
         sid = sid[order]
         wr = wr[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], words[1:] != words[:-1]))
-        )
-        gw_min = np.minimum.reduceat(gw, starts)
-        gw_max = np.maximum.reduceat(gw, starts)
-        wr_any = np.maximum.reduceat(wr, starts)
-        wr_all = np.minimum.reduceat(wr, starts)
-        sid_min = np.minimum.reduceat(sid, starts)
-        sid_max = np.maximum.reduceat(sid, starts)
-        suspect = (gw_min != gw_max) & wr_any & ~(
-            wr_all & (sid_min == sid_max)
-        )
+        starts = np.flatnonzero(_new_run(words))
+        suspect = _suspect(gw, wr, sid, starts)
         if not suspect.any():
             return
+        # One grouped pass over the suspect words' accesses, sorted by
+        # (word, barrier epoch): a word fails when its accesses span
+        # blocks, or when one of its epochs is suspect on its own.
         bounds = np.append(starts, words.size)
-        for idx in np.flatnonzero(suspect):
-            sl = slice(bounds[idx], bounds[idx + 1])
-            b_run = blk[sl]
-            if (b_run != b_run[0]).any():
-                self._hazard_bail(label, words[sl][0], sid[sl],
-                                  "cross-block")
-            e_run = ep[sl]
-            g_run = gw[sl]
-            w_run = wr[sl]
-            s_run = sid[sl]
-            for e in np.unique(e_run):
-                m = e_run == e
-                g = g_run[m]
-                if (g == g[0]).all():
-                    continue
-                w = w_run[m]
-                if not w.any():
-                    continue
-                s = s_run[m]
-                if w.all() and (s == s[0]).all():
-                    continue
-                self._hazard_bail(label, words[sl][0], s_run,
-                                  "cross-warp")
+        idx = np.flatnonzero(np.repeat(suspect, np.diff(bounds)))
+        idx = idx[np.lexsort((ep[idx], words[idx]))]
+        new_word = _new_run(words[idx])
+        epochs = np.flatnonzero(new_word | _new_run(ep[idx]))
+        cross_block = _spread(blk[idx], np.flatnonzero(new_word))
+        failing = cross_block.copy()
+        bad = _suspect(gw[idx], wr[idx], sid[idx], epochs)
+        # suspect-word index of each bad (word, epoch) group
+        failing[(np.cumsum(new_word) - 1)[epochs[bad]]] = True
+        if not failing.any():
+            return
+        first = int(np.argmax(failing))
+        word = np.flatnonzero(suspect)[first]
+        run = slice(bounds[word], bounds[word + 1])
+        self._hazard_bail(
+            label, words[run][0], sid[run],
+            "cross-block" if cross_block[first] else "cross-warp",
+        )
 
     def _hazard_bail(self, label: str, word: int, sids: np.ndarray,
                      kind: str) -> None:
@@ -966,13 +1059,11 @@ class _MegaWarpEngine(FunctionalExecutor):
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
-def attempt_vectorization(host: FunctionalExecutor, trace: KernelTrace,
-                          covered: int) -> int:
-    """Called from ``FunctionalExecutor.run`` after the extrapolation
-    attempt.  Returns how many leading blocks are now covered: the
-    whole grid when the megawarp committed, ``covered`` unchanged when
-    the extrapolator already took the launch, 0 on skip or bail (the
-    serial loop then covers everything).
+def attempt_vectorization(host: FunctionalExecutor,
+                          trace: KernelTrace) -> int:
+    """Called from ``FunctionalExecutor.run``.  Returns how many leading
+    blocks the megawarp covered: the whole grid when it committed, 0 on
+    skip or bail (the serial loop then covers everything).
 
     In ``verify`` mode the megawarp runs against a fork and commits
     nothing; :func:`verify_vectorization` compares after the serial
@@ -988,18 +1079,8 @@ def attempt_vectorization(host: FunctionalExecutor, trace: KernelTrace,
     trace.vector = report
     obs.inc("vector.launches", kernel=host.kernel.name)
     obs.inc("vector.warps_total", total_warps, kernel=host.kernel.name)
-    if covered:
-        report.reason = "extrapolated"
-        report.detail = "block-trace extrapolation covered the launch"
-        _engine_skip(report)
-        return covered
     if mode == "0":
         report.reason = "disabled"
-        _engine_skip(report)
-        return 0
-    if host.extrapolate == "verify" and host._pending_verify is not None:
-        report.reason = "extrapolate-verify"
-        report.detail = "extrapolation verify pass owns this launch"
         _engine_skip(report)
         return 0
     if host.linear_values is not None:
@@ -1018,7 +1099,7 @@ def attempt_vectorization(host: FunctionalExecutor, trace: KernelTrace,
     shared_stride = (max(host.kernel.shared_mem_bytes, 16) + 127) \
         // 128 * 128
     blocks_per_chunk = max(1, min(
-        _chunk_warps() // max(wpb, 1) or 1,
+        DEFAULT_CHUNK_WARPS // max(wpb, 1) or 1,
         MAX_SHARED_ARENA_BYTES // shared_stride or 1,
     ))
     fork = host.memory.fork()
@@ -1127,3 +1208,44 @@ def verify_vectorization(host: FunctionalExecutor,
         "vector.warps_vectorized", report.warps_total,
         kernel=host.kernel.name,
     )
+
+
+_RECORD_FIELDS = (
+    "pc", "active", "uniform", "affine", "src_hash", "lines", "shared",
+    "bank_conflict",
+)
+
+
+def _trace_diffs(xblocks: List[BlockTrace],
+                 sblocks: List[BlockTrace]) -> List[str]:
+    if len(xblocks) != len(sblocks):
+        return [f"block count {len(xblocks)} != {len(sblocks)}"]
+    diffs: List[str] = []
+    for xb, sb in zip(xblocks, sblocks):
+        where = f"block {sb.block_linear_id}"
+        if (xb.block_linear_id, xb.block_xyz) != (
+            sb.block_linear_id, sb.block_xyz
+        ):
+            diffs.append(f"{where}: identity mismatch")
+            continue
+        if len(xb.warps) != len(sb.warps):
+            diffs.append(f"{where}: warp count")
+            continue
+        for xw, sw in zip(xb.warps, sb.warps):
+            head = f"{where} warp {sw.warp_in_block}"
+            if len(xw.records) != len(sw.records):
+                diffs.append(
+                    f"{head}: {len(xw.records)} records != "
+                    f"{len(sw.records)}"
+                )
+                continue
+            for i, (xr, sr) in enumerate(zip(xw.records, sw.records)):
+                for f in _RECORD_FIELDS:
+                    if getattr(xr, f) != getattr(sr, f):
+                        diffs.append(
+                            f"{head} record {i} ({f}): "
+                            f"{getattr(xr, f)!r} != {getattr(sr, f)!r}"
+                        )
+                if len(diffs) > 8:
+                    return diffs
+    return diffs

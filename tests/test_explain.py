@@ -101,7 +101,7 @@ class TestDecisionTrace:
         trace = DecisionTrace()
         for _ in range(3):
             trace.record(DecisionEvent(
-                engine="extrapolate", decision="engage", kernel="k",
+                engine="vector", decision="engage", kernel="k",
                 units_total=8, units_taken=8,
             ))
         snap = trace.snapshot()
@@ -302,13 +302,13 @@ class TestEngineDecisions:
             arch_names=("baseline",), cache=False,
         )
         engines = {d["engine"] for d in result.engine_decisions}
-        assert engines == {"extrapolate", "vector"}
+        assert engines == {"vector"}
         for entry in result.engine_decisions:
             assert entry["decision"] in ("engage", "skip", "bail")
 
     def test_fallback_counters_preserved(self, monkeypatch):
         """engine_fallback keeps the documented counter names."""
-        monkeypatch.setenv("R2D2_EXTRAPOLATE", "0")
+        monkeypatch.setenv("R2D2_VECTOR", "0")
         from repro.harness.runner import run_workload
 
         run_workload(
@@ -317,5 +317,7 @@ class TestEngineDecisions:
         )
         counters = obs.snapshot()["counters"]
         assert any(
-            key.startswith("extrapolate.ineligible") for key in counters
+            key.startswith("vector.ineligible")
+            and "reason=disabled" in key
+            for key in counters
         )

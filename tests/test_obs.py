@@ -193,8 +193,8 @@ class TestExporters:
 
 class TestDecisionExport:
     def test_snapshot_merge_reset_roundtrip(self):
-        obs.decision("extrapolate", "skip", kernel="k", reason="disabled")
-        obs.decision("extrapolate", "skip", kernel="k", reason="disabled")
+        obs.decision("vector", "skip", kernel="k", reason="disabled")
+        obs.decision("vector", "skip", kernel="k", reason="disabled")
         blob = obs.snapshot_and_reset()
         assert blob["decisions"][0]["count"] == 2
         assert obs.snapshot()["decisions"] == []

@@ -1,6 +1,6 @@
 """Megawarp vector engine: bit-identity with the serial interpreter on
-divergent kernels, hazard-driven fallback, verify mode, and report
-plumbing (see docs/PERFORMANCE.md)."""
+regular, divergent and irregular kernels, hazard-driven fallback,
+verify mode, and report plumbing (see docs/PERFORMANCE.md)."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,12 @@ from repro.oracle.kernelgen import KernelGen
 from repro.sim import (
     Device,
     FunctionalExecutor,
+    TimingSimulator,
     tiny,
     vector_mode,
 )
+from repro.sim import vector as vector_engine
+from repro.workloads import factory as workload_factory
 import random
 
 
@@ -135,6 +138,22 @@ def _rw_conflict_kernel():
     return b.build()
 
 
+def _neighbour_warp_kernel():
+    """Store ``c[tid]``, then load ``c[(tid + 32) % 128]`` — the slot the
+    next warp of the same block stored, with no barrier in between."""
+    b = KernelBuilder(
+        "nbrwarp",
+        params=[Param("a", is_pointer=True), Param("c", is_pointer=True)],
+    )
+    a_p, c_p = b.param(0), b.param(1)
+    t = b.tid_x()
+    b.st_global(b.addr(c_p, t, 4), t, DType.S32)
+    nbr = b.rem(b.add(t, 32), 128)
+    v = b.ld_global(b.addr(c_p, nbr, 4), DType.S32)
+    b.st_global(b.addr(a_p, t, 4), v, DType.S32)
+    return b.build()
+
+
 def _launch(blocks=8, threads=128, args=()):
     return LaunchConfig(grid=Dim3(blocks), block=Dim3(threads), args=args)
 
@@ -151,9 +170,7 @@ def _run(kernel, mode, blocks=8, threads=128, n=1000, fill=None):
     p1 = dev.alloc(4 * (total + 8))
     args = (p0, p1, n)[: len(kernel.params)]
     launch = _launch(blocks, threads, args)
-    trace = FunctionalExecutor(
-        kernel, launch, dev.memory, extrapolate="0", vector=mode
-    ).run()
+    trace = FunctionalExecutor(kernel, launch, dev.memory, vector=mode).run()
     return trace, dev.memory.buf.copy()
 
 
@@ -211,17 +228,12 @@ class TestCommitPath:
         trace, _ = _run(_collatz_kernel(), "1", blocks=2, threads=32)
         assert trace.vector.reason == "launch-too-small"
 
-    def test_extrapolated_launch_is_left_alone(self):
-        dev = Device(tiny())
-        total = 8 * 128
-        p0 = dev.upload(np.arange(total, dtype=np.int32))
-        p1 = dev.alloc(4 * (total + 8))
-        trace = FunctionalExecutor(
-            _vadd_kernel(), _launch(args=(p0, p1, 1000)), dev.memory,
-            extrapolate="1", vector="1",
-        ).run()
-        assert trace.extrapolation.blocks_extrapolated == 8
-        assert trace.vector.reason == "extrapolated"
+    def test_shared_memory_barrier_commits(self):
+        kernel = _smem_kernel(128)
+        _, serial = _run(kernel, "0")
+        trace, vectored = _run(kernel, "1")
+        assert np.array_equal(serial, vectored)
+        assert trace.vector.engaged and not trace.vector.bailed
 
     def test_sig_base_matches_static_issue_keys(self):
         trace, _ = _run(_collatz_kernel(), "1")
@@ -230,6 +242,27 @@ class TestCommitPath:
                 assert warp.sig_base == tuple(
                     r.static_issue_key() for r in warp.records
                 )
+
+    def test_sig_base_interned_on_regular_kernel(self):
+        trace, _ = _run(_vadd_kernel(), "1")
+        bases = set()
+        for block in trace.blocks:
+            for warp in block.warps:
+                assert warp.sig_base == tuple(
+                    r.static_issue_key() for r in warp.records
+                )
+                bases.add(id(warp.sig_base))
+        # Interning: identical streams share one tuple object.
+        assert len(bases) < sum(len(b.warps) for b in trace.blocks)
+
+    def test_timing_replay_agrees_on_megawarp_trace(self):
+        trace, _ = _run(_vadd_kernel(), "1")
+        fast = TimingSimulator(tiny(), trace, dedup=True).run()
+        ref = TimingSimulator(
+            tiny(), trace, dedup=False, timing="reference"
+        ).run()
+        assert fast.cycles == ref.cycles
+        assert fast.issued_total == ref.issued_total
 
     def test_report_to_dict(self):
         trace, _ = _run(_collatz_kernel(), "1")
@@ -242,16 +275,28 @@ class TestCommitPath:
 # Hazard net: fall back, never corrupt
 # ----------------------------------------------------------------------
 class TestHazardFallback:
-    def test_cross_warp_rw_conflict_bails(self):
-        kernel = _rw_conflict_kernel()
-        _, serial = _run(kernel, "0")
-        trace, vectored = _run(kernel, "1")
+    @staticmethod
+    def _assert_bails(kernel, blocks, reason):
+        _, serial = _run(kernel, "0", blocks=blocks)
+        trace, vectored = _run(kernel, "1", blocks=blocks)
         report = trace.vector
         assert report.bailed
-        assert report.reason.endswith("memory-conflict")
+        assert report.reason == reason
         # the serial rerun after the bail produced the exact serial
         # result
         assert np.array_equal(serial, vectored)
+
+    def test_cross_warp_rw_conflict_bails(self):
+        # block 0 stores word 0 and every block loads it
+        self._assert_bails(
+            _rw_conflict_kernel(), 8, "cross-block-memory-conflict"
+        )
+
+    def test_same_block_neighbour_warp_conflict_bails(self):
+        # one block: warp w loads what warp w+1 stored, no barrier
+        self._assert_bails(
+            _neighbour_warp_kernel(), 1, "cross-warp-memory-conflict"
+        )
 
     def test_bail_counts_in_obs(self):
         obs.reset()
@@ -261,6 +306,71 @@ class TestHazardFallback:
             key.startswith("vector.bailed") and "rwconf" in key
             for key in counters
         )
+
+
+def _check_log_per_word(engine, log, label):
+    """Reference hazard check: the suspect words walked one at a time,
+    each epoch of a word tested on its own."""
+    words, gw, blk, ep = (np.concatenate([t[i] for t in log])
+                          for i in range(4))
+    sid = np.concatenate([np.full(t[0].size, t[4]) for t in log])
+    wr = np.concatenate([np.full(t[0].size, t[5]) for t in log])
+    order = np.argsort(words, kind="stable")
+    words, gw, blk, ep, sid, wr = (
+        a[order] for a in (words, gw, blk, ep, sid, wr)
+    )
+    for word in np.unique(words):
+        run = words == word
+        g, w, s = gw[run], wr[run], sid[run]
+        if len(set(g)) == 1 or not w.any() or (
+            w.all() and len(set(s)) == 1
+        ):
+            continue
+        if len(set(blk[run])) > 1:
+            engine._hazard_bail(label, word, s, "cross-block")
+        for e in np.unique(ep[run]):
+            m = ep[run] == e
+            if len(set(g[m])) > 1 and w[m].any() and not (
+                w[m].all() and len(set(s[m])) == 1
+            ):
+                engine._hazard_bail(label, word, s, "cross-warp")
+
+
+def test_grouped_hazard_check_matches_per_word_reference():
+    """Random logs over few words, warps, blocks and epochs: the grouped
+    check gives the reference's verdict — commit, or the same slug and
+    detail."""
+    engine = vector_engine._MegaWarpEngine.__new__(
+        vector_engine._MegaWarpEngine
+    )
+    engine._step_pcs = list(range(100, 140))
+
+    def verdict(check, log):
+        try:
+            check(engine, log, "shared")
+        except vector_engine._VBail as exc:
+            return exc.reason, str(exc)
+        return None
+
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(600):
+        log = []
+        for step in range(int(rng.integers(1, 8))):
+            n = int(rng.integers(1, 6))
+            blk = rng.integers(0, 2, n)
+            log.append((
+                rng.integers(0, 6, n), blk * 4 + rng.integers(0, 4, n),
+                blk, rng.integers(0, 3, n), step, bool(rng.random() < 0.5),
+            ))
+        want = verdict(_check_log_per_word, log)
+        assert verdict(
+            vector_engine._MegaWarpEngine._check_log, log
+        ) == want
+        seen.add(want[0] if want else None)
+    assert seen == {
+        None, "cross-block-memory-conflict", "cross-warp-memory-conflict",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +406,7 @@ class TestVerifyMode:
 
     def test_chunked_execution_verifies(self, monkeypatch):
         # force multiple chunks so chunk boundaries are exercised
-        monkeypatch.setenv("R2D2_VECTOR_CHUNK", "8")
+        monkeypatch.setattr(vector_engine, "DEFAULT_CHUNK_WARPS", 8)
         trace, _ = _run(_collatz_kernel(), "verify")
         assert trace.vector.verified
 
@@ -313,6 +423,39 @@ class TestVerifyMode:
                 f"{spec['name']}: "
                 + "; ".join(str(v) for v in report.violations)
             )
+
+
+# ----------------------------------------------------------------------
+# Irregular workloads (bfs / btree / mummer)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("abbr", ["BFS", "BTR", "MUM"])
+def test_irregular_workload_matches_serial(monkeypatch, abbr):
+    outs = {}
+    for mode in ("0", "1"):
+        monkeypatch.setenv("R2D2_VECTOR", mode)
+        workload = workload_factory(abbr)()
+        dev = Device(tiny())
+        for s in workload.prepare(dev):
+            dev.launch(s.kernel, s.grid, s.block, s.args)
+        workload.check(dev)
+        outs[mode] = dev.memory.buf.copy()
+    assert np.array_equal(outs["0"], outs["1"])
+
+
+def test_run_workload_reports_vector_decisions():
+    from repro.harness.runner import run_workload
+
+    launches = workload_factory("BFS")().prepare(Device(tiny()))
+    result = run_workload(
+        workload_factory("BFS"), config=tiny(), arch_names=("baseline",),
+        jobs=1, cache=False,
+    )
+    assert len(result.engine_decisions) == len(launches)
+    for entry in result.engine_decisions:
+        assert entry["engine"] == "vector"
+        assert entry["decision"] in ("engage", "skip", "bail")
+        if entry["decision"] != "engage":
+            assert entry["reason"]
 
 
 # ----------------------------------------------------------------------

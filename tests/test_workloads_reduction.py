@@ -23,7 +23,7 @@ CONFIG = tiny()
 VARIANTS = by_suite("reduction")
 
 
-def _run(abbr, vector="0", extrapolate="0"):
+def _run(abbr, vector="0"):
     """One tiny-scale run under an explicit engine mode; returns the
     workload (post-``prepare``), its device, and the kernel trace."""
     wl = factory(abbr, "tiny")()
@@ -37,8 +37,7 @@ def _run(abbr, vector="0", extrapolate="0"):
         )
         traces.append(
             FunctionalExecutor(
-                spec.kernel, launch, dev.memory,
-                extrapolate=extrapolate, vector=vector,
+                spec.kernel, launch, dev.memory, vector=vector
             ).run()
         )
     assert len(traces) == 1
@@ -56,25 +55,15 @@ def test_serial_self_check(abbr):
     wl.check(dev)
 
 
-@pytest.mark.parametrize("abbr", ["RED0", "RED1", "RED4"])
+@pytest.mark.parametrize("abbr", ["RED0", "RED1", "RED4", "RED5"])
 def test_vector_engine_bit_identical(abbr):
     """The megawarp engine must leave the exact memory state of the
-    serial interpreter on the divergent, bank-conflict, and
-    warp-synchronous variants."""
+    serial interpreter on the divergent, bank-conflict,
+    warp-synchronous, and fully unrolled variants."""
     _, dev_s, _ = _run(abbr, vector="0")
     wl_v, dev_v, _ = _run(abbr, vector="1")
     wl_v.check(dev_v)
     assert np.array_equal(dev_s.memory.buf, dev_v.memory.buf)
-
-
-@pytest.mark.parametrize("abbr", ["RED0", "RED1"])
-def test_extrapolate_engine_bit_identical(abbr):
-    """The block-trace extrapolator (engaged or declining) must also be
-    memory-exact against serial."""
-    _, dev_s, _ = _run(abbr)
-    wl_x, dev_x, _ = _run(abbr, extrapolate="1")
-    wl_x.check(dev_x)
-    assert np.array_equal(dev_s.memory.buf, dev_x.memory.buf)
 
 
 @pytest.mark.parametrize("abbr", ["RED0", "RED1"])
