@@ -11,6 +11,8 @@ For one kernel spec this module runs the full soundness gauntlet:
    launch-time values, probe-execute the *transformed* kernel on an
    identically prepared second device, and require bit-identical memory
    outputs and per-warp data-address streams;
+   both kernels also run on the megawarp engine (``verify``, then
+   committing) and must match their serial runs exactly;
 5. replay both traces through the timing simulator with the warp-dedup
    fast path on and off, requiring every integer field of
    :class:`~repro.sim.timing.TimingResult` to agree.
@@ -42,7 +44,7 @@ from ..sim.timing import (
     TimingVerifyMismatch,
     timing_differences,
 )
-from ..transform.decouple import r2d2_transform
+from ..transform.decouple import R2D2Kernel, r2d2_transform
 from ..transform.values import R2D2Values
 from .invariants import (
     ProbeExecutor,
@@ -231,48 +233,9 @@ def _check_spec(
     )
 
     # --- megawarp vectorization ---------------------------------------
-    # verify mode must be bit-identical to serial (trace records +
-    # memory) on every kernel, divergent ones included; then the
-    # committing path ("1") must leave the same memory as the serial
-    # run above, and its trace must replay identically through every
-    # timing engine.
-    dev_v, args_v, _ = _prepare_device(spec, config)
-    launch_v = LaunchConfig(args=args_v, **launch_geom)
-    try:
-        FunctionalExecutor(
-            kernel, launch_v, dev_v.memory, vector="verify",
-        ).run()
-    except VectorMismatch as exc:
-        vio.append(Violation("vector-mismatch", str(exc)))
-    except Exception as exc:  # noqa: BLE001
-        vio.append(
-            Violation("vector-run-crash", f"{type(exc).__name__}: {exc}")
-        )
-    else:
-        dev_w, args_w, _ = _prepare_device(spec, config)
-        launch_w = LaunchConfig(args=args_w, **launch_geom)
-        try:
-            trace_v = FunctionalExecutor(
-                kernel, launch_w, dev_w.memory, vector="1",
-            ).run()
-        except Exception as exc:  # noqa: BLE001
-            vio.append(
-                Violation(
-                    "vector-run-crash", f"{type(exc).__name__}: {exc}"
-                )
-            )
-        else:
-            if not np.array_equal(dev_w.memory.buf, dev_a.memory.buf):
-                bad = np.flatnonzero(dev_w.memory.buf != dev_a.memory.buf)
-                vio.append(
-                    Violation(
-                        "vector-commit-mismatch",
-                        f"memory differs at {bad.size} byte(s), first "
-                        f"at address {int(bad[0])}",
-                    )
-                )
-            for kind, diff in _timing_engine_diffs(config, trace_v):
-                vio.append(Violation(kind, f"vectorized {diff}"))
+    vio.extend(
+        _megawarp_violations(spec, config, kernel, launch_geom, dev_a)
+    )
 
     # --- transform + differential run ---------------------------------
     try:
@@ -356,11 +319,84 @@ def _check_spec(
         ):
             vio.append(Violation(kind, f"r2d2 {diff}"))
 
+        # --- megawarp on the transformed kernel -----------------------
+        vio.extend(
+            _megawarp_violations(
+                spec, config, kernel, launch_geom, dev_b, rkernel=rkernel,
+            )
+        )
+
     # fast-engine / reference timing equality on the original trace
     for kind, diff in _timing_engine_diffs(config, trace_a):
         vio.append(Violation(kind, f"baseline {diff}"))
 
     return report
+
+
+def _megawarp_violations(
+    spec: Dict,
+    config: GPUConfig,
+    kernel: Kernel,
+    launch_geom: Dict[str, Dim3],
+    serial: Device,
+    rkernel: Optional[R2D2Kernel] = None,
+) -> List[Violation]:
+    """Megawarp equivalence on one kernel, divergent ones included:
+    ``verify`` mode must be bit-identical to serial (trace records +
+    memory); then the committing path ("1") must leave the same memory
+    as the ``serial`` run, and its trace must replay identically
+    through every timing engine.  With ``rkernel`` the transformed
+    kernel runs instead, with launch-time :class:`R2D2Values` and the
+    R2D2 issue policy, and every detail carries an ``r2d2`` prefix."""
+    label = "" if rkernel is None else "r2d2 "
+
+    def run(mode: str):
+        dev, args, _ = _prepare_device(spec, config)
+        launch = LaunchConfig(args=args, **launch_geom)
+        if rkernel is None:
+            executor = FunctionalExecutor(
+                kernel, launch, dev.memory, vector=mode,
+            )
+        else:
+            executor = FunctionalExecutor(
+                rkernel.transformed, launch, dev.memory,
+                linear_values=R2D2Values(rkernel.plan, launch),
+                vector=mode,
+            )
+        return dev, launch, executor.run()
+
+    try:
+        run("verify")
+    except VectorMismatch as exc:
+        return [Violation("vector-mismatch", f"{label}{exc}")]
+    except Exception as exc:  # noqa: BLE001
+        return [Violation(
+            "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
+        )]
+    try:
+        dev, launch, trace = run("1")
+    except Exception as exc:  # noqa: BLE001
+        return [Violation(
+            "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
+        )]
+    vio: List[Violation] = []
+    if not np.array_equal(dev.memory.buf, serial.memory.buf):
+        bad = np.flatnonzero(dev.memory.buf != serial.memory.buf)
+        vio.append(Violation(
+            "vector-commit-mismatch",
+            f"{label}memory differs at {bad.size} byte(s), first at "
+            f"address {int(bad[0])}",
+        ))
+    timing = {}
+    if rkernel is not None:
+        counts = R2D2Arch().linear_phase_counts(rkernel, launch, config)
+        timing = dict(
+            policy=_R2D2Policy(rkernel, counts, config),
+            regs_per_thread=rkernel.register_usage.original_regs_per_thread,
+        )
+    for kind, diff in _timing_engine_diffs(config, trace, **timing):
+        vio.append(Violation(kind, f"{label}vectorized {diff}"))
+    return vio
 
 
 def _first_divergence(a: List, b: List) -> int:

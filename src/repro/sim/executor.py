@@ -16,7 +16,7 @@ tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,18 @@ class LinearValueProvider(Protocol):
 
     def cr_value(self, cr_id: int) -> int:
         """Kernel-uniform value of coefficient register ``cr_id``."""
+
+    def lr_parts(
+        self,
+        lr_id: int,
+        warps: Sequence["WarpContext"],
+        blocks: Sequence[Tuple[int, int, int]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Linear register ``lr_id`` split for batched execution: a
+        ``(len(warps), 32)`` thread part over ``warps`` and a
+        ``(len(blocks),)`` block part over block coordinates, such that
+        ``thread[w] + block[b]`` equals :meth:`lr_lane_values` of warp
+        ``w`` in block ``b`` bit for bit."""
 
 
 @dataclass

@@ -45,22 +45,6 @@ class ByteSpace:
             self._views[dtype] = view
         return view
 
-    def fork(self) -> "ByteSpace":
-        """An independent copy sharing geometry but not contents.
-
-        The dtype view cache starts empty — cached views alias ``buf``
-        and must never leak across the fork boundary.  Speculative
-        execution (the megawarp engine) runs against a fork and
-        either commits it back with ``buf[:] = fork.buf`` (in place, so
-        the original's views stay valid) or discards it.
-        """
-        twin = ByteSpace.__new__(ByteSpace)
-        twin.size = self.size
-        twin.base = self.base
-        twin.buf = self.buf.copy()
-        twin._views = {}
-        return twin
-
     # ------------------------------------------------------------------
     def _check(self, addrs: np.ndarray, itemsize: int) -> None:
         if addrs.size == 0:
@@ -139,6 +123,21 @@ class GlobalMemory(ByteSpace):
             )
         self._next = addr + nbytes
         return addr
+
+    def fork(self) -> ByteSpace:
+        """An independent copy of the allocated prefix ``[0, _next)``.
+
+        Speculative execution (the megawarp engine) runs against a fork
+        and either commits it back with ``buf[:fork.size] = fork.buf``
+        (in place, so existing dtype views stay valid) or discards it.
+        Only the prefix is copied, so an access at or past the
+        allocator's high-water mark faults in the fork — the caller then
+        reruns the launch on the real memory, which decides whether that
+        access is legal.
+        """
+        twin = ByteSpace(self._next, base=self.base)
+        twin.buf[:] = self.buf[:self._next]
+        return twin
 
     def alloc_array(self, array: np.ndarray) -> int:
         """Allocate and copy a host array; returns the device address."""

@@ -17,7 +17,11 @@ columns, for arbitrary control flow:
    drops a warp from the schedulable set until its block's arrival
    count completes; shared memory is a flat arena of per-block
    segments; atomics serialize in flattened block-major/warp-major
-   lane order.
+   lane order.  R2D2-transformed launches run here too: each linear
+   register ``%lr`` becomes one ``(W, 32)`` matrix per chunk (thread
+   part per warp-in-block plus block part per block, from the launch's
+   :class:`~repro.sim.executor.LinearValueProvider`), and ``%cr``
+   coefficients are kernel-uniform scalars.
 
 2. **Soundness net.**  The serial executor orders memory effects:
    blocks in order, warps of a block round-robin between barriers.
@@ -30,7 +34,9 @@ columns, for arbitrary control flow:
    (the flattened scatter/atomic resolves in serial warp order).
    Any other overlap bails the launch back to the serial interpreter
    with a machine-readable reason, identical observable behaviour by
-   construction.
+   construction.  The fork holds only the allocated prefix of device
+   memory (:meth:`GlobalMemory.fork`), so an access past the
+   allocator's high-water mark faults there and bails too.
 
 3. **Bit-identity.**  Committed launches produce byte-identical memory
    and record-identical :class:`KernelTrace` streams — same ``active``
@@ -56,7 +62,16 @@ import numpy as np
 from .. import obs
 from ..isa.instruction import Instruction
 from ..isa.opcodes import DType, Opcode
-from ..isa.operands import Imm, MemRef, ParamRef, Reg, SpecialReg
+from ..isa.operands import (
+    CoeffRegOperand,
+    Imm,
+    LinearRef,
+    LinearRegOperand,
+    MemRef,
+    ParamRef,
+    Reg,
+    SpecialReg,
+)
 from .executor import (
     ExecutionError,
     FunctionalExecutor,
@@ -113,10 +128,11 @@ class VectorReport:
     kernel: str
     mode: str
     engaged: bool
-    #: Skip/bail slug ("disabled", "transformed-kernel",
-    #: "launch-too-small", "cross-warp-memory-conflict", "deadlock",
-    #: "hazard-log-overflow", "register-dtype-promotion", ...); empty
-    #: when the launch vectorized cleanly.
+    #: Skip/bail slug ("disabled", "launch-too-small",
+    #: "cross-warp-memory-conflict", "cross-block-memory-conflict",
+    #: "memory-error", "deadlock", "hazard-log-overflow",
+    #: "register-dtype-promotion", ...); empty when the launch
+    #: vectorized cleanly.
     reason: str = ""
     detail: str = ""
     warps_total: int = 0
@@ -348,7 +364,7 @@ class _MegaWarpEngine(FunctionalExecutor):
         self.kernel = host.kernel
         self.launch = host.launch
         self.memory = memory
-        self.linear_values = None
+        self.linear_values = host.linear_values
         self.collect_trace = host.collect_trace
         self.max_warp_instructions = host.max_warp_instructions
         self.line_bytes = host.line_bytes
@@ -385,6 +401,7 @@ class _MegaWarpEngine(FunctionalExecutor):
 
         grid = self.launch.grid
         ids = lo + np.arange(self.W, dtype=np.int64) // wpb
+        self._warp_in_block = np.arange(self.W, dtype=np.int64) % wpb
 
         def col(a: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(a.reshape(self.W, 1))
@@ -395,7 +412,12 @@ class _MegaWarpEngine(FunctionalExecutor):
             SpecialReg.CTAID_Z: col(ids // (grid.x * grid.y)),
         }
         self._blockrow = np.arange(self.W, dtype=np.int64) // wpb
-        self._gwarp = ids * wpb + np.arange(self.W, dtype=np.int64) % wpb
+        self._gwarp = ids * wpb + self._warp_in_block
+        # R2D2 linear registers: lr_id -> (W, 32) matrix, built on first
+        # use from the provider's per-warp thread parts (over the tid
+        # rows above) and per-block block parts.
+        self._tid_warps = tid_rows
+        self._lr: Dict[int, np.ndarray] = {}
 
         # -- register file: name -> (W, 32) matrix ---------------------
         self._regs: Dict[str, np.ndarray] = {}
@@ -733,17 +755,48 @@ class _MegaWarpEngine(FunctionalExecutor):
                 SpecialReg.NCTAID_Z: grid.z,
             }
             return mapping[op]
+        # R2D2 operands: same operation order as FunctionalExecutor._fetch
+        # (python-int offset first, then one add), so int64 wraps, hashes
+        # and uniform/affine flags stay bit-identical.
+        if isinstance(op, CoeffRegOperand):
+            return self._provider().cr_value(op.cr_id)
+        if isinstance(op, LinearRegOperand):
+            values = self._lr_rows(op.lr_id, rows)
+            offset = op.disp
+            if op.cr_id is not None:
+                offset = offset + self._provider().cr_value(op.cr_id)
+            if offset:
+                values = values + offset
+            return values
         raise _VBail("unsupported-operand", repr(op))
+
+    def _lr_rows(self, lr_id: int, rows: np.ndarray) -> np.ndarray:
+        mat = self._lr.get(lr_id)
+        if mat is None:
+            grid = self.launch.grid
+            thread, block = self._provider().lr_parts(
+                lr_id, self._tid_warps,
+                [grid.linear_to_xyz(self.lo + b)
+                 for b in range(self.nblocks)],
+            )
+            mat = thread[self._warp_in_block] + block[self._blockrow, None]
+            self._lr[lr_id] = mat
+        return mat[rows]
 
     # -- memory instructions -------------------------------------------
     def _addr_matrix(self, op: object, rows: np.ndarray) -> np.ndarray:
-        if not isinstance(op, MemRef):
-            raise _VBail(
-                "linear-ref-operand", f"non-register memory operand {op!r}"
-            )
-        base = self._read(op.base, rows)
-        addrs = base + op.disp
-        return addrs
+        """Full-lane address rows (callers select active lanes), built
+        in :meth:`FunctionalExecutor._address` operation order."""
+        if isinstance(op, MemRef):
+            return self._read(op.base, rows) + op.disp
+        if isinstance(op, LinearRef):
+            disp = op.disp
+            if op.cr_id is not None:
+                disp = disp + self._provider().cr_value(op.cr_id)
+            if op.lr_id is None:
+                return np.full((rows.size, WARP_SIZE), disp, dtype=np.int64)
+            return self._lr_rows(op.lr_id, rows) + disp
+        raise _VBail("unsupported-operand", repr(op))
 
     def _shared_flat(self, pc: int, addrs: np.ndarray, rows: np.ndarray,
                      active: np.ndarray, itemsize: int) -> np.ndarray:
@@ -1083,11 +1136,6 @@ def attempt_vectorization(host: FunctionalExecutor,
         report.reason = "disabled"
         _engine_skip(report)
         return 0
-    if host.linear_values is not None:
-        report.reason = "transformed-kernel"
-        report.detail = "R2D2-transformed launches replay %lr/%cr state"
-        _engine_skip(report)
-        return 0
     min_warps = 1 if mode == "verify" else MIN_WARPS
     if total_warps < min_warps:
         report.reason = "launch-too-small"
@@ -1149,9 +1197,9 @@ def attempt_vectorization(host: FunctionalExecutor,
         host._pending_vector_verify = (fork, blocks)
         return 0
 
-    # Commit: in-place so existing dtype views over the buffer stay
-    # valid, then adopt the megawarp traces.
-    host.memory.buf[:] = fork.buf
+    # Commit the forked prefix in place, so existing dtype views over
+    # the buffer stay valid, then adopt the megawarp traces.
+    host.memory.buf[:fork.size] = fork.buf
     trace.blocks.extend(blocks)
     report.warps_vectorized = total_warps
     obs.inc(
@@ -1189,8 +1237,9 @@ def verify_vectorization(host: FunctionalExecutor,
     host._pending_vector_verify = None
     fork, blocks = pending
     diffs = _trace_diffs(blocks, trace.blocks)
-    if not np.array_equal(fork.buf, host.memory.buf):
-        bad = np.flatnonzero(fork.buf != host.memory.buf)
+    serial = host.memory.buf[:fork.size]
+    if not np.array_equal(fork.buf, serial):
+        bad = np.flatnonzero(fork.buf != serial)
         diffs.append(
             f"global memory differs at {bad.size} byte(s), first at "
             f"address {int(bad[0])}"

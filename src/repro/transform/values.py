@@ -9,7 +9,7 @@ computes; the timing model charges for the instructions separately).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,3 +159,20 @@ class R2D2Values:
         if entry.tr_id is None:
             return np.full(32, br, dtype=np.int64)
         return self.tr_lane_values(entry.tr_id, warp) + br
+
+    def lr_parts(
+        self,
+        lr_id: int,
+        warps: Sequence[WarpContext],
+        blocks: Sequence[Tuple[int, int, int]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        thread = np.zeros((len(warps), 32), dtype=np.int64)
+        tr_id = self.plan.entries[lr_id].tr_id
+        if tr_id is not None:
+            for w, warp in enumerate(warps):
+                thread[w] = self.tr_lane_values(tr_id, warp)
+        block = np.fromiter(
+            (self.br_value(lr_id, xyz) for xyz in blocks),
+            dtype=np.int64, count=len(blocks),
+        )
+        return thread, block

@@ -1,11 +1,13 @@
 """Megawarp vector engine: bit-identity with the serial interpreter on
-regular, divergent and irregular kernels, hazard-driven fallback,
-verify mode, and report plumbing (see docs/PERFORMANCE.md)."""
+regular, divergent, irregular and R2D2-transformed kernels,
+hazard-driven fallback, the allocated-prefix fork, verify mode, and
+report plumbing (see docs/PERFORMANCE.md)."""
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.arch.r2d2 import R2D2Arch
 from repro.harness.report import format_fallbacks, obs_kernel_table
 from repro.isa import AtomOp, CmpOp, DType, KernelBuilder, Param
 from repro.isa.kernel import Dim3, LaunchConfig
@@ -19,6 +21,7 @@ from repro.sim import (
     vector_mode,
 )
 from repro.sim import vector as vector_engine
+from repro.sim.memory import MemoryError_
 from repro.workloads import factory as workload_factory
 import random
 
@@ -423,6 +426,127 @@ class TestVerifyMode:
                 f"{spec['name']}: "
                 + "; ".join(str(v) for v in report.violations)
             )
+
+
+# ----------------------------------------------------------------------
+# Prefix fork: only the allocated part of device memory is speculated on
+# ----------------------------------------------------------------------
+class TestPrefixFork:
+    @staticmethod
+    def _run_past_high_water(mode):
+        """vadd whose output pointer lies past every allocation but
+        inside the device: legal for the serial interpreter."""
+        dev = Device(tiny())
+        src = dev.upload(np.arange(1024, dtype=np.int32))
+        past = dev.memory._next + 4096
+        launch = _launch(8, 128, (src, past, 1000))
+        trace = FunctionalExecutor(
+            _vadd_kernel(), launch, dev.memory, vector=mode
+        ).run()
+        return trace, dev.memory.buf.copy(), past
+
+    def test_store_past_high_water_bails_to_serial(self):
+        _, serial, past = self._run_past_high_water("0")
+        trace, vectored, _ = self._run_past_high_water("1")
+        assert trace.vector.bailed
+        assert trace.vector.reason == "memory-error"
+        assert np.array_equal(serial, vectored)
+        stored = serial[past:past + 4 * 1000].view(np.int32)
+        assert np.array_equal(stored, np.arange(1000) + 7)
+
+    def test_fork_covers_the_allocated_prefix(self):
+        dev = Device(tiny())
+        dev.upload(np.arange(100, dtype=np.int32))
+        fork = dev.memory.fork()
+        assert fork.size == dev.memory._next
+        assert np.array_equal(fork.buf, dev.memory.buf[:fork.size])
+        with pytest.raises(MemoryError_):
+            fork.gather(np.array([fork.size], dtype=np.int64), DType.S32)
+
+    def test_commit_leaves_bytes_past_high_water_zero(self):
+        dev = Device(tiny())
+        src = dev.upload(np.arange(1024, dtype=np.int32))
+        out = dev.alloc(4 * 1024)
+        launch = _launch(8, 128, (src, out, 1000))
+        trace = FunctionalExecutor(
+            _vadd_kernel(), launch, dev.memory, vector="1"
+        ).run()
+        assert trace.vector.engaged and not trace.vector.bailed
+        assert dev.download(out, 1000, np.int32).tolist() == [
+            v + 7 for v in range(1000)
+        ]
+        assert not dev.memory.buf[dev.memory._next:].any()
+
+
+# ----------------------------------------------------------------------
+# R2D2-transformed launches
+# ----------------------------------------------------------------------
+def _run_r2d2(abbr):
+    """Every launch of ``abbr`` at tiny scale through ``R2D2Arch``, as
+    the harness runs them; returns the traces and final memory."""
+    workload = workload_factory(abbr, "tiny")()
+    dev = Device(tiny())
+    arch = R2D2Arch()
+    stats = arch.make_stats()
+    traces = [
+        arch.execute_launch(
+            dev, s.kernel, s.grid, s.block, s.args, tiny(), stats
+        )
+        for s in workload.prepare(dev)
+    ]
+    workload.check(dev)
+    return traces, dev.memory.buf.copy()
+
+
+@pytest.mark.parametrize(
+    "abbr",
+    ["RED0", "GAS", "STC", "RES", "2MM", "LUD"],
+    ids=[
+        "RED0-shared-tree-barrier",
+        "GAS-linear-ref-without-lr",
+        "STC-linear-reg-plus-cr",
+        "RES-linear-reg-plus-disp",
+        "2MM",
+        "LUD",
+    ],
+)
+def test_transformed_launches_verify_and_commit(monkeypatch, abbr):
+    """Verify mode runs every R2D2 launch on both engines (a divergence
+    raises VectorMismatch); the committing path then engages on every
+    launch big enough and leaves the serial run's memory."""
+    monkeypatch.setenv("R2D2_VECTOR", "verify")
+    traces, serial = _run_r2d2(abbr)
+    assert any(t.kernel.name.endswith(".r2d2") for t in traces)
+    assert all(t.vector.verified for t in traces)
+    monkeypatch.setenv("R2D2_VECTOR", "1")
+    traces, vectored = _run_r2d2(abbr)
+    assert np.array_equal(serial, vectored)
+    big = [
+        t.vector for t in traces
+        if t.vector.warps_total >= vector_engine.MIN_WARPS
+    ]
+    assert big and all(r.engaged and not r.bailed for r in big)
+
+
+def test_transformed_launch_chunked_verifies(monkeypatch):
+    """Chunks past the first resolve each %lr's block part from their
+    own block ids."""
+    monkeypatch.setattr(vector_engine, "DEFAULT_CHUNK_WARPS", 8)
+    monkeypatch.setenv("R2D2_VECTOR", "verify")
+    traces, _ = _run_r2d2("2MM")
+    assert all(t.vector.verified for t in traces)
+
+
+def test_r2d2_launch_records_vector_engage(monkeypatch):
+    monkeypatch.setenv("R2D2_VECTOR", "1")
+    obs.reset()
+    _run_r2d2("RED0")
+    decisions = obs.snapshot_and_reset()["decisions"]
+    assert any(
+        d["engine"] == "vector" and d["decision"] == "engage"
+        and d["kernel"] == "reduce0_divergent.r2d2"
+        for d in decisions
+    )
 
 
 # ----------------------------------------------------------------------
