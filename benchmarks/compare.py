@@ -8,7 +8,7 @@ Usage::
     python benchmarks/compare.py BENCH_sim.json \
         benchmarks/baseline/BENCH_sim.json [--threshold 0.25]
 
-Four independent checks, all of which must pass:
+Three independent checks, all of which must pass:
 
 1. **Baseline regression** — every benchmark present in both files must
    not be more than ``threshold`` (fraction, default 0.25) slower than
@@ -16,20 +16,13 @@ Four independent checks, all of which must pass:
    so CI sets a looser threshold via ``--threshold`` / the
    ``BENCH_COMPARE_THRESHOLD`` env var; the committed baseline gates
    like-for-like reruns on a developer machine.
-2. **Dedup speedup ratio** — when the current run contains both
-   ``test_timing_replay_throughput`` (dedup on) and
-   ``test_timing_replay_reference_throughput`` (dedup off), the fast
-   path must be at least ``--min-dedup-speedup`` (default 3.0) times
-   faster.  This is a same-machine, same-run ratio, so it is meaningful
-   on any hardware and enforces the repo's headline acceptance
-   criterion.
-3. **Decision-provenance overhead** — when the current run contains
+2. **Decision-provenance overhead** — when the current run contains
    the ``test_workload_provenance_on`` / ``_off`` pair, collecting the
    decision trace must cost at most ``--max-provenance-overhead``
    (fraction, default 0.05 = 5%%,
    ``$BENCH_MAX_PROVENANCE_OVERHEAD`` overrides) over the same
    workload with ``R2D2_PROVENANCE=0``.  Same-run, same-machine ratio.
-4. **Engine speedup pairs** — for each family ``f`` of
+3. **Engine speedup pairs** — for each family ``f`` of
    :data:`SPEEDUP_PAIRS`, every ``test_<stem>_<f>_on`` / ``_off`` pair
    in the current run must show at least ``--min-<f>-speedup``
    (``$BENCH_MIN_<F>_SPEEDUP`` overrides the table default), and must
@@ -40,9 +33,10 @@ Four independent checks, all of which must pass:
    per stem.  The families: ``vector`` (megawarp vs serial
    interpretation), ``shard`` (sharded scheduler vs serial suite run;
    the ``minisuite`` stem needs real cores and skips itself on
-   single-core boxes), ``timing`` (event-driven engine vs reference
-   timing loop), ``reduction`` (megawarp vs serial on the divergent
-   shared-memory reduction tree).
+   single-core boxes), ``timing`` (event-driven engine with SM cloning
+   vs reference timing loop, on the divergent ``dyntrip`` and the
+   regular ``vadd`` trace), ``reduction`` (megawarp vs serial on the
+   divergent shared-memory reduction tree).
 
 Exit status 0 on pass, 1 on regression, 2 on usage/IO errors.
 """
@@ -55,8 +49,6 @@ import os
 import sys
 from typing import Dict, Optional
 
-DEDUP_BENCH = "test_timing_replay_throughput"
-REFERENCE_BENCH = "test_timing_replay_reference_throughput"
 PROVENANCE_ON_BENCH = "test_workload_provenance_on"
 PROVENANCE_OFF_BENCH = "test_workload_provenance_off"
 #: Fraction of the committed speedup the current run must retain.
@@ -171,10 +163,6 @@ def main(argv: Optional[list] = None) -> int:
         help="max fractional slowdown vs baseline (default: 0.25, i.e. "
              "fail when >25%% slower; $BENCH_COMPARE_THRESHOLD overrides)",
     )
-    parser.add_argument(
-        "--min-dedup-speedup", type=float, default=3.0,
-        help="required dedup-vs-reference replay speedup (default: 3.0)",
-    )
     for family, _, _, default_min in SPEEDUP_PAIRS:
         env = f"BENCH_MIN_{family.upper()}_SPEEDUP"
         parser.add_argument(
@@ -253,17 +241,7 @@ def main(argv: Optional[list] = None) -> int:
     for name in sorted(set(current) - set(baseline)):
         print(f"{'new':>10}  {name}: {current[name] * 1e3:.3f} ms")
 
-    # -- check 2: dedup speedup ratio (same machine, same run) ----------
-    if DEDUP_BENCH in current and REFERENCE_BENCH in current:
-        speedup = current[REFERENCE_BENCH] / current[DEDUP_BENCH]
-        ok = speedup >= args.min_dedup_speedup
-        print(
-            f"{'ok' if ok else 'REGRESSION':>10}  dedup replay speedup:"
-            f" {speedup:.2f}x (required >= {args.min_dedup_speedup:.1f}x)"
-        )
-        failed = failed or not ok
-
-    # -- check 3: decision-provenance overhead (same machine, same run) -
+    # -- check 2: decision-provenance overhead (same machine, same run) -
     if PROVENANCE_ON_BENCH in current and PROVENANCE_OFF_BENCH in current:
         overhead = (
             current[PROVENANCE_ON_BENCH] / current[PROVENANCE_OFF_BENCH]
@@ -277,7 +255,7 @@ def main(argv: Optional[list] = None) -> int:
         )
         failed = failed or not ok
 
-    # -- check 4: engine speedup pairs (ratio + committed retain gate) --
+    # -- check 3: engine speedup pairs (ratio + committed retain gate) --
     opts = vars(args)
     for family, off_key, on_key, _ in SPEEDUP_PAIRS:
         failed |= _gate_pairs(

@@ -1,6 +1,6 @@
 """Raw-performance benchmarks of the simulator substrate itself
 (pytest-benchmark timings, no paper claims): functional execution,
-timing replay (dedup fast path and reference engine), and the R2D2
+timing replay (event-driven engine and reference loop), and the R2D2
 transform.
 
 Run with ``--benchmark-json=BENCH_sim.json`` to produce the
@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.isa import CmpOp, DType, KernelBuilder, Param
 from repro.isa.kernel import Dim3, LaunchConfig
-from repro.sim import Device, TimingSimulator, tiny
+from repro.sim import Device, TimingSimulator, timing_differences, tiny
 from repro.sim.executor import FunctionalExecutor
 from repro.transform import r2d2_transform
 from repro.linear import analyze_kernel
@@ -105,38 +105,34 @@ def test_functional_execution_throughput_divergent(benchmark):
     )
 
 
-def test_timing_replay_throughput(benchmark):
-    """The production configuration: warp-dedup fast path enabled."""
+# ``compare.py`` pairs ``test_vadd_timing_on/_off`` in its ``timing``
+# family: the production replay (event-driven engine, SMs of the regular
+# vadd trace cloned) against the reference loop.
+
+
+def test_vadd_timing_on(benchmark):
     trace = _vadd_trace()
     result = benchmark(
-        lambda: TimingSimulator(tiny(), trace, dedup=True).run()
+        lambda: TimingSimulator(tiny(), trace, timing="fast").run()
     )
     assert result.cycles > 0
 
 
-def test_timing_replay_reference_throughput(benchmark):
-    """The record-by-record reference engine (dedup off, event-driven
-    engine off).  Kept as a benchmark so ``compare.py`` can assert the
-    dedup speedup ratio machine-independently."""
+def test_vadd_timing_off(benchmark):
     trace = _vadd_trace()
     result = benchmark(
-        lambda: TimingSimulator(
-            tiny(), trace, dedup=False, timing="reference"
-        ).run()
+        lambda: TimingSimulator(tiny(), trace, timing="reference").run()
     )
     assert result.cycles > 0
 
 
 def test_timing_replay_engines_agree():
-    """Not a timing benchmark: the two engines above must produce
-    identical cycle counts on the benchmarked trace."""
+    """Not a timing benchmark: the two engines above must agree on
+    every result field of the benchmarked trace, energy included."""
     trace = _vadd_trace()
-    fast = TimingSimulator(tiny(), trace, dedup=True).run()
-    ref = TimingSimulator(
-        tiny(), trace, dedup=False, timing="reference"
-    ).run()
-    assert fast.cycles == ref.cycles
-    assert fast.issued_total == ref.issued_total
+    fast = TimingSimulator(tiny(), trace, timing="fast").run()
+    ref = TimingSimulator(tiny(), trace).run_reference()
+    assert timing_differences(fast, ref) == []
 
 
 def test_analyzer_throughput(benchmark):
@@ -328,9 +324,7 @@ def _dyntrip_timing_trace():
 def test_dyntrip_timing_on(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
-        lambda: TimingSimulator(
-            _TIMING_CFG, trace, dedup=False, timing="fast"
-        ).run(),
+        lambda: TimingSimulator(_TIMING_CFG, trace, timing="fast").run(),
         rounds=3,
     )
     assert result.cycles > 0
@@ -340,7 +334,7 @@ def test_dyntrip_timing_off(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
         lambda: TimingSimulator(
-            _TIMING_CFG, trace, dedup=False, timing="reference"
+            _TIMING_CFG, trace, timing="reference"
         ).run(),
         rounds=3,
     )
@@ -353,9 +347,7 @@ def test_timing_fast_engine_agrees():
     counters, cache stats, and the exact energy floats — is identical
     (raises ``TimingVerifyMismatch`` otherwise)."""
     trace = _dyntrip_timing_trace()
-    result = TimingSimulator(
-        _TIMING_CFG, trace, dedup=False, timing="verify"
-    ).run()
+    result = TimingSimulator(_TIMING_CFG, trace, timing="verify").run()
     assert result.cycles > 0
 
 

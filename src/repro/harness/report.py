@@ -141,19 +141,17 @@ def obs_phase_table(snapshot: Dict[str, object]) -> Table:
 
 
 def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
-    """Per-kernel fast-path counters (timing-engine mix, dedup replay,
+    """Per-kernel fast-path counters (timing-engine mix, SM cloning,
     megawarp vectorization) from a snapshot's flattened counter keys.
 
-    The ``timing`` column renders the engine mix per kernel (``dedup``,
-    ``fast``, ``reference``, ``verify``), with dedup decline reasons in
-    brackets, e.g. ``fast x4 [scheduler-rr x4]``."""
+    The ``timing`` column renders the engine mix per kernel (``fast``,
+    ``reference``, ``verify``), e.g. ``fast x4``."""
     from ..obs import parse_key
 
     counters: Dict[str, float] = dict(snapshot.get("counters") or {})
     per_kernel: Dict[str, Dict[str, float]] = {}
     vreasons: Dict[str, Dict[str, int]] = {}
     tengines: Dict[str, Dict[str, int]] = {}
-    dfallbacks: Dict[str, Dict[str, int]] = {}
     for flat, value in counters.items():
         name, labels = parse_key(flat)
         kernel = labels.get("kernel")
@@ -170,11 +168,6 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
             engine = labels.get("engine", "?")
             tbucket = tengines.setdefault(kernel, {})
             tbucket[engine] = tbucket.get(engine, 0) + int(value)
-        if name == "dedup.fallback":
-            slug = labels.get("reason", "")
-            if slug:
-                dbucket = dfallbacks.setdefault(kernel, {})
-                dbucket[slug] = dbucket.get(slug, 0) + int(value)
 
     table = Table(
         "Per-kernel fast-path counters",
@@ -183,13 +176,9 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
     )
     for kernel in sorted(per_kernel):
         c = per_kernel[kernel]
-        timing = format_fallbacks(tengines.get(kernel, {}))
-        dfall = format_fallbacks(dfallbacks.get(kernel, {}))
-        if dfall:
-            timing = f"{timing} [{dfall}]" if timing else f"[{dfall}]"
         table.add_row(
             kernel[:28],
-            timing,
+            format_fallbacks(tengines.get(kernel, {})),
             int(c.get("dedup.sms.simulated", 0)),
             int(c.get("dedup.sms.cloned", 0)),
             int(c.get("vector.warps_vectorized", 0)),
@@ -201,7 +190,7 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
 
 def obs_decision_table(snapshot: Dict[str, object]) -> Table:
     """The unified decision trace (engine skip/bail/engage, analyzer
-    demotions, dedup opt-outs, cache hits/misses) as a table."""
+    demotions, cache hits/misses) as a table."""
     table = Table(
         "Engine decisions",
         ["engine", "decision", "kernel", "reason", "pc", "count"],

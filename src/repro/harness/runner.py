@@ -274,7 +274,7 @@ def _trace_arch_cell_task(
     traces, config: GPUConfig, name: str
 ) -> Tuple[ArchStats, dict]:
     """Worker wrapper: compute one cell and ship the worker's metric
-    deltas (dedup counters etc.) back for the parent to merge.  The
+    deltas (SM-clone counters etc.) back for the parent to merge.  The
     reset drops any state inherited over ``fork`` so nothing is counted
     twice."""
     obs.reset()

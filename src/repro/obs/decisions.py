@@ -1,8 +1,7 @@
 """The unified per-run decision trace (decision-level provenance).
 
 Every consequential choice the pipeline makes — an engine declining a
-launch (megawarp skip or bail-to-serial, dedup
-opt-out), a cache hit or miss, the linear analyzer demoting an
+launch (megawarp skip or bail-to-serial), a cache hit or miss, the linear analyzer demoting an
 instruction out of the affine domain — is recorded as one typed
 :class:`DecisionEvent` in the process-wide :data:`repro.obs.DECISIONS`
 trace.  The trace rides the same process-pool snapshot/merge protocol
@@ -48,7 +47,7 @@ class DecisionEvent:
     """One engine/analyzer decision.
 
     ``engine`` names the deciding subsystem (``vector``, ``timing``,
-    ``dedup``, ``cache``, ``analyzer``); ``decision`` is
+    ``cache``, ``analyzer``); ``decision`` is
     what it decided (``skip``, ``bail``, ``engage``, ``hit``, ``miss``,
     ``demote``, ``promote``, ``retract``); ``reason`` is the
     machine-readable slug shared with the counter labels and event log.

@@ -14,7 +14,8 @@ checks that claim systematically:
   and dynamic soundness invariants checked against them;
 - :mod:`repro.oracle.diff` — the end-to-end differential oracle:
   original vs. R2D2-transformed execution (memory outputs, address
-  streams) and dedup-on vs. dedup-off timing replay;
+  streams), megawarp vs. serial execution, and production vs.
+  reference timing replay;
 - :mod:`repro.oracle.shrink` — greedy spec minimizer for failing cases;
 - :mod:`repro.oracle.cli` — ``python -m repro oracle {fuzz,replay,corpus}``.
 

@@ -13,9 +13,10 @@ For one kernel spec this module runs the full soundness gauntlet:
    outputs and per-warp data-address streams;
    both kernels also run on the megawarp engine (``verify``, then
    committing) and must match their serial runs exactly;
-5. replay both traces through the timing simulator with the warp-dedup
-   fast path on and off, requiring every integer field of
-   :class:`~repro.sim.timing.TimingResult` to agree.
+5. replay both traces through the production timing engine (the
+   event-driven loop with SM cloning) and through the reference loop,
+   requiring every field of :class:`~repro.sim.timing.TimingResult` to
+   agree, energy floats included.
 
 Any step that crashes becomes a violation too — a launch-time
 ``OverflowError`` from an unwrapped coefficient is a soundness bug, not
@@ -38,12 +39,7 @@ from ..sim.config import GPUConfig, tiny
 from ..sim.executor import FunctionalExecutor
 from ..sim.vector import VectorMismatch
 from ..sim.gpu import Device
-from ..sim.timing import (
-    TimingResult,
-    TimingSimulator,
-    TimingVerifyMismatch,
-    timing_differences,
-)
+from ..sim.timing import TimingSimulator, timing_differences
 from ..transform.decouple import R2D2Kernel, r2d2_transform
 from ..transform.values import R2D2Values
 from .invariants import (
@@ -53,18 +49,6 @@ from .invariants import (
     check_static,
 )
 from .kernelgen import build_kernel
-
-#: TimingResult fields that must match exactly between dedup on/off.
-TIMING_INT_FIELDS = (
-    "cycles",
-    "issued_simd",
-    "issued_scalar",
-    "skipped",
-    "thread_ops",
-    "prologue_cycles",
-    "dram_accesses",
-    "sms_used",
-)
 
 
 @dataclass
@@ -118,44 +102,16 @@ def _timing_engine_diffs(
     policy=None,
     regs_per_thread: Optional[int] = None,
 ) -> List[Tuple[str, str]]:
-    """Differential check of both fast timing engines against the
-    reference loop, as ``(violation-kind, detail)`` pairs: warp-dedup
-    (integer fields + cache stats; cloned-SM energy is ULP-inexact by
-    contract) and the event-driven engine (every field, energy floats
-    included — the ``R2D2_TIMING=verify`` contract)."""
+    """Production timing replay (the event-driven engine with SM
+    cloning) against the reference loop, each from a fresh L2, as
+    ``(violation-kind, detail)`` pairs: every field, energy floats
+    included — the ``R2D2_TIMING=verify`` contract."""
     kwargs = dict(policy=policy, regs_per_thread=regs_per_thread)
-    try:
-        ref = TimingSimulator(
-            config, trace, dedup=False, timing="reference", **kwargs
-        ).run()
-        on = TimingSimulator(
-            config, trace, dedup=True, timing="reference", **kwargs
-        ).run()
-        fast = TimingSimulator(
-            config, trace, dedup=False, timing="fast", **kwargs
-        ).run()
-    except TimingVerifyMismatch as exc:
-        return [("timing-fast-mismatch", f"verify: {d}") for d in exc.diffs]
-    diffs: List[Tuple[str, str]] = []
-    for name in TIMING_INT_FIELDS:
-        a, b = getattr(on, name), getattr(ref, name)
-        if a != b:
-            diffs.append(
-                ("timing-dedup-mismatch", f"{name}: dedup={a} replay={b}")
-            )
-    for cache in ("l1", "l2"):
-        a, b = getattr(on, cache), getattr(ref, cache)
-        if (a.accesses, a.hits) != (b.accesses, b.hits):
-            diffs.append((
-                "timing-dedup-mismatch",
-                f"{cache}: dedup=({a.accesses},{a.hits}) "
-                f"replay=({b.accesses},{b.hits})",
-            ))
-    diffs.extend(
-        ("timing-fast-mismatch", d)
-        for d in timing_differences(fast, ref)
-    )
-    return diffs
+    fast = TimingSimulator(config, trace, timing="fast", **kwargs).run()
+    ref = TimingSimulator(config, trace, **kwargs).run_reference()
+    return [
+        ("timing-fast-mismatch", d) for d in timing_differences(fast, ref)
+    ]
 
 
 def check_spec(
@@ -310,7 +266,7 @@ def _check_spec(
                 )
 
         # fast-engine / reference timing equality on the transformed
-        # trace (dedup and event-driven, R2D2 issue plans included)
+        # trace (SM cloning and R2D2 issue plans included)
         counts = R2D2Arch().linear_phase_counts(rkernel, launch_b, config)
         policy = _R2D2Policy(rkernel, counts, config)
         for kind, diff in _timing_engine_diffs(

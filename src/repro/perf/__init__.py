@@ -3,8 +3,8 @@
 Four cooperating layers keep full-suite runs tractable as grids grow
 toward the paper's TITAN-V configuration (see docs/PERFORMANCE.md):
 
-- :mod:`repro.sim.dedup` — warp-dedup timing replay inside
-  :class:`repro.sim.timing.TimingSimulator`;
+- :mod:`repro.sim.timing_fast` — the event-driven timing engine with
+  SM cloning inside :class:`repro.sim.timing.TimingSimulator`;
 - :mod:`repro.perf.parallel` — process fan-out knobs shared by
   ``run_workload`` / ``run_suite`` (``--jobs`` / ``R2D2_JOBS``);
 - :mod:`repro.perf.trace_cache` — the persistent content-addressed

@@ -75,11 +75,10 @@ class IssuePolicy:
     def plan_arrays(self) -> Optional[Tuple[List[int], List[int]]]:
         """Per-pc ``(modes, extra_latency)`` tables when — and only
         when — :meth:`plan_warp` is a pure function of each record's pc.
-        The signature pass shared by the dedup and event-driven engines
-        then composes plans per static pc instead of walking every
-        warp's records.  ``None`` (the default) means "no such tables";
-        policies whose plans depend on anything beyond the pc must not
-        override this."""
+        The event-driven engine's signature pass then composes plans
+        per static pc instead of walking every warp's records.  ``None``
+        (the default) means "no such tables"; policies whose plans
+        depend on anything beyond the pc must not override this."""
         return None
 
     def sm_prologue_cycles(self, sm_id: int) -> int:
@@ -178,8 +177,8 @@ def timing_differences(
     """Field-by-field comparison of two :class:`TimingResult`\\ s under
     the event-driven engine's bit-identical contract: every integer
     field, both cache stat pairs, and the exact per-component energy
-    floats.  ``fast_l2`` overrides ``fast.l2`` for callers whose two
-    runs share (and therefore alias) one L2."""
+    floats in the same key order.  ``fast_l2`` overrides ``fast.l2``
+    for callers whose two runs share (and therefore alias) one L2."""
     diffs: List[str] = []
     for name in (
         "cycles",
@@ -213,6 +212,12 @@ def timing_differences(
             b = ref.energy.values.get(key)
             if a != b:
                 diffs.append(f"energy[{key}]: fast {a!r} != reference {b!r}")
+    elif list(fast.energy.values) != list(ref.energy.values):
+        # EnergyBreakdown.total() sums in key order.
+        diffs.append(
+            f"energy key order: fast {list(fast.energy.values)} "
+            f"!= reference {list(ref.energy.values)}"
+        )
     return diffs
 
 
@@ -275,7 +280,6 @@ class TimingSimulator:
         policy: Optional[IssuePolicy] = None,
         l2: Optional[Cache] = None,
         regs_per_thread: Optional[int] = None,
-        dedup: Optional[bool] = None,
         timing: Optional[str] = None,
     ) -> None:
         self.config = config
@@ -287,10 +291,6 @@ class TimingSimulator:
         if regs_per_thread is None:
             regs_per_thread = allocated_registers(self.kernel)
         self.regs_per_thread = regs_per_thread
-        if dedup is None:
-            env = os.environ.get("R2D2_SIM_DEDUP", "").strip().lower()
-            dedup = env not in ("0", "off", "false", "no")
-        self.dedup = dedup
         if timing is None:
             timing = timing_mode_from_env()
         elif timing not in ("fast", "reference", "verify"):
@@ -319,36 +319,16 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> TimingResult:
-        """Replay the trace through the engine chain: warp-dedup when
-        its exactness preconditions hold (see :mod:`repro.sim.dedup`),
-        else the event-driven engine (:mod:`repro.sim.timing_fast`,
-        ``R2D2_TIMING=fast``, the default), else the reference loop.
-        ``R2D2_TIMING=verify`` bypasses dedup and runs fast *and*
-        reference, asserting bit-identical results."""
-        kname = self.kernel.name
+        """Replay the trace on the event-driven engine with SM cloning
+        (:mod:`repro.sim.timing_fast`; ``R2D2_TIMING=fast``, the
+        default) or on the reference loop (``reference``).
+        ``R2D2_TIMING=verify`` runs both and asserts bit-identical
+        results."""
         if self.timing == "verify":
-            if self.dedup:
-                obs.decision(
-                    "dedup", "skip", kernel=kname, reason="timing-verify",
-                )
             return self.run_verify()
-        if self.dedup:
-            from .dedup import run_dedup
-
-            result, decline = run_dedup(self)
-            if result is not None:
-                obs.inc("timing.engine", kernel=kname, engine="dedup")
-                return result
-            # The dedup engine declined (exactness preconditions not
-            # met) — make the fallback and its actual reason visible.
-            obs.inc("dedup.fallback", kernel=kname, reason=decline)
-            obs.decision("dedup", "skip", kernel=kname, reason=decline)
-        else:
-            obs.decision(
-                "dedup", "skip", kernel=kname, reason="disabled",
-            )
         if self.timing == "fast":
             return self.run_fast()
+        kname = self.kernel.name
         obs.inc("timing.engine", kernel=kname, engine="reference")
         obs.decision("timing", "skip", kernel=kname, reason="disabled")
         return self.run_reference()
@@ -393,8 +373,8 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
     def run_reference(self) -> TimingResult:
-        """Record-by-record reference replay (always exact; the dedup
-        fast path is validated against it)."""
+        """Record-by-record reference replay (always exact; the
+        event-driven engine is validated against it)."""
         result = TimingResult()
         cfg = self.config
         blocks = self.trace.blocks

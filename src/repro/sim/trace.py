@@ -77,8 +77,9 @@ class TraceRecord:
         Two records with equal keys (and equal issue-plan mode/extra) cost
         the timing model the same in every situation except the global
         memory hierarchy, whose outcome depends on the actual ``lines``.
-        The warp-dedup engine (:mod:`repro.sim.dedup`) groups warps whose
-        record streams agree on this key.
+        The event-driven timing engine's signature pass
+        (:mod:`repro.sim.timing_fast`) groups warps whose record streams
+        agree on this key.
         """
         lines = self.lines
         return (
@@ -106,8 +107,8 @@ class WarpTrace:
     warp_in_block: int
     records: List[TraceRecord] = field(default_factory=list)
     #: Interned tuple of ``static_issue_key()``s, set by the megawarp
-    #: engine; lets the warp-dedup engine group warps by identity
-    #: comparison instead of re-walking every record.
+    #: engine; lets the timing engine's signature pass group warps by
+    #: identity comparison instead of re-walking every record.
     sig_base: Optional[Tuple] = field(
         default=None, compare=False, repr=False
     )

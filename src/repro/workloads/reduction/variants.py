@@ -2,7 +2,7 @@
 
 Block ``c`` of every variant writes one int32 partial sum to
 ``g_odata[c]``; the host reference is an exact integer sum, so every
-engine (serial, megawarp vector, dedup/fast timing) must agree
+engine (serial, megawarp vector, fast/reference timing) must agree
 bit-for-bit.  Inputs come from :func:`..common.reduction_input` — small
 non-negative int32 values, deterministic per abbreviation.
 """

@@ -21,13 +21,15 @@ from repro.sim import (
     IssueMode,
     IssuePolicy,
     MemoryHierarchy,
+    TimingResult,
     TimingSimulator,
     WarpIssuePlan,
+    timing_differences,
     timing_mode_from_env,
     tiny,
 )
 from repro.sim import caches as caches_mod
-from repro.sim.dedup import _PREP_CACHE, prep_for
+from repro.sim.timing_fast import _PREP_CACHE, prep_for
 
 CORPUS = sorted(
     (pathlib.Path(__file__).parent / "corpus").glob("*.json")
@@ -42,7 +44,6 @@ def _verify(trace, config, policy=None, regs_per_thread=None):
         trace,
         policy=policy,
         regs_per_thread=regs_per_thread,
-        dedup=False,
         timing="verify",
     ).run()
 
@@ -263,9 +264,7 @@ class TestEngineDispatch:
     def test_fast_engine_counted(self):
         obs.reset()
         trace = vadd_trace()
-        TimingSimulator(
-            tiny(), trace, dedup=False, timing="fast"
-        ).run()
+        TimingSimulator(tiny(), trace, timing="fast").run()
         assert (
             obs.counter_value(
                 "timing.engine", kernel="vadd", engine="fast"
@@ -276,9 +275,7 @@ class TestEngineDispatch:
     def test_reference_engine_counted(self):
         obs.reset()
         trace = vadd_trace()
-        TimingSimulator(
-            tiny(), trace, dedup=False, timing="reference"
-        ).run()
+        TimingSimulator(tiny(), trace, timing="reference").run()
         assert (
             obs.counter_value(
                 "timing.engine", kernel="vadd", engine="reference"
@@ -286,41 +283,30 @@ class TestEngineDispatch:
             == 1
         )
 
-    def test_verify_bypasses_dedup(self):
+    def test_verify_covers_cloning(self):
+        # Verify checks the production path, SM cloning included.
         obs.reset()
         trace = vadd_trace()
-        TimingSimulator(
-            tiny(), trace, dedup=True, timing="verify"
-        ).run()
+        assert len(trace.blocks) > tiny().num_sms
+        TimingSimulator(tiny(), trace, timing="verify").run()
         assert (
             obs.counter_value(
                 "timing.engine", kernel="vadd", engine="verify"
             )
             == 1
         )
-        # dedup never ran: no dedup.runs tick for this kernel
-        assert obs.counter_value("dedup.runs", kernel="vadd") == 0
+        assert obs.counter_value("dedup.sms.cloned", kernel="vadd") > 0
 
-    def test_dedup_decline_reason_threaded(self):
-        # Satellite: the dedup engine reports its actual decline
-        # reason, which lands on the fallback counter and the decision
-        # trace, and the chain falls through to the fast engine.
-        obs.reset()
-        cfg = tiny().with_scheduler("rr")
-        trace = vadd_trace(config=cfg)
-        TimingSimulator(cfg, trace, dedup=True).run()
-        assert (
-            obs.counter_value(
-                "dedup.fallback", kernel="vadd", reason="scheduler-rr"
-            )
-            == 1
-        )
-        assert (
-            obs.counter_value(
-                "timing.engine", kernel="vadd", engine="fast"
-            )
-            == 1
-        )
+    def test_differences_cover_energy_key_order(self):
+        # EnergyBreakdown.total() sums in key order, so equal values in
+        # another order are a difference.
+        a, b = TimingResult(), TimingResult()
+        a.energy.values.update(alu=1.0, rf=2.0)
+        b.energy.values.update(rf=2.0, alu=1.0)
+        assert timing_differences(a, a) == []
+        assert timing_differences(a, b) == [
+            "energy key order: fast ['alu', 'rf'] != reference ['rf', 'alu']"
+        ]
 
     def test_lat_cache_removed(self):
         sim = TimingSimulator(tiny(), vadd_trace())
@@ -331,18 +317,14 @@ class TestPrepCache:
     def test_same_trace_config_shares_prep(self):
         cfg = tiny()
         trace = vadd_trace(config=cfg)
-        sim1 = TimingSimulator(cfg, trace, dedup=False, timing="fast")
-        sim2 = TimingSimulator(cfg, trace, dedup=False, timing="fast")
+        sim1 = TimingSimulator(cfg, trace, timing="fast")
+        sim2 = TimingSimulator(cfg, trace, timing="fast")
         assert prep_for(sim1) is prep_for(sim2)
 
     def test_distinct_config_object_rebuilds(self):
         trace = vadd_trace()
-        p1 = prep_for(
-            TimingSimulator(tiny(), trace, dedup=False, timing="fast")
-        )
-        p2 = prep_for(
-            TimingSimulator(tiny(), trace, dedup=False, timing="fast")
-        )
+        p1 = prep_for(TimingSimulator(tiny(), trace, timing="fast"))
+        p2 = prep_for(TimingSimulator(tiny(), trace, timing="fast"))
         assert p1 is not p2
 
     def test_custom_policy_identity_keyed(self):
@@ -356,9 +338,9 @@ class TestPrepCache:
                 )
 
         pol = Extra()
-        s1 = TimingSimulator(cfg, trace, policy=pol, dedup=False)
-        s2 = TimingSimulator(cfg, trace, policy=pol, dedup=False)
-        s3 = TimingSimulator(cfg, trace, policy=Extra(), dedup=False)
+        s1 = TimingSimulator(cfg, trace, policy=pol)
+        s2 = TimingSimulator(cfg, trace, policy=pol)
+        s3 = TimingSimulator(cfg, trace, policy=Extra())
         assert prep_for(s1) is prep_for(s2)
         assert prep_for(s3) is not prep_for(s1)
 
@@ -366,7 +348,7 @@ class TestPrepCache:
         cfg = tiny()
         trace = vadd_trace(config=cfg)
         key = id(trace)
-        prep_for(TimingSimulator(cfg, trace, dedup=False))
+        prep_for(TimingSimulator(cfg, trace))
         assert key in _PREP_CACHE
         del trace
         gc.collect()

@@ -17,6 +17,7 @@ from repro.sim import (
     Device,
     FunctionalExecutor,
     TimingSimulator,
+    timing_differences,
     tiny,
     vector_mode,
 )
@@ -260,12 +261,9 @@ class TestCommitPath:
 
     def test_timing_replay_agrees_on_megawarp_trace(self):
         trace, _ = _run(_vadd_kernel(), "1")
-        fast = TimingSimulator(tiny(), trace, dedup=True).run()
-        ref = TimingSimulator(
-            tiny(), trace, dedup=False, timing="reference"
-        ).run()
-        assert fast.cycles == ref.cycles
-        assert fast.issued_total == ref.issued_total
+        fast = TimingSimulator(tiny(), trace).run()
+        ref = TimingSimulator(tiny(), trace).run_reference()
+        assert timing_differences(fast, ref) == []
 
     def test_report_to_dict(self):
         trace, _ = _run(_collatz_kernel(), "1")

@@ -1,8 +1,8 @@
 """Reduction-family gate: per-variant self-checks against the numpy
-reference, bit-identity of the serial / megawarp-vector / dedup /
-fast-timing engines on the divergent and bank-conflict variants, and the
-corpus regressions for the seed-13 interval bug that blocked this
-workload family."""
+reference, bit-identity of the serial / megawarp-vector engines and of
+the fast / reference timing engines on the divergent and bank-conflict
+variants, and the corpus regressions for the seed-13 interval bug that
+blocked this workload family."""
 
 import json
 from pathlib import Path
@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.oracle.diff import TIMING_INT_FIELDS, check_spec
+from repro.oracle.diff import check_spec
 from repro.sim import tiny
 from repro.sim.executor import FunctionalExecutor
 from repro.sim.gpu import Device, as_dim3
-from repro.sim.timing import TimingSimulator
+from repro.sim.timing import TimingSimulator, timing_differences
 from repro.isa.kernel import LaunchConfig
 from repro.workloads import by_suite, factory
 
@@ -67,22 +67,14 @@ def test_vector_engine_bit_identical(abbr):
 
 
 @pytest.mark.parametrize("abbr", ["RED0", "RED1"])
-def test_timing_dedup_and_fast_agree(abbr):
-    """Warp-dedup on/off and the event-driven fast engine must agree on
-    every integer timing field and cache counter for the tree kernels
-    (barrier-heavy, divergent — the dedup fast path's worst case)."""
+def test_timing_fast_matches_reference(abbr):
+    """Production timing replay (event-driven, with SM cloning) must
+    equal the reference loop on every field, energy floats and their key
+    order included, for the tree kernels (barrier-heavy, divergent)."""
     _, _, trace = _run(abbr)
-    ref = TimingSimulator(CONFIG, trace, dedup=False,
-                         timing="reference").run()
-    dedup = TimingSimulator(CONFIG, trace, dedup=True,
-                            timing="reference").run()
-    fast = TimingSimulator(CONFIG, trace, dedup=False, timing="fast").run()
-    for name in TIMING_INT_FIELDS:
-        assert getattr(dedup, name) == getattr(ref, name), name
-        assert getattr(fast, name) == getattr(ref, name), name
-    for cache in ("l1", "l2"):
-        a, b = getattr(dedup, cache), getattr(ref, cache)
-        assert (a.accesses, a.hits) == (b.accesses, b.hits), cache
+    ref = TimingSimulator(CONFIG, trace).run_reference()
+    fast = TimingSimulator(CONFIG, trace).run()
+    assert timing_differences(fast, ref) == []
 
 
 def test_seed13_corpus_case_reproduces_expected_crash():
