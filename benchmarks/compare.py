@@ -31,7 +31,7 @@ Three independent checks, all of which must pass:
    ``/dev/null`` disables this retain gate).  ``--<f>-out PATH``
    merge-updates that artifact with the measured seconds and speedup
    per stem.  The families: ``vector`` (megawarp vs serial
-   interpretation), ``shard`` (sharded scheduler vs serial suite run;
+   interpretation), ``shard`` (parallel vs serial suite run;
    the ``minisuite`` stem needs real cores and skips itself on
    single-core boxes), ``timing`` (event-driven engine with SM cloning
    vs reference timing loop, on the divergent ``dyntrip`` and the

@@ -1,18 +1,16 @@
-"""Sharded suite scheduler benchmarks: scheduling speedup and the
-incremental-rerun fast path.
+"""Parallel suite benchmarks: pool speedup and the warm-rerun fast path.
 
 Two ``compare.py``-gated on/off pairs (suffixes ``_shard_on`` /
 ``_shard_off``, artifact ``BENCH_shard.json``):
 
-* ``minisuite`` — the same cold mini-suite scheduled across 4 workers
-  vs run serially.  Wall-clock parallel speedup needs real cores, so
-  the pair skips itself on single-core machines (the gate in
+* ``minisuite`` — the same cold mini-suite fanned out to 4 worker
+  processes vs run serially.  Wall-clock parallel speedup needs real
+  cores, so the pair skips itself on single-core machines (the gate in
   ``compare.py`` only fires on complete pairs).
-* ``warmrerun`` — an incremental rerun against a warm trace cache
-  (every cell's key unchanged, so the scheduler skips all of them) vs
-  a cold serial recompute.  This ratio is meaningful on any machine,
-  including single-core ones, and is the headline acceptance criterion
-  for the shard scheduler.
+* ``warmrerun`` — a rerun against a warm result cache (every workload
+  served from the cache in the parent, no pool started) vs a cold
+  serial recompute.  This ratio is meaningful on any machine, including
+  single-core ones.
 
 Run with ``--benchmark-json=BENCH_shard_run.json`` and feed the result
 to ``benchmarks/compare.py`` (see docs/PERFORMANCE.md).
@@ -44,7 +42,7 @@ def _suite(jobs, cache):
 
 
 # ---------------------------------------------------------------------------
-# Pair 1: cold mini-suite, sharded vs serial.
+# Pair 1: cold mini-suite, parallel vs serial.
 # ---------------------------------------------------------------------------
 
 
@@ -56,9 +54,9 @@ def test_minisuite_shard_on(benchmark):
         return _suite(JOBS, False)
 
     suite = benchmark.pedantic(run, rounds=3)
-    report = suite.shard_report
-    assert report["cells_run"] == len(SHARD_APPS)
-    assert report["cells_skipped"] == 0
+    # every workload ran in the pool: nothing demoted to serial
+    assert list(suite.results) == list(SHARD_APPS)
+    assert obs.counter_total("parallel.demotions") == 0
 
 
 @pytest.mark.skipif(not _MULTICORE,
@@ -69,32 +67,36 @@ def test_minisuite_shard_off(benchmark):
         return _suite(1, False)
 
     suite = benchmark.pedantic(run, rounds=3)
-    assert suite.shard_report is None
+    assert list(suite.results) == list(SHARD_APPS)
 
 
 # ---------------------------------------------------------------------------
-# Pair 2: warm incremental rerun vs cold serial recompute.
+# Pair 2: warm rerun vs cold serial recompute.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     cache = TraceCache(root=tmp_path_factory.mktemp("shard-bench-cache"))
+    obs.reset()
     cold = _suite(JOBS, cache)
-    assert cold.shard_report["cells_skipped"] == 0
-    return cache
+    assert obs.counter_value("cache.hit", ns="result") == 0
+    return cache, cold
 
 
 def test_warmrerun_shard_on(benchmark, warm_cache):
+    cache, cold = warm_cache
+
     def run():
         obs.reset()
-        return _suite(JOBS, warm_cache)
+        return _suite(JOBS, cache)
 
     suite = benchmark.pedantic(run, rounds=3)
-    # acceptance: every unchanged cell is skipped, none recomputed
-    report = suite.shard_report
-    assert report["cells_skipped"] == len(SHARD_APPS)
-    assert report["cells_run"] == 0 and report["cells_serial"] == 0
+    # acceptance: every workload is a result-cache hit, none recomputed
+    assert obs.counter_value("cache.hit", ns="result") == len(SHARD_APPS)
+    assert obs.counter_total("cache.miss") == 0
+    for abbr in SHARD_APPS:
+        assert suite[abbr].stats == cold[abbr].stats, abbr
 
 
 def test_warmrerun_shard_off(benchmark):
@@ -103,4 +105,4 @@ def test_warmrerun_shard_off(benchmark):
         return _suite(1, False)
 
     suite = benchmark.pedantic(run, rounds=3)
-    assert suite.shard_report is None
+    assert list(suite.results) == list(SHARD_APPS)

@@ -39,10 +39,10 @@ from typing import Optional, Sequence
 
 from . import experiments
 from .. import obs
-from ..perf import SHARD_PLANS, TraceCache, cache_from_env
+from ..perf import TraceCache, cache_from_env
 from ..workloads import all_abbrs, factory
 from .experiments import SuiteResults, bench_config, run_suite
-from .report import obs_summary, shard_utilization_table
+from .report import obs_summary
 from .runner import ALL_ARCHES, run_workload
 
 #: figure name -> (needs shared suite?, callable)
@@ -108,19 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="fan workload cells out to N worker processes "
+        help="run suite workloads in N worker processes; standalone "
+             "figures split each workload's architectures instead "
              "(default: $R2D2_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--shard-plan", default=None, choices=SHARD_PLANS,
-        help="cell granularity for parallel suite runs: 'workload' "
-             "(one cell per workload, default) or 'arch-split' (split "
-             "the R2D2 device run from the trace-analyzing arches)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache for this run "
-             "(also disables incremental shard reruns)",
+             "(every workload is recomputed)",
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -386,16 +381,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             suite = run_suite(
                 abbrs=args.apps, scale=args.scale, config=config,
                 jobs=args.jobs, cache=use_cache,
-                shard_plan=args.shard_plan,
             )
             print(
                 f"suite done in {time.time() - t0:.0f}s", file=sys.stderr
             )
-            if suite.shard_report:
-                print(
-                    shard_utilization_table(suite.shard_report).render(),
-                    file=sys.stderr,
-                )
 
         for name in names:
             if name in SUITE_FIGURES:

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..perf import resolve_cache, resolve_jobs, task_timeout
+from ..perf import fan_out, resolve_cache, resolve_jobs
+from ..perf.trace_cache import UnhashableKeyPart, workload_result_key
 from ..sim.config import GPUConfig, small, titan_v
-from ..workloads import all_abbrs, factory
+from ..sim.gpu import Device
+from ..workloads import factory
 from .report import Table, geomean, mean, percent
 from .runner import ALL_ARCHES, WorkloadResult, run_workload
 
@@ -28,9 +30,15 @@ def bench_config(num_sms: int = 4) -> GPUConfig:
     return dataclasses.replace(small(), num_sms=num_sms, name=f"bench-{num_sms}sm")
 
 
-#: Workloads used for the headline figures.  All of Table 2.
-DEFAULT_SUITE: Tuple[str, ...] = tuple(
-    a for a in all_abbrs() if a != "FFT_PT"
+#: Workloads used for the headline figures: the 42 apps of Table 2.
+#: FFT_PT (the Section 5.7 persistent-thread variant) and the RED0-RED6
+#: reduction ladder are registered but are not Table-2 apps.
+DEFAULT_SUITE: Tuple[str, ...] = (
+    "2DC", "2MM", "3DC", "3MM", "ATA", "BFS", "BIC", "BP", "BTR",
+    "CCMP", "CFD", "DWT", "FDT", "FFT", "GAS", "GEM", "GSM", "HIS",
+    "HSP", "HTW", "KCR", "KM", "LIB", "LMD", "LPS", "LUD", "MRG",
+    "MRQ", "MUM", "MVT", "NN", "PTH", "RAY", "RES", "SAD", "SGM",
+    "SPM", "SRAD1", "SRAD2", "SSSP", "STC", "VGG",
 )
 
 COMPARISON_ARCHES = ("dac", "darsie", "darsie+scalar", "r2d2")
@@ -44,9 +52,6 @@ class SuiteResults:
     config: GPUConfig
     scale: str
     results: Dict[str, WorkloadResult] = field(default_factory=dict)
-    #: :meth:`repro.perf.shard.ShardReport.to_dict` of the sharded run
-    #: that produced these results (None for serial runs).
-    shard_report: Optional[dict] = None
 
     def abbrs(self) -> List[str]:
         return sorted(self.results)
@@ -63,71 +68,96 @@ def run_suite(
     verify: bool = True,
     jobs: Optional[int] = None,
     cache=None,
-    shard_plan: Optional[str] = None,
 ) -> SuiteResults:
     """Run the workload × architecture matrix.
 
-    ``jobs > 1`` (or ``R2D2_JOBS``) hands the suite to the shard
-    scheduler (:mod:`repro.perf.shard`): cells are placed
-    longest-first from historical cost, idle workers steal queued
-    cells, and — when ``cache`` is enabled — cells whose result key is
-    unchanged since the last run are served from the cache without
-    being scheduled at all.  Results always merge in canonical suite
-    order, so the suite is byte-identical to a serial run.
-    ``shard_plan`` picks the cell granularity (default ``"workload"``;
-    see :data:`repro.perf.shard.SHARD_PLANS`).
+    ``jobs > 1`` (or ``R2D2_JOBS``) fans the workloads out to one
+    process pool (:func:`repro.perf.parallel.fan_out`) whose workers run
+    each workload serially, so pools never nest.  With ``cache`` on, a
+    workload whose result is already cached is served in the parent and
+    never reaches the pool, so a fully warm rerun starts no pool at all.
+    Results always merge in canonical suite order, so the suite is
+    byte-identical to a serial run.
     """
     config = config or bench_config()
     abbrs = list(abbrs) if abbrs else list(DEFAULT_SUITE)
+    arch_names = tuple(arch_names)
     jobs = resolve_jobs(jobs)
     tcache = resolve_cache(cache)
     suite = SuiteResults(config=config, scale=scale)
 
     with obs.span("suite"):
         done: Dict[str, WorkloadResult] = {}
-        if jobs > 1 and len(abbrs) > 1:
-            done = _run_suite_sharded(
-                abbrs, scale, config, tuple(arch_names), verify, tcache,
-                jobs, shard_plan or "workload", suite,
-            )
+        if jobs > 1:
+            if tcache is not None:
+                for abbr in abbrs:
+                    hit = _cached_result(
+                        abbr, scale, config, arch_names, verify, tcache
+                    )
+                    if hit is not None:
+                        done[abbr] = hit
+            done.update(fan_out(
+                "suite", _suite_cell,
+                {
+                    abbr: (abbr, scale, config, arch_names, verify, tcache)
+                    for abbr in abbrs if abbr not in done
+                },
+                jobs,
+            ))
         for abbr in abbrs:
             res = done.get(abbr)
-            if res is None:  # serial run, or a cell that fell back
+            # Serial run, a lone uncached workload, or a cell the pool
+            # lost: run it here, where fanning its arches out nests no
+            # pool.
+            if res is None:
                 res = run_workload(
                     factory(abbr, scale), config=config,
-                    arch_names=arch_names, verify=verify, cache=tcache,
+                    arch_names=arch_names, verify=verify, jobs=jobs,
+                    cache=tcache,
                 )
             suite.results[abbr] = res
     return suite
 
 
-def _run_suite_sharded(
-    abbrs: Sequence[str],
+def _suite_cell(
+    abbr: str,
+    scale: str,
+    config: GPUConfig,
+    arch_names: Tuple[str, ...],
+    verify: bool,
+    cache,
+) -> WorkloadResult:
+    """One workload in a pool worker; module-level so it pickles."""
+    return run_workload(
+        factory(abbr, scale), config=config, arch_names=arch_names,
+        verify=verify, jobs=1, cache=cache,
+    )
+
+
+def _cached_result(
+    abbr: str,
     scale: str,
     config: GPUConfig,
     arch_names: Tuple[str, ...],
     verify: bool,
     tcache,
-    jobs: int,
-    plan: str,
-    suite: SuiteResults,
-) -> Dict[str, WorkloadResult]:
-    """Run the suite through the shard scheduler.  Any workload missing
-    from the returned dict (a cell lost to pool breakage *and* whose
-    serial recompute also failed to merge) is recomputed whole by the
-    caller's safety net."""
-    from ..perf.shard import ShardScheduler, merge_suite, plan_cells
-
-    cells = plan_cells(
-        abbrs, arch_names, scale, config, plan, verify=verify
-    )
-    scheduler = ShardScheduler(
-        cells, jobs=jobs, config=config, cache=tcache, plan=plan,
-        timeout=task_timeout(),
-    )
-    results, report = scheduler.run()
-    suite.shard_report = report.to_dict()
-    return merge_suite(cells, results, abbrs, arch_names)
+) -> Optional[WorkloadResult]:
+    """The workload's cached result, looked up with the key
+    ``run_workload`` computes.  Only a present entry is fetched, so a
+    cold workload counts its single ``cache.miss`` in the worker, the
+    same as a serial run."""
+    workload = factory(abbr, scale)()
+    launches = workload.prepare(Device(config))
+    try:
+        key = workload_result_key(
+            workload, launches, config, arch_names, {}, verify
+        )
+    except UnhashableKeyPart:
+        return None
+    if not tcache.contains("result", key):
+        return None
+    hit = tcache.get("result", key)
+    return hit if isinstance(hit, WorkloadResult) else None
 
 
 # ----------------------------------------------------------------------

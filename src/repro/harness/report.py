@@ -210,47 +210,6 @@ def obs_decision_table(snapshot: Dict[str, object]) -> Table:
     return table
 
 
-def shard_utilization_table(report: Dict[str, object]) -> Table:
-    """Per-worker utilization of a sharded suite run, from a
-    :meth:`repro.perf.shard.ShardReport.to_dict` document."""
-    wall = float(report.get("wall_s", 0.0) or 0.0)
-    table = Table(
-        f"Shard schedule: plan={report.get('plan', '?')}"
-        f" workers={report.get('workers', '?')}"
-        f" wall={wall:.1f}s"
-        f" (skipped {report.get('cells_skipped', 0)}"
-        f"/{report.get('cells_total', 0)} cells,"
-        f" {report.get('steals', 0)} steals)",
-        ["worker", "cells", "busy_s", "util", "stolen", "lost"],
-    )
-    busy_total = 0.0
-    cells_total = 0
-    for row in report.get("per_worker") or ():
-        busy = float(row.get("busy_s", 0.0))
-        busy_total += busy
-        cells_total += int(row.get("cells", 0))
-        table.add_row(
-            f"w{row.get('worker', '?')}",
-            int(row.get("cells", 0)),
-            f"{busy:.2f}",
-            percent(busy / wall) if wall > 0 else "n/a",
-            int(row.get("stolen", 0)),
-            "yes" if row.get("lost") else "",
-        )
-    serial = int(report.get("cells_serial", 0) or 0)
-    if serial:
-        table.add_row("serial", serial, "", "", "", "")
-    table.set_summary(
-        "TOTAL",
-        cells_total + serial,
-        f"{busy_total:.2f}",
-        percent(float(report.get("utilization", 0.0) or 0.0)),
-        int(report.get("steals", 0) or 0),
-        "",
-    )
-    return table
-
-
 def format_fallbacks(slugs: Dict[str, int]) -> str:
     """Render fallback slug counts as ``slug x3, other`` (count omitted
     when 1), most frequent first."""

@@ -15,7 +15,7 @@ For one workload the runner
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,15 +31,7 @@ from ..arch import (
     R2D2Arch,
 )
 from .. import obs
-from ..perf import (
-    TASK_TIMEOUT_ERRORS,
-    is_parallel_fallback,
-    make_pool,
-    record_demotion,
-    resolve_cache,
-    resolve_jobs,
-    task_timeout,
-)
+from ..perf import fan_out, resolve_cache, resolve_jobs
 from ..perf.trace_cache import (
     UnhashableKeyPart,
     functional_trace_key,
@@ -94,7 +86,9 @@ class WorkloadResult:
     outputs_identical: bool = False
     #: Per-launch megawarp outcomes (dicts from
     #: ``DecisionEvent.to_dict``): engage/skip/bail with a
-    #: machine-readable reason for the run report.
+    #: machine-readable reason for the run report.  Baseline launches
+    #: come first, then R2D2 launches (transformed kernels are named
+    #: ``<kernel>.r2d2``).
     engine_decisions: List[dict] = field(default_factory=list)
 
     def __getitem__(self, arch: str) -> ArchStats:
@@ -130,9 +124,10 @@ def run_workload(
     """Run one workload through the requested architectures.
 
     ``jobs > 1`` fans the trace-analyzing architectures out to worker
-    processes (falling back to serial when the traces cannot cross the
-    process boundary); ``cache`` memoizes the whole result on disk — see
-    :mod:`repro.perf.trace_cache` for the key recipe and defaults.
+    processes (:func:`repro.perf.parallel.fan_out`; any arch the pool
+    does not deliver is computed serially); ``cache`` memoizes the whole
+    result on disk — see :mod:`repro.perf.trace_cache` for the key
+    recipe and defaults.
     """
     config = config or small()
     r2d2_kwargs = r2d2_kwargs or {}
@@ -214,11 +209,14 @@ def _run_workload_phases(
 
     trace_arches = [n for n in arch_names if n != "r2d2"]
     with obs.span("analyze"):
-        stats_by_name = _trace_arch_stats(
-            traces, config, trace_arches, jobs
+        done = fan_out(
+            "trace-arch", _trace_arch_cell,
+            {name: (traces, config, name) for name in trace_arches}, jobs,
         )
-    for name in trace_arches:
-        result.stats[name] = stats_by_name[name]
+        for name in trace_arches:
+            if name not in done:
+                done[name] = _trace_arch_cell(traces, config, name)
+            result.stats[name] = done[name]
 
     # ------------------------------------------------------------ 3
     if "r2d2" in arch_names:
@@ -230,7 +228,7 @@ def _run_workload_phases(
             stats = r2d2.make_stats()
             l2 = Cache(config.l2)
             for spec in launches2:
-                r2d2.execute_launch(
+                trace = r2d2.execute_launch(
                     device2,
                     spec.kernel,
                     spec.grid,
@@ -240,6 +238,10 @@ def _run_workload_phases(
                     stats,
                     l2=l2,
                 )
+                if trace.vector is not None:
+                    result.engine_decisions.append(
+                        trace.vector.to_decision().to_dict()
+                    )
             if verify:
                 result.outputs_identical = _outputs_match(
                     workload, device, workload2, device2
@@ -268,70 +270,6 @@ def _trace_arch_cell(traces, config: GPUConfig, name: str) -> ArchStats:
     for trace in traces:
         arch.process_trace(trace, config, stats, l2=l2)
     return stats
-
-
-def _trace_arch_cell_task(
-    traces, config: GPUConfig, name: str
-) -> Tuple[ArchStats, dict]:
-    """Worker wrapper: compute one cell and ship the worker's metric
-    deltas (SM-clone counters etc.) back for the parent to merge.  The
-    reset drops any state inherited over ``fork`` so nothing is counted
-    twice."""
-    obs.reset()
-    stats = _trace_arch_cell(traces, config, name)
-    return stats, obs.snapshot_and_reset()
-
-
-def _trace_arch_stats(
-    traces, config: GPUConfig, names: Sequence[str], jobs: int
-) -> Dict[str, ArchStats]:
-    out: Dict[str, ArchStats] = {}
-    if jobs > 1 and len(names) > 1:
-        try:
-            out = _trace_arch_stats_parallel(traces, config, names, jobs)
-        except Exception as exc:
-            # Only pool-infrastructure failures demote to the serial
-            # recompute below; a real worker bug re-raises immediately
-            # instead of doubling wall time on a doomed retry.
-            if not is_parallel_fallback(exc):
-                raise
-            record_demotion("trace-arch", exc)
-            out = {}
-    # Serial path, plus the per-cell fill-in for any arch the pool
-    # could not deliver (e.g. a single timed-out cell).
-    for name in names:
-        if name not in out:
-            out[name] = _trace_arch_cell(traces, config, name)
-    return out
-
-
-def _trace_arch_stats_parallel(
-    traces, config: GPUConfig, names: Sequence[str], jobs: int
-) -> Dict[str, ArchStats]:
-    timeout = task_timeout()
-    pool = make_pool(min(jobs, len(names)))
-    try:
-        futures = {
-            name: pool.submit(_trace_arch_cell_task, traces, config, name)
-            for name in names
-        }
-        # Collect in submission order: the merge is deterministic no
-        # matter which worker finishes first.
-        out: Dict[str, ArchStats] = {}
-        for name in names:
-            try:
-                stats, blob = futures[name].result(timeout=timeout)
-            except TASK_TIMEOUT_ERRORS as exc:
-                # One overdue cell demotes that cell, not every arch:
-                # the caller recomputes just the missing ones serially.
-                futures[name].cancel()
-                record_demotion("trace-arch-cell", exc, arch=name)
-                continue
-            obs.merge(blob)
-            out[name] = stats
-        return out
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _outputs_match(w1: Workload, d1: Device, w2: Workload, d2: Device) -> bool:

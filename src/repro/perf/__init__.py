@@ -1,17 +1,14 @@
 """Simulation performance subsystem.
 
-Four cooperating layers keep full-suite runs tractable as grids grow
+Three cooperating layers keep full-suite runs tractable as grids grow
 toward the paper's TITAN-V configuration (see docs/PERFORMANCE.md):
 
 - :mod:`repro.sim.timing_fast` — the event-driven timing engine with
   SM cloning inside :class:`repro.sim.timing.TimingSimulator`;
-- :mod:`repro.perf.parallel` — process fan-out knobs shared by
-  ``run_workload`` / ``run_suite`` (``--jobs`` / ``R2D2_JOBS``);
+- :mod:`repro.perf.parallel` — the one process fan-out ``run_suite``
+  and ``run_workload`` share (``--jobs`` / ``R2D2_JOBS``);
 - :mod:`repro.perf.trace_cache` — the persistent content-addressed
-  result cache (``R2D2_CACHE`` / ``R2D2_CACHE_DIR``);
-- :mod:`repro.perf.shard` — the sharded suite scheduler (LPT placement
-  from historical cost, work stealing, incremental reruns keyed by the
-  trace cache; ``--shard-plan``).
+  result cache (``R2D2_CACHE`` / ``R2D2_CACHE_DIR``).
 """
 
 from .parallel import (
@@ -19,22 +16,12 @@ from .parallel import (
     TASK_TIMEOUT_ERRORS,
     PoolSetupError,
     fallback_reason,
+    fan_out,
     is_parallel_fallback,
     make_pool,
     record_demotion,
     resolve_jobs,
     task_timeout,
-)
-from .shard import (
-    SHARD_PLANS,
-    CostModel,
-    ShardCell,
-    ShardReport,
-    ShardScheduler,
-    arch_groups,
-    lpt_assign,
-    merge_suite,
-    plan_cells,
 )
 from .trace_cache import (
     SCHEMA_VERSION,
@@ -47,26 +34,18 @@ from .trace_cache import (
 )
 
 __all__ = [
-    "CostModel",
     "PARALLEL_FALLBACK_ERRORS",
     "PoolSetupError",
     "SCHEMA_VERSION",
-    "SHARD_PLANS",
-    "ShardCell",
-    "ShardReport",
-    "ShardScheduler",
     "TASK_TIMEOUT_ERRORS",
     "TraceCache",
-    "arch_groups",
     "cache_from_env",
     "default_cache_dir",
     "fallback_reason",
+    "fan_out",
     "functional_trace_key",
     "is_parallel_fallback",
-    "lpt_assign",
     "make_pool",
-    "merge_suite",
-    "plan_cells",
     "record_demotion",
     "resolve_cache",
     "resolve_jobs",

@@ -1,4 +1,4 @@
-"""Process fan-out knobs shared by the harness runners.
+"""Process fan-out shared by the harness runners.
 
 ``run_workload`` and ``run_suite`` accept a ``jobs`` argument; when it is
 left ``None`` the ``R2D2_JOBS`` environment variable decides (the CLI
@@ -7,9 +7,16 @@ execution, which is also the fallback whenever a process pool cannot be
 used — e.g. the workload factory closes over unpicklable state, or the
 pool dies — so CI on one core behaves identically to a parallel run.
 
+Both runners fan out through :func:`fan_out`: one pool, cells submitted
+and collected in canonical order, worker metrics merged in that order.
+``run_suite`` fans out workloads whose workers call
+``run_workload(jobs=1)``, so pools never nest; ``run_workload`` fans
+out its trace-analyzing architectures.  Cells the pool does not deliver
+are recomputed serially by the caller.
+
 Demotion policy: only *pool-infrastructure* failures (pickling, pool
-breakage, per-task timeouts, pool start-up) may demote a parallel run to
-the serial path.  A genuine bug raised inside a worker — an
+breakage, per-task timeouts, pool start-up) may demote a cell to the
+serial path.  A genuine bug raised inside a worker — an
 ``AttributeError`` from workload code, say — re-raises immediately
 instead of silently doubling the wall time with a serial re-run that
 hits the same bug.  Pickling failures surface as ``PicklingError`` but
@@ -17,7 +24,7 @@ also as bare ``AttributeError``/``TypeError`` from the pickle machinery,
 so those two types are classified by message
 (:func:`is_parallel_fallback`); ``OSError`` is only a fallback when
 raised while *starting* the pool (:func:`make_pool` tags that case as
-:class:`PoolSetupError`).  Every demotion is recorded in the
+:class:`PoolSetupError`).  Every demoted cell is recorded in the
 observability registry (``parallel.demotions``) and the event log.
 """
 
@@ -28,7 +35,7 @@ import os
 import pickle
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Set
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .. import obs
 
@@ -115,6 +122,63 @@ def make_pool(max_workers: int):
         return ProcessPoolExecutor(max_workers=max_workers)
     except OSError as exc:
         raise PoolSetupError(f"cannot start process pool: {exc}") from exc
+
+
+def _cell_task(fn: Callable, args: tuple) -> Tuple[Any, dict]:
+    """One cell in a worker: drop the fork-inherited metrics, run the
+    cell, and ship its metric deltas back with the result so the
+    parent's totals match a serial run exactly."""
+    obs.reset()
+    result = fn(*args)
+    return result, obs.snapshot_and_reset()
+
+
+def fan_out(
+    site: str, fn: Callable, cells: Dict[str, tuple], jobs: int
+) -> Dict[str, Any]:
+    """Run ``fn(*args)`` for every ``label: args`` cell in one process
+    pool and return ``{label: result}`` for the cells it delivered.
+
+    ``fn`` must be a module-level function so workers can unpickle it.
+    Cells are submitted and collected in ``cells`` order, and worker
+    metrics merge in that order, so the outcome does not depend on which
+    worker finishes first.  With ``jobs <= 1`` or fewer than two cells
+    no pool starts and nothing is delivered.  A pool-infrastructure
+    failure or an ``R2D2_TASK_TIMEOUT`` expiry demotes just the cells it
+    hit (``parallel.demotions{site=...}``); the caller computes every
+    missing cell serially.  A genuine worker bug re-raises.
+    """
+    if jobs <= 1 or len(cells) < 2:
+        return {}
+    try:
+        pool = make_pool(min(jobs, len(cells)))
+    except PoolSetupError as exc:
+        for label in cells:
+            record_demotion(site, exc, cell=label)
+        return {}
+    timeout = task_timeout()
+    out: Dict[str, Any] = {}
+    try:
+        futures = {}
+        for label, args in cells.items():
+            try:
+                futures[label] = pool.submit(_cell_task, fn, args)
+            except BrokenProcessPool as exc:  # an earlier worker died
+                record_demotion(site, exc, cell=label)
+        for label, future in futures.items():
+            try:
+                result, blob = future.result(timeout=timeout)
+            except Exception as exc:
+                if not is_parallel_fallback(exc):
+                    raise
+                future.cancel()
+                record_demotion(site, exc, cell=label)
+                continue
+            obs.merge(blob)
+            out[label] = result
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    return out
 
 
 _warned_jobs: Set[str] = set()

@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import os
 import pickle
 import re
@@ -42,12 +41,12 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence
 
 from .. import obs
 
 #: Bump whenever the pickled payloads or the key recipe change shape.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _DEFAULT_MAX_MB = 512.0
 
@@ -234,6 +233,11 @@ class TraceCache:
         yield from self.version_dir.glob("*/??/*.pkl")
 
     # -- operations -----------------------------------------------------
+    def contains(self, namespace: str, key: str) -> bool:
+        """Whether an entry exists, without counting a hit or a miss
+        (a following ``get`` can still miss if eviction wins a race)."""
+        return self._path(namespace, key).is_file()
+
     def get(self, namespace: str, key: str) -> Optional[Any]:
         path = self._path(namespace, key)
         try:
@@ -357,51 +361,6 @@ class TraceCache:
                 if child.is_dir() and re.fullmatch(r"v\d+", child.name):
                     shutil.rmtree(child, ignore_errors=True)
         return count
-
-    # -- per-cell key index ---------------------------------------------
-    # The shard scheduler records, for every suite cell, the result key
-    # it last computed; an unchanged key on the next run means the cell
-    # can be skipped outright (incremental rerun).  Index files live
-    # beside the pickle store but outside the ``*/??/*.pkl`` glob, so
-    # they are never counted against the size cap or evicted.
-    def _cell_path(self, cell_id: str) -> Path:
-        h = hashlib.sha256(cell_id.encode()).hexdigest()
-        return self.version_dir / "cells" / h[:2] / f"{h}.json"
-
-    def cell_key_get(self, cell_id: str) -> Optional[str]:
-        """The result key recorded for ``cell_id``, or None."""
-        try:
-            with open(self._cell_path(cell_id), "r") as fh:
-                record = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        key = record.get("key")
-        return key if isinstance(key, str) else None
-
-    def cell_key_put(self, cell_id: str, key: str) -> bool:
-        """Record ``key`` as the latest result key for ``cell_id``."""
-        path = self._cell_path(cell_id)
-        payload = json.dumps(
-            {"cell": cell_id, "key": key, "updated": time.time()}
-        )
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
 
 
 # ----------------------------------------------------------------------

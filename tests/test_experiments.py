@@ -8,6 +8,7 @@ well-formed tables from real results.
 import pytest
 
 from repro.harness import (
+    DEFAULT_SUITE,
     SuiteResults,
     fig4_ideal_machines,
     fig12_instruction_reduction,
@@ -18,6 +19,7 @@ from repro.harness import (
     run_suite,
 )
 from repro.sim import tiny
+from repro.workloads import all_abbrs
 
 APPS = ("NN", "BP", "GEM")
 
@@ -35,6 +37,16 @@ class TestSuiteRunner:
         for abbr in suite.abbrs():
             assert suite[abbr].verified
             assert suite[abbr].outputs_identical
+
+
+def test_default_suite_is_table2():
+    """The headline figures run exactly the 42 apps of Table 2: no
+    reduction-ladder variant and no persistent-thread FFT."""
+    assert len(DEFAULT_SUITE) == 42
+    assert len(set(DEFAULT_SUITE)) == 42
+    assert not [a for a in DEFAULT_SUITE if a.startswith("RED")]
+    assert "FFT_PT" not in DEFAULT_SUITE
+    assert set(DEFAULT_SUITE) <= set(all_abbrs())
 
 
 FIGS = [

@@ -18,7 +18,6 @@ import pytest
 from repro import obs
 from repro.harness import cli, experiments
 from repro.harness.experiments import bench_config, run_suite
-from repro.perf import shard
 from repro.harness.report import Table, obs_summary
 from repro.perf import parallel
 from repro.perf.parallel import (
@@ -292,24 +291,25 @@ def _raise_unpicklable(*args, **kwargs):
 
 class TestSuiteFallbackBehavior:
     def test_worker_bug_surfaces_without_serial_retry(self, monkeypatch):
-        monkeypatch.setattr(shard, "_shard_cell_task", _raise_worker_bug)
+        monkeypatch.setattr(experiments, "_suite_cell", _raise_worker_bug)
         calls = []
 
         def _no_serial(*a, **k):
             calls.append(a)
             pytest.fail("serial retry")
 
-        monkeypatch.setattr(shard, "_shard_cell_serial", _no_serial)
         monkeypatch.setattr(experiments, "run_workload", _no_serial)
         with pytest.raises(AttributeError, match="worker bug in cell"):
             run_suite(["NN", "BP"], "tiny", bench_config(2), jobs=2)
         assert calls == []
 
     def test_infra_failure_demotes_to_serial(self, monkeypatch):
-        monkeypatch.setattr(shard, "_shard_cell_task", _raise_unpicklable)
+        monkeypatch.setattr(experiments, "_suite_cell", _raise_unpicklable)
         suite = run_suite(["NN", "BP"], "tiny", bench_config(2), jobs=2)
         assert set(suite.results) == {"NN", "BP"}
-        assert obs.counter_total("parallel.demotions") >= 1
+        assert obs.counter_value(
+            "parallel.demotions", site="suite", reason="unpicklable"
+        ) == 2
 
 
 # ----------------------------------------------------------------------

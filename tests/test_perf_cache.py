@@ -154,26 +154,17 @@ class TestTraceCache:
         assert not cache._path("result", keys[0]).exists()
         assert cache._path("result", keys[-1]).exists()
 
-    def test_cell_key_index_roundtrip(self, tmp_path):
+    def test_contains_counts_no_hit_or_miss(self, tmp_path):
+        obs.reset()
         cache = TraceCache(root=tmp_path)
-        assert cache.cell_key_get("BP@tiny/bench-2sm/all/v1") is None
-        assert cache.cell_key_put("BP@tiny/bench-2sm/all/v1", "k1" * 32)
-        assert (
-            cache.cell_key_get("BP@tiny/bench-2sm/all/v1") == "k1" * 32
-        )
-        # updates overwrite; other cells are unaffected
-        cache.cell_key_put("BP@tiny/bench-2sm/all/v1", "k2" * 32)
-        assert (
-            cache.cell_key_get("BP@tiny/bench-2sm/all/v1") == "k2" * 32
-        )
-        assert cache.cell_key_get("NN@tiny/bench-2sm/all/v1") is None
-
-    def test_cell_index_not_counted_or_evicted(self, tmp_path):
-        cache = TraceCache(root=tmp_path, max_bytes=1000, evict_grace_s=0)
-        cache.cell_key_put("cell", "aa" * 32)
-        assert cache.stats()["entries"] == 0
-        cache.put("result", "bb" * 32, os.urandom(1500))  # forces evict
-        assert cache.cell_key_get("cell") == "aa" * 32
+        key = "aa" * 32
+        assert not cache.contains("result", key)
+        cache.put("result", key, {"x": 1})
+        assert cache.contains("result", key)
+        assert not cache.contains("trace", key)
+        assert (cache.session_hits, cache.session_misses) == (0, 0)
+        assert obs.counter_total("cache.hit") == 0
+        assert obs.counter_total("cache.miss") == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,36 +1,30 @@
-"""The sharded suite scheduler: planning, stealing, incremental reruns.
+"""Parallel ("sharded") suite runs: the ``fan_out`` pool helper and
+``run_suite(jobs > 1)``.
 
-Scheduler-logic tests inject synthetic tasks and a thread pool so they
-exercise placement/stealing/timeout handling without simulating
-anything; the integration tests at the bottom run real (tiny) workloads
-and pin the two headline guarantees — serial-vs-sharded bit-identity
-and warm-cache incremental reruns that skip every unchanged cell.
+The helper tests run synthetic module-level cell functions in a real
+process pool; workers coordinate through marker files, since they share
+no memory with the test.  The integration tests at the bottom run real
+(tiny) workloads and pin the guarantees of a parallel suite run:
+bit-identity and equal counter totals against a serial run, warm reruns
+served wholly from the cache without a pool, and no pool opened inside
+a pool worker.
 """
 
+import concurrent.futures
+import os
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import obs
+from repro.harness import experiments
 from repro.harness.experiments import bench_config, run_suite
-from repro.harness.report import shard_utilization_table
-from repro.harness.runner import ALL_ARCHES
-from repro.perf import TraceCache
-from repro.perf.parallel import PoolSetupError
-from repro.perf.shard import (
-    SHARD_PLANS,
-    CostModel,
-    ShardCell,
-    ShardScheduler,
-    arch_groups,
-    lpt_assign,
-    merge_suite,
-    plan_cells,
-)
+from repro.perf import TraceCache, parallel
+from repro.perf.parallel import PoolSetupError, fan_out
+from repro.perf.trace_cache import workload_result_key
+from repro.sim.gpu import Device
+from repro.workloads import factory
 
 ARCHES = ("baseline", "darsie+scalar", "r2d2")
 
@@ -42,356 +36,203 @@ def _clean_obs():
     obs.reset()
 
 
-# ----------------------------------------------------------------------
-# Planning
-# ----------------------------------------------------------------------
-class TestPlanning:
-    def test_workload_plan_one_group(self):
-        assert arch_groups(ARCHES, "workload") == (ARCHES,)
-
-    def test_arch_split_separates_r2d2(self):
-        groups = arch_groups(ARCHES, "arch-split")
-        assert groups == (("baseline", "darsie+scalar"), ("r2d2",))
-
-    def test_arch_split_without_r2d2_collapses(self):
-        assert arch_groups(("baseline", "wp"), "arch-split") == (
-            ("baseline", "wp"),
-        )
-
-    def test_unknown_plan_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard plan"):
-            arch_groups(ARCHES, "by-moon-phase")
-        assert "by-moon-phase" not in SHARD_PLANS
-
-    def test_plan_cells_canonical_order(self):
-        cells = plan_cells(
-            ["NN", "BP"], ARCHES, "tiny", bench_config(2), "arch-split"
-        )
-        assert [c.abbr for c in cells] == ["NN", "NN", "BP", "BP"]
-        assert cells[0].arch_group == ("baseline", "darsie+scalar")
-        assert cells[1].arch_group == ("r2d2",)
-
-    def test_cell_id_is_stable_and_distinct(self):
-        cells = plan_cells(
-            ["NN", "BP"], ARCHES, "tiny", bench_config(2), "workload"
-        )
-        again = plan_cells(
-            ["NN", "BP"], ARCHES, "tiny", bench_config(2), "workload"
-        )
-        assert [c.cell_id for c in cells] == [c.cell_id for c in again]
-        assert len({c.cell_id for c in cells}) == len(cells)
-        assert "NN@tiny" in cells[0].cell_id
-        # verify flag participates in the identity
-        nv = plan_cells(
-            ["NN"], ARCHES, "tiny", bench_config(2), "workload",
-            verify=False,
-        )
-        assert nv[0].cell_id != cells[0].cell_id
-
-
-class TestLptAssign:
-    def _cells(self, n):
-        return [
-            ShardCell(f"W{i}", "tiny", ("baseline",), "cfg")
-            for i in range(n)
-        ]
-
-    def test_deterministic(self):
-        cells = self._cells(7)
-        est = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
-        a = lpt_assign(cells, est, 3)
-        b = lpt_assign(cells, est, 3)
-        assert [list(q) for q in a] == [list(q) for q in b]
-
-    def test_balances_loads(self):
-        cells = self._cells(6)
-        est = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        queues = lpt_assign(cells, est, 2)
-        # the expensive cell sits alone; the cheap ones share a worker
-        assert [cells[0]] in ([list(q) for q in queues])
-        assert sum(len(q) for q in queues) == 6
-
-    def test_more_workers_than_cells(self):
-        cells = self._cells(2)
-        queues = lpt_assign(cells, [1.0, 1.0], 8)
-        assert sum(len(q) for q in queues) == 2
-
-    def test_queues_hold_decreasing_cost(self):
-        cells = self._cells(4)
-        est = [1.0, 4.0, 2.0, 3.0]
-        (queue,) = lpt_assign(cells, est, 1)
-        assert [c.abbr for c in queue] == ["W1", "W3", "W2", "W0"]
-
-
-class TestCostModel:
-    def test_default_estimate(self):
-        model = CostModel(None)
-        assert model.estimate("never-seen") == 1.0
-
-    def test_observe_feeds_estimates_and_gauges(self):
-        model = CostModel(None)
-        model.observe("cell-a", 3.5)
-        assert model.estimate("cell-a") == 3.5
-        assert (
-            obs.METRICS.gauges()["shard.cell_seconds{cell=cell-a}"] == 3.5
-        )
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "costs.json"
-        model = CostModel(path)
-        model.observe("cell-a", 4.0)
-        model.save()
-        fresh = CostModel(path)
-        assert fresh.estimate("cell-a") == 4.0
-
-    def test_save_applies_ewma(self, tmp_path):
-        path = tmp_path / "costs.json"
-        first = CostModel(path)
-        first.observe("cell-a", 4.0)
-        first.save()
-        second = CostModel(path)
-        second.observe("cell-a", 2.0)
-        second.save()
-        assert CostModel(path).estimate("cell-a") == pytest.approx(3.0)
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "costs.json"
-        path.write_text("{not json")
-        assert CostModel(path).estimate("x") == 1.0
-
-    def test_for_cache(self, tmp_path):
-        assert CostModel.for_cache(None).path is None
-        cache = TraceCache(root=tmp_path)
-        model = CostModel.for_cache(cache)
-        assert model.path == tmp_path / "shard_costs.json"
-
-
-# ----------------------------------------------------------------------
-# Scheduler logic (synthetic tasks, thread pool)
-# ----------------------------------------------------------------------
-def _mk_cells(n, abbr="W"):
-    return [
-        ShardCell(f"{abbr}{i}", "tiny", ("baseline",), "cfg")
-        for i in range(n)
-    ]
-
-
-def _scheduler(cells, jobs, task, serial_task=None, **kw):
-    return ShardScheduler(
-        cells, jobs=jobs, config=None, cache=None,
-        cost_model=CostModel(None),
-        task=task,
-        serial_task=serial_task or (lambda *a: ("serial", a[0])),
-        executor_factory=lambda n: ThreadPoolExecutor(max_workers=n),
-        **kw,
+def _demotions(reason):
+    return obs.counter_value(
+        "parallel.demotions", site="test", reason=reason
     )
 
 
+# ----------------------------------------------------------------------
+# Cell functions (module-level so pool workers can unpickle them)
+# ----------------------------------------------------------------------
+def _echo(label):
+    obs.inc("test.cells", cell=label)
+    return f"ran-{label}"
+
+
+def _sleep_echo(label, seconds):
+    time.sleep(seconds)
+    return f"ran-{label}"
+
+
+def _wait_for(path, seconds):
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if os.path.exists(path):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def _liveness_cell(label, root, n_fast):
+    """The ``slow`` cell returns only once every fast cell has written
+    its marker, which needs a second worker to have run them all."""
+    if label == "slow":
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if len(os.listdir(root)) == n_fast:
+                return "ok"
+            time.sleep(0.01)
+        return "starved"
+    time.sleep(0.02)
+    open(os.path.join(root, label), "w").close()
+    return f"fast-{label}"
+
+
+def _crash_cell(label, marker):
+    if label == "ok":
+        open(marker, "w").close()
+        return "ok"
+    if label == "crash":
+        _wait_for(marker, 30.0)
+        time.sleep(1.0)  # let the parent collect "ok" first
+        os._exit(1)
+    time.sleep(10.0)  # "late": still running when the pool breaks
+    return "late"
+
+
+def _bug_cell(label):
+    raise ValueError("genuine bug")
+
+
+def _gauge_cell(index):
+    if index == 0:
+        time.sleep(0.2)  # the first cell finishes last...
+    obs.gauge_set("g", index)
+    return index
+
+
+# ----------------------------------------------------------------------
+# The fan_out helper
+# ----------------------------------------------------------------------
 class TestSchedulerLogic:
     def test_all_cells_complete_in_canonical_merge(self):
-        cells = _mk_cells(6)
-        task = lambda abbr, *a: ((f"ran-{abbr}", {}))
-        sched = _scheduler(
-            cells, 3, lambda abbr, *a: (f"ran-{abbr}", {})
-        )
-        results, report = sched.run()
-        assert {c.abbr: results[c] for c in cells} == {
-            f"W{i}": f"ran-W{i}" for i in range(6)
-        }
-        assert report.cells_run == 6
-        assert report.cells_serial == 0
-        assert report.cells_total == 6
+        cells = {f"W{i}": (f"W{i}",) for i in range(6)}
+        out = fan_out("test", _echo, cells, 3)
+        assert list(out) == list(cells)
+        assert out == {label: f"ran-{label}" for label in cells}
+        # every worker's counters came back exactly once
+        assert obs.counter_total("test.cells") == 6
+        assert obs.counter_value("test.cells", cell="W5") == 1
+        assert obs.counter_total("parallel.demotions") == 0
 
-    def test_work_stealing_keeps_workers_live(self):
-        """One artificially slow cell must not idle the other worker:
-        the slow cell blocks until every fast cell has finished, which
-        is only possible if the fast cells queued behind it get stolen.
-        """
-        cells = _mk_cells(6)
-        slow_id = cells[0].abbr
-        fast_done = threading.Event()
-        done_count = [0]
-        lock = threading.Lock()
+    def test_work_stealing_keeps_workers_live(self, tmp_path):
+        """A slow first cell must not stall the others: it blocks until
+        every fast cell has finished, which only happens if the second
+        worker takes them from the pool's shared queue."""
+        root = str(tmp_path)
+        labels = ["slow"] + [f"fast{i}" for i in range(5)]
+        cells = {label: (label, root, 5) for label in labels}
+        out = fan_out("test", _liveness_cell, cells, 2)
+        assert out["slow"] == "ok"
+        assert sorted(os.listdir(root)) == labels[1:]
+        assert len(out) == 6
 
-        def task(abbr, *args):
-            if abbr == slow_id:
-                ok = fast_done.wait(timeout=30.0)
-                return ("ok" if ok else "starved", {})
-            time.sleep(0.02)
-            with lock:
-                done_count[0] += 1
-                if done_count[0] == 5:
-                    fast_done.set()
-            return (f"fast-{abbr}", {})
+    def test_timeout_demotes_cell_to_serial(self, monkeypatch):
+        monkeypatch.setenv("R2D2_TASK_TIMEOUT", "1.0")
+        cells = {"hang": ("hang", 4.0)}
+        cells.update({f"W{i}": (f"W{i}", 0.0) for i in range(3)})
+        out = fan_out("test", _sleep_echo, cells, 2)
+        # only the overdue cell is left for the caller's serial pass
+        assert set(out) == {"W0", "W1", "W2"}
+        assert _demotions("task-timeout") == 1
+        assert obs.counter_total("parallel.demotions") == 1
 
-        sched = _scheduler(cells, 2, task)
-        results, report = sched.run()
-        # equal default estimates interleave cells across the two
-        # queues, so the slow worker's remaining cells must be stolen
-        assert results[cells[0]] == "ok"
-        assert report.steals >= 1
-        assert report.cells_run == 6
-        stealers = [w for w in report.per_worker if w["stolen"]]
-        assert stealers
+    def test_slow_but_finite_cell_not_timed_out(self, monkeypatch):
+        monkeypatch.setenv("R2D2_TASK_TIMEOUT", "30")
+        cells = {f"W{i}": (f"W{i}", 0.05) for i in range(3)}
+        out = fan_out("test", _sleep_echo, cells, 2)
+        assert len(out) == 3
+        assert obs.counter_total("parallel.demotions") == 0
 
-    def test_timeout_demotes_cell_to_serial(self):
-        cells = _mk_cells(4)
-        hang = cells[0].abbr
+    def test_broken_pool_drains_to_serial(self, tmp_path):
+        marker = str(tmp_path / "ok-done")
+        cells = {label: (label, marker) for label in ("ok", "crash", "late")}
+        out = fan_out("test", _crash_cell, cells, 2)
+        # the cell delivered before the crash survives; the dead
+        # worker's cell and the one killed with the pool are demoted
+        assert out == {"ok": "ok"}
+        assert _demotions("broken-pool") == 2
 
-        def task(abbr, *args):
-            if abbr == hang:
-                time.sleep(5.0)
-            return (f"pool-{abbr}", {})
+    def test_unpicklable_cell_demotes_alone(self):
+        cells = {"a": ("a",), "b": (threading.Lock(),), "c": ("c",)}
+        out = fan_out("test", _echo, cells, 2)
+        assert out == {"a": "ran-a", "c": "ran-c"}
+        assert _demotions("unpicklable") == 1
+        assert obs.counter_total("parallel.demotions") == 1
 
-        serial_calls = []
-
-        def serial_task(abbr, *args):
-            serial_calls.append(abbr)
-            return f"serial-{abbr}"
-
-        sched = _scheduler(cells, 2, task, serial_task, timeout=0.3)
-        results, report = sched.run()
-        assert results[cells[0]] == f"serial-{hang}"
-        assert serial_calls == [hang]
-        assert report.timeouts == 1
-        assert report.cells_serial == 1
-        assert report.cells_run == 3
-        assert obs.counter_value(
-            "parallel.demotions", site="shard-cell", reason="task-timeout",
-        ) == 1
-        assert any(w["lost"] for w in report.per_worker)
-
-    def test_slow_but_finite_cell_not_timed_out(self):
-        cells = _mk_cells(3)
-
-        def task(abbr, *args):
-            time.sleep(0.05)
-            return (f"pool-{abbr}", {})
-
-        sched = _scheduler(cells, 2, task, timeout=30.0)
-        results, report = sched.run()
-        assert report.timeouts == 0
-        assert report.cells_run == 3
-
-    def test_broken_pool_drains_to_serial(self):
-        cells = _mk_cells(5)
-
-        def task(abbr, *args):
-            raise BrokenProcessPool("pool died")
-
-        serial_calls = []
-
-        def serial_task(abbr, *args):
-            serial_calls.append(abbr)
-            return f"serial-{abbr}"
-
-        sched = _scheduler(cells, 2, task, serial_task)
-        results, report = sched.run()
-        # canonical order, every cell recovered
-        assert serial_calls == sorted(serial_calls, key=lambda a: int(a[1:]))
-        assert set(serial_calls) == {c.abbr for c in cells}
-        assert report.cells_serial == 5
-        assert obs.counter_total("parallel.demotions") >= 1
-
-    def test_pool_setup_failure_runs_serially(self):
-        cells = _mk_cells(3)
-
-        def factory(n):
+    def test_pool_setup_failure_runs_serially(self, monkeypatch):
+        def no_pool(n):
             raise PoolSetupError("no processes for you")
 
-        sched = ShardScheduler(
-            cells, jobs=2, config=None, cache=None,
-            cost_model=CostModel(None),
-            task=lambda *a: pytest.fail("pool task must not run"),
-            serial_task=lambda abbr, *a: f"serial-{abbr}",
-            executor_factory=factory,
-        )
-        results, report = sched.run()
-        assert len(results) == 3
-        assert report.cells_serial == 3
+        monkeypatch.setattr(parallel, "make_pool", no_pool)
+        cells = {f"W{i}": (f"W{i}",) for i in range(3)}
+        assert fan_out("test", _echo, cells, 2) == {}
+        assert _demotions("pool-setup") == 3
 
     def test_worker_bug_propagates(self):
-        cells = _mk_cells(3)
-
-        def task(abbr, *args):
-            raise ValueError("genuine bug")
-
-        sched = _scheduler(cells, 2, task)
+        cells = {f"W{i}": (f"W{i}",) for i in range(3)}
         with pytest.raises(ValueError, match="genuine bug"):
-            sched.run()
+            fan_out("test", _bug_cell, cells, 2)
 
-    def test_jobs_one_uses_serial_path(self):
-        cells = _mk_cells(3)
-        sched = _scheduler(
-            cells, 1, lambda *a: pytest.fail("pool task must not run"),
-            serial_task=lambda abbr, *a: f"serial-{abbr}",
+    def test_jobs_one_uses_serial_path(self, monkeypatch):
+        monkeypatch.setattr(
+            parallel, "make_pool",
+            lambda n: pytest.fail("no pool for a serial run"),
         )
-        results, report = sched.run()
-        assert report.cells_serial == 3
+        cells = {f"W{i}": (f"W{i}",) for i in range(3)}
+        assert fan_out("test", _echo, cells, 1) == {}
+        # a single cell gains nothing from a pool either
+        assert fan_out("test", _echo, {"W0": ("W0",)}, 4) == {}
+        assert obs.counter_total("parallel.demotions") == 0
 
     def test_blob_merge_is_canonical_order(self):
         # Gauges are last-write-wins, so worker snapshots must merge in
         # canonical cell order no matter which finishes first.
-        cells = _mk_cells(4)
-
-        def task(abbr, *args):
-            if abbr == "W0":
-                time.sleep(0.1)  # W0 finishes last...
-            return (abbr, {"gauges": {"g": abbr}, "counters": {}})
-
-        sched = _scheduler(cells, 4, task)
-        sched.run()
-        # ...but the canonical merge makes the *last cell* win the gauge
-        assert obs.METRICS.gauges()["g"] == "W3"
-
-
-class TestMergeSuite:
-    def test_single_group_passthrough_is_identical(self):
-        cells = plan_cells(
-            ["NN", "BP"], ARCHES, "tiny", bench_config(2), "workload"
-        )
-        sentinel_nn, sentinel_bp = object(), object()
-        done = merge_suite(
-            cells,
-            {cells[0]: sentinel_nn, cells[1]: sentinel_bp},
-            ["NN", "BP"],
-            ARCHES,
-        )
-        assert done["NN"] is sentinel_nn  # bit identity: same object
-        assert done["BP"] is sentinel_bp
-
-    def test_missing_cell_omits_abbr(self):
-        cells = plan_cells(
-            ["NN", "BP"], ARCHES, "tiny", bench_config(2), "arch-split"
-        )
-        # BP's r2d2 cell is missing -> BP omitted, NN intact
-        from repro.harness.runner import WorkloadResult
-
-        results = {}
-        for c in cells[:3]:
-            r = WorkloadResult(abbr=c.abbr, scale="tiny")
-            for name in c.arch_group:
-                r.stats[name] = f"stats-{c.abbr}-{name}"
-            results[c] = r
-        done = merge_suite(cells, results, ["NN", "BP"], ARCHES)
-        assert set(done) == {"NN"}
-        assert list(done["NN"].stats) == list(ARCHES)
+        cells = {f"W{i}": (i,) for i in range(4)}
+        fan_out("test", _gauge_cell, cells, 4)
+        assert obs.METRICS.gauges()["g"] == 3
 
 
 # ----------------------------------------------------------------------
 # Integration: real workloads
 # ----------------------------------------------------------------------
+class _PoolSpy(concurrent.futures.ProcessPoolExecutor):
+    """Records every pool construction: in the test process into
+    ``parent``, in any other process as a marker file."""
+
+    pid = None
+    root = None
+    parent = []
+
+    def __init__(self, *args, **kwargs):
+        if os.getpid() == _PoolSpy.pid:
+            _PoolSpy.parent.append(kwargs.get("max_workers"))
+        else:
+            open(os.path.join(_PoolSpy.root, str(os.getpid())), "w").close()
+        super().__init__(*args, **kwargs)
+
+
 class TestSerialShardedEquivalence:
-    def test_serial_vs_sharded_bit_identical(self):
+    def test_serial_vs_sharded_bit_identical(self, monkeypatch):
         config = bench_config(2)
         apps = ["BP", "NN", "GEM", "BFS"]
         serial = run_suite(apps, "tiny", config, arch_names=ARCHES,
                            verify=False)
         serial_obs = obs.snapshot_and_reset()
+        delivered = []
+
+        def spy(*args):
+            out = fan_out(*args)
+            delivered.extend(out)
+            return out
+
+        monkeypatch.setattr(experiments, "fan_out", spy)
         sharded = run_suite(apps, "tiny", config, arch_names=ARCHES,
                             verify=False, jobs=3)
         sharded_obs = obs.snapshot_and_reset()
 
+        assert delivered == apps  # every workload ran in the pool
         assert list(sharded.results) == apps
         for abbr in apps:
             s, p = serial[abbr], sharded[abbr]
@@ -401,25 +242,26 @@ class TestSerialShardedEquivalence:
             assert p.verified == s.verified
             assert p.outputs_identical == s.outputs_identical
             assert p.engine_decisions == s.engine_decisions
-        # The scheduler emits no counters of its own, so totals match
-        # a serial run exactly (the obs-suite test relies on this too).
+        # The fan-out emits no counters of its own, so totals match a
+        # serial run exactly (the obs-suite test relies on this too).
         assert sharded_obs["counters"] == serial_obs["counters"]
-        assert sharded.shard_report["cells_run"] == len(apps)
 
-    def test_arch_split_matches_serial(self):
-        config = bench_config(2)
-        apps = ["BP", "NN"]
-        serial = run_suite(apps, "tiny", config, verify=True)
-        sharded = run_suite(apps, "tiny", config, verify=True, jobs=2,
-                            shard_plan="arch-split")
-        assert sharded.shard_report["plan"] == "arch-split"
-        assert sharded.shard_report["cells_total"] == 2 * len(apps)
-        for abbr in apps:
-            s, p = serial[abbr], sharded[abbr]
-            assert set(p.stats) == set(ALL_ARCHES)
-            for arch in ALL_ARCHES:
-                assert p.stats[arch] == s.stats[arch], (abbr, arch)
-            assert p.verified and p.outputs_identical
+    def test_workers_open_no_pool(self, monkeypatch, tmp_path):
+        """With ``R2D2_JOBS`` exported (as ``--jobs`` does), a suite
+        worker's ``run_workload`` must not fan its architectures out to
+        a second, nested pool."""
+        monkeypatch.setenv("R2D2_JOBS", "2")
+        monkeypatch.setattr(_PoolSpy, "pid", os.getpid())
+        monkeypatch.setattr(_PoolSpy, "root", str(tmp_path))
+        monkeypatch.setattr(_PoolSpy, "parent", [])
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _PoolSpy
+        )
+        suite = run_suite(["BP", "NN"], "tiny", bench_config(2),
+                          arch_names=ARCHES, verify=False, jobs=2)
+        assert list(suite.results) == ["BP", "NN"]
+        assert os.listdir(tmp_path) == [], "a pool worker opened a pool"
+        assert _PoolSpy.parent == [2]
 
 
 class TestIncrementalRerun:
@@ -427,26 +269,27 @@ class TestIncrementalRerun:
         return run_suite(apps, "tiny", config, arch_names=ARCHES,
                          verify=False, jobs=jobs, cache=cache)
 
-    def test_warm_rerun_skips_every_cell(self, tmp_path):
+    def test_warm_rerun_skips_every_cell(self, tmp_path, monkeypatch):
         config = bench_config(2)
         apps = ["BP", "NN", "GEM"]
         cache = TraceCache(root=tmp_path / "cache")
         cold = self._run(cache, apps, config)
-        assert cold.shard_report["cells_skipped"] == 0
         obs.reset()
+        monkeypatch.setattr(
+            parallel, "make_pool",
+            lambda n: pytest.fail("a warm rerun must start no pool"),
+        )
         warm = self._run(cache, apps, config)
-        assert warm.shard_report["cells_skipped"] == len(apps)
-        assert warm.shard_report["cells_run"] == 0
-        assert warm.shard_report["cells_serial"] == 0
-        # acceptance: skips are visible as cache.hit counters, exactly
-        # one per cell — the same count a warm serial run produces
+        # acceptance: one result-cache hit per workload and no miss,
+        # the same counters a warm serial run produces
         assert obs.counter_value("cache.hit", ns="result") == len(apps)
+        assert obs.counter_total("cache.miss") == 0
         warm_counters = obs.snapshot_and_reset()["counters"]
-        serial_warm = run_suite(apps, "tiny", config, arch_names=ARCHES,
-                                verify=False, cache=cache)
+        serial_warm = self._run(cache, apps, config, jobs=1)
         assert obs.snapshot_and_reset()["counters"] == warm_counters
         for abbr in apps:
             for arch in ARCHES:
+                assert warm[abbr].stats[arch] == cold[abbr].stats[arch]
                 assert (warm[abbr].stats[arch]
                         == serial_warm[abbr].stats[arch])
 
@@ -454,74 +297,20 @@ class TestIncrementalRerun:
         config = bench_config(2)
         apps = ["BP", "NN", "GEM"]
         cache = TraceCache(root=tmp_path / "cache")
-        self._run(cache, apps, config)
-        # Invalidate exactly one cell, as a kernel edit would: its
-        # recorded key no longer matches a cached result.
-        cells = plan_cells(apps, ARCHES, "tiny", config, "workload",
-                           verify=False)
-        victim = cells[1]  # NN
-        key = cache.cell_key_get(victim.cell_id)
-        assert key is not None
+        cold = self._run(cache, apps, config)
+        # Drop exactly one workload's result, as a kernel edit would
+        # (the edit changes the key, so the old entry is never found).
+        workload = factory("NN", "tiny")()
+        launches = workload.prepare(Device(config))
+        key = workload_result_key(
+            workload, launches, config, ARCHES, {}, False
+        )
         cache._path("result", key).unlink()
         obs.reset()
         rerun = self._run(cache, apps, config)
-        assert rerun.shard_report["cells_skipped"] == len(apps) - 1
-        assert (rerun.shard_report["cells_run"]
-                + rerun.shard_report["cells_serial"]) == 1
-        statuses = {
-            row["cell"]: row["status"]
-            for row in rerun.shard_report["cells"]
-        }
-        assert statuses[victim.cell_id] in ("run", "serial")
-
-    def test_cost_history_persists_beside_cache(self, tmp_path):
-        config = bench_config(2)
-        cache = TraceCache(root=tmp_path / "cache")
-        self._run(cache, ["BP", "NN"], config)
-        costs = cache.root / "shard_costs.json"
-        assert costs.is_file()
-        model = CostModel(costs)
-        cells = plan_cells(["BP", "NN"], ARCHES, "tiny", config,
-                           "workload", verify=False)
-        for cell in cells:
-            assert model.estimate(cell.cell_id) > 0.0
-            assert model.estimate(cell.cell_id) != 1.0 or True
-        # clear() keeps the history (it lives at the root, not in v*)
-        cache.clear()
-        assert costs.is_file()
-
-
-class TestShardReportRendering:
-    def test_utilization_table(self):
-        report = {
-            "plan": "workload", "workers": 2, "wall_s": 2.0,
-            "cells_total": 5, "cells_skipped": 1, "cells_run": 3,
-            "cells_serial": 1, "steals": 2, "timeouts": 0,
-            "utilization": 0.75,
-            "per_worker": [
-                {"worker": 0, "cells": 2, "busy_s": 1.5, "stolen": 0,
-                 "lost": False},
-                {"worker": 1, "cells": 1, "busy_s": 1.5, "stolen": 2,
-                 "lost": True},
-            ],
-            "cells": [],
-        }
-        text = shard_utilization_table(report).render()
-        assert "plan=workload" in text
-        assert "w0" in text and "w1" in text
-        assert "yes" in text       # lost worker flagged
-        assert "serial" in text    # serial fill-ins listed
-        assert "75.0%" in text     # overall utilization
-
-    def test_suite_report_shape(self):
-        config = bench_config(2)
-        suite = run_suite(["BP", "NN"], "tiny", config,
-                          arch_names=ARCHES, verify=False, jobs=2)
-        report = suite.shard_report
-        assert report["plan"] == "workload"
-        assert report["cells_total"] == 2
-        assert 0.0 <= report["utilization"] <= 1.0
-        statuses = Counter(row["status"] for row in report["cells"])
-        assert sum(statuses.values()) == 2
-        text = shard_utilization_table(report).render()
-        assert "Shard schedule" in text
+        assert obs.counter_value("cache.hit", ns="result") == 2
+        assert obs.counter_value("cache.miss", ns="result") == 1
+        assert obs.counter_value("cache.put", ns="result") == 1
+        for abbr in apps:
+            for arch in ARCHES:
+                assert rerun[abbr].stats[arch] == cold[abbr].stats[arch]

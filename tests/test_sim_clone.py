@@ -6,7 +6,7 @@ accesses resolve exactly as the representative's did.  Every field of
 the result — integers, cache statistics, and the energy floats with
 their dict key order — must equal :meth:`TimingSimulator.run_reference`
 started from the same L2 state, whether or not a clone commits or is
-rolled back.  See docs/PERFORMANCE.md §5.
+rolled back.  See docs/PERFORMANCE.md §4.
 """
 
 import numpy as np

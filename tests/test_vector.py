@@ -580,6 +580,28 @@ def test_run_workload_reports_vector_decisions():
             assert entry["reason"]
 
 
+def test_run_workload_reports_r2d2_vector_decisions():
+    from repro.harness.experiments import _engine_summary
+    from repro.harness.runner import run_workload
+
+    launches = workload_factory("RED0", "tiny")().prepare(Device(tiny()))
+    result = run_workload(
+        workload_factory("RED0", "tiny"), config=tiny(),
+        arch_names=("baseline", "r2d2"), jobs=1, cache=False,
+    )
+    n = len(launches)
+    decisions = result.engine_decisions
+    assert len(decisions) == 2 * n
+    baseline, r2d2 = decisions[:n], decisions[n:]
+    assert not any(d["kernel"].endswith(".r2d2") for d in baseline)
+    assert any(
+        d["decision"] == "engage" and d["kernel"].endswith(".r2d2")
+        for d in r2d2
+    )
+    # the reduction ladder's engine cell still reads the baseline launch
+    assert _engine_summary(decisions) == _engine_summary(baseline)
+
+
 # ----------------------------------------------------------------------
 # Report plumbing (harness fallback column)
 # ----------------------------------------------------------------------
