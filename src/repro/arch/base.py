@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..sim.config import GPUConfig
 from ..sim.timing import EnergyBreakdown, TimingResult
 from ..sim.trace import KernelTrace
@@ -79,6 +81,19 @@ class ArchStats:
         if baseline.energy_pj == 0:
             return 0.0
         return 1.0 - self.energy_pj / baseline.energy_pj
+
+
+def repeats_in_block(blocks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per element (given in row order): an earlier element has the same
+    block and key.  ``np.lexsort`` is stable, so the first row of every
+    (block, key) run is its earliest."""
+    order = np.lexsort((keys, blocks))
+    b, k = blocks[order], keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (b[1:] != b[:-1]) | (k[1:] != k[:-1])
+    out = np.empty(len(order), dtype=bool)
+    out[order] = ~first
+    return out
 
 
 class Architecture:

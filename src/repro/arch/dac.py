@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+import numpy as np
+
 from ..isa.opcodes import Opcode
 from ..sim.config import GPUConfig
-from ..sim.timing import IssueMode, IssuePolicy, TimingSimulator, WarpIssuePlan
-from ..sim.trace import BlockTrace, KernelTrace, WarpTrace
+from ..sim.timing import IssueMode, IssuePolicy, TimingSimulator
+from ..sim.trace import KernelTrace
 from .base import ArchStats, Architecture
 
 #: Operations the affine unit executes on (base, stride) tuples.
@@ -44,8 +46,8 @@ _AFFINE_UNIT_OPS = frozenset(
 )
 
 
-def _warp_lift_flags(warp: WarpTrace, instrs) -> List[bool]:
-    """Per-record affine-unit lift decision for one warp.
+def _lift_flags(pcs: List[int], affine: List[bool], instrs) -> List[bool]:
+    """Per-record affine-unit lift decision for one warp's stream.
 
     Walks the records in order, tracking which registers currently hold
     affine tuples; an instruction lifts only if its register sources are
@@ -53,14 +55,14 @@ def _warp_lift_flags(warp: WarpTrace, instrs) -> List[bool]:
     """
     tuple_regs: Set[str] = set()
     flags: List[bool] = []
-    for record in warp.records:
-        instr = instrs[record.pc]
+    for pc, is_affine in zip(pcs, affine):
+        instr = instrs[pc]
         lift = (
             instr.opcode in _AFFINE_UNIT_OPS
             and instr.dst is not None
             and instr.dtype.is_integer
             and instr.pred is None
-            and record.affine
+            and is_affine
         )
         if lift:
             for reg in instr.source_regs():
@@ -76,26 +78,41 @@ def _warp_lift_flags(warp: WarpTrace, instrs) -> List[bool]:
     return flags
 
 
+def lifted_rows(trace: KernelTrace) -> np.ndarray:
+    """Per row of ``trace.cols``: lifted onto the affine unit.
+
+    A warp's flags depend only on its (pc, affine) stream, so they are
+    computed once per distinct stream."""
+    cols = trace.cols
+    instrs = trace.kernel.instructions
+    stream = cols.pc.astype(np.int32) * 2 + cols.affine
+    lifted = np.zeros(len(cols), dtype=bool)
+    memo: Dict[bytes, np.ndarray] = {}
+    for block in trace.blocks:
+        for warp in block.warps:
+            lo, hi = warp.start, warp.stop
+            key = stream[lo:hi].tobytes()
+            flags = memo.get(key)
+            if flags is None:
+                flags = memo[key] = np.array(_lift_flags(
+                    cols.pc[lo:hi].tolist(), cols.affine[lo:hi].tolist(),
+                    instrs,
+                ), dtype=bool)
+            lifted[lo:hi] = flags
+    return lifted
+
+
 class _DACPolicy(IssuePolicy):
+    """Skips the lifted rows of the trace it was built for."""
+
     name = "dac"
 
     def __init__(self, trace: KernelTrace) -> None:
-        self.instrs = trace.kernel.instructions
-        self._flags: Dict[tuple, List[bool]] = {}
-        for block in trace.blocks:
-            for warp in block.warps:
-                key = (block.block_linear_id, warp.warp_in_block)
-                self._flags[key] = _warp_lift_flags(warp, self.instrs)
+        self.lifted = lifted_rows(trace)
 
-    def flags_for(self, block: BlockTrace, warp: WarpTrace) -> List[bool]:
-        return self._flags[(block.block_linear_id, warp.warp_in_block)]
-
-    def plan_warp(self, block: BlockTrace, warp: WarpTrace) -> WarpIssuePlan:
-        flags = self.flags_for(block, warp)
-        modes = [
-            IssueMode.SKIP if lifted else IssueMode.SIMD for lifted in flags
-        ]
-        return WarpIssuePlan(modes=modes)
+    def plan(self, trace: KernelTrace):
+        modes = np.where(self.lifted, IssueMode.SKIP, IssueMode.SIMD)
+        return modes.astype(np.int8), np.zeros(len(modes), dtype=np.int32)
 
 
 class DACArch(Architecture):
@@ -106,18 +123,11 @@ class DACArch(Architecture):
     ) -> None:
         stats.launches += 1
         policy = _DACPolicy(trace)
-        warp_instrs = 0
-        thread_instrs = 0
-        for block in trace.blocks:
-            for warp in block.warps:
-                flags = policy.flags_for(block, warp)
-                for record, lifted in zip(warp.records, flags):
-                    if lifted:
-                        continue
-                    warp_instrs += 1
-                    thread_instrs += record.active
-        stats.warp_instructions += warp_instrs
-        stats.thread_instructions += thread_instrs
+        kept = ~policy.lifted
+        stats.warp_instructions += int(kept.sum())
+        stats.thread_instructions += int(
+            trace.cols.active[kept].sum(dtype=np.int64)
+        )
 
         timing = TimingSimulator(config, trace, policy=policy, l2=l2).run()
         stats.add_timing(timing)

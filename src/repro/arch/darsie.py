@@ -15,95 +15,98 @@ lanes), matching the paper's third comparison point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict
+
+import numpy as np
 
 from ..sim.config import GPUConfig
-from ..sim.timing import (
-    IssueMode,
-    IssuePolicy,
-    TimingSimulator,
-    WarpIssuePlan,
-)
-from ..sim.trace import BlockTrace, KernelTrace, WarpTrace
-from .base import ArchStats, Architecture
+from ..sim.timing import IssueMode, IssuePolicy, TimingSimulator
+from ..sim.trace import KernelTrace
+from .base import ArchStats, Architecture, repeats_in_block
 
 
-def _compute_skips(
-    block: BlockTrace, instrs, store_fence: bool = True
-) -> Dict[int, Set[int]]:
-    """Per warp-in-block: indices of records skipped by memoization.
+def skipped_rows(trace: KernelTrace) -> np.ndarray:
+    """Per row of ``trace.cols``: skipped by memoization.
 
     Warps execute in warp order for memoization purposes (DARSIE detects
     redundancy at kernel launch time from thread-hierarchy analysis; our
     dynamic-value model is strictly more permissive, which matches the
-    paper's optimistic treatment).  ``store_fence`` enforces the paper's
-    "no memory dependency problems" condition at memory-line
-    granularity: a memoized load is invalidated once any warp of the
-    block stores or atomically updates one of the lines it covers.
+    paper's optimistic treatment), and a block's rows are stored in that
+    order.  A hashed row that is not a global load repeats when an
+    earlier such row of its block has the same hash.  Global loads also
+    need the same lines, and the store fence enforces the paper's "no
+    memory dependency problems" condition at memory-line granularity: a
+    memoized load is invalidated once any warp of the block stores or
+    atomically updates one of the lines it covers.  Only global loads,
+    stores and atomics are walked for that.
     """
-    skips: Dict[int, Set[int]] = {}
-    seen: Set[int] = set()
-    #: load hash -> lines the original load covered
-    seen_loads: Dict[int, frozenset] = {}
-    stored_lines: Set[int] = set()
-    for warp in block.warps:
-        warp_skips: Set[int] = set()
-        for idx, record in enumerate(warp.records):
-            instr = instrs[record.pc]
-            if record.src_hash is None:
-                if (
-                    instr.is_store
-                    or instr.opcode.value.startswith("atom")
-                ) and record.lines:
-                    stored_lines.update(record.lines)
-                continue
-            if instr.is_load and instr.is_global_memory:
-                lines = frozenset(record.lines or ())
-                prior = seen_loads.get(record.src_hash)
-                clean = not (store_fence and (lines & stored_lines))
-                if prior is not None and prior == lines and clean:
-                    warp_skips.add(idx)
-                elif clean:
-                    seen_loads[record.src_hash] = lines
-                continue
-            if record.src_hash in seen:
-                warp_skips.add(idx)
-            else:
-                seen.add(record.src_hash)
-        skips[warp.warp_in_block] = warp_skips
-    return skips
+    cols = trace.cols
+    instrs = trace.kernel.instructions
+    gload = np.array(
+        [i.is_load and i.is_global_memory for i in instrs], dtype=bool
+    )[cols.pc]
+    writes = np.array(
+        [i.is_store or i.opcode.value.startswith("atom") for i in instrs],
+        dtype=bool,
+    )[cols.pc]
+    blocks = trace.row_blocks()
+    skip = np.zeros(len(cols), dtype=bool)
+    rows = np.flatnonzero(cols.hashed & ~gload)
+    skip[rows] = repeats_in_block(blocks[rows], cols.src_hash[rows])
+
+    rows = np.flatnonzero(
+        (cols.hashed & gload)
+        | (~cols.hashed & writes & (cols.n_lines > 0))
+    )
+    off = cols.line_off[rows].tolist()
+    end = cols.line_off[rows + 1].tolist()
+    lines = cols.lines
+    hashed = cols.hashed[rows].tolist()
+    hashes = cols.src_hash[rows].tolist()
+    block = None
+    for j, (r, b) in enumerate(zip(rows.tolist(), blocks[rows].tolist())):
+        if b != block:
+            block = b
+            #: load hash -> lines the original load covered
+            seen_loads: Dict[int, frozenset] = {}
+            stored_lines: set = set()
+        row_lines = lines[off[j]:end[j]].tolist()
+        if not hashed[j]:
+            stored_lines.update(row_lines)
+            continue
+        row_lines = frozenset(row_lines)
+        prior = seen_loads.get(hashes[j])
+        clean = not (row_lines & stored_lines)
+        if prior is not None and prior == row_lines and clean:
+            skip[r] = True
+        elif clean:
+            seen_loads[hashes[j]] = row_lines
+    return skip
 
 
 class _DARSIEPolicy(IssuePolicy):
-    def __init__(self, trace: KernelTrace, with_scalar: bool) -> None:
-        self.instrs = trace.kernel.instructions
-        self.with_scalar = with_scalar
-        self._skips: Dict[int, Dict[int, Set[int]]] = {}
-        for block in trace.blocks:
-            self._skips[block.block_linear_id] = _compute_skips(
-                block, self.instrs
-            )
+    """Issue modes for the trace it was built for."""
 
-    def plan_warp(self, block: BlockTrace, warp: WarpTrace) -> WarpIssuePlan:
-        skips = self._skips[block.block_linear_id].get(
-            warp.warp_in_block, set()
-        )
-        modes: List[int] = []
-        for idx, record in enumerate(warp.records):
-            if idx in skips:
-                modes.append(IssueMode.SKIP)
-            elif (
-                self.with_scalar
-                and record.uniform
-                and not self.instrs[record.pc].is_memory
-                and not self.instrs[record.pc].is_control
-            ):
-                # energy benefit only: the scalar pipeline shares the
-                # issue slot (paper Section 2.2)
-                modes.append(IssueMode.SCALAR_INLINE)
-            else:
-                modes.append(IssueMode.SIMD)
-        return WarpIssuePlan(modes=modes)
+    def __init__(self, trace: KernelTrace, with_scalar: bool) -> None:
+        cols = trace.cols
+        self.skip = skipped_rows(trace)
+        # DARSIE+Scalar: non-skipped uniform warp instructions run on the
+        # scalar pipeline (energy benefit only: it shares the issue slot,
+        # paper Section 2.2)
+        self.inline = np.zeros(len(cols), dtype=bool)
+        if with_scalar:
+            scalar_op = np.array(
+                [not i.is_memory and not i.is_control
+                 for i in trace.kernel.instructions],
+                dtype=bool,
+            )
+            self.inline = cols.uniform & scalar_op[cols.pc] & ~self.skip
+
+    def plan(self, trace: KernelTrace):
+        modes = np.full(len(self.skip), IssueMode.SIMD, dtype=np.int8)
+        modes[self.inline] = IssueMode.SCALAR_INLINE
+        modes[self.skip] = IssueMode.SKIP
+        return modes, np.zeros(len(modes), dtype=np.int32)
 
 
 class DARSIEArch(Architecture):
@@ -118,29 +121,11 @@ class DARSIEArch(Architecture):
     ) -> None:
         stats.launches += 1
         policy = _DARSIEPolicy(trace, self.with_scalar)
-        instrs = trace.kernel.instructions
-
-        warp_instrs = 0
-        thread_instrs = 0
-        for block in trace.blocks:
-            skips = policy._skips[block.block_linear_id]
-            for warp in block.warps:
-                warp_skips = skips.get(warp.warp_in_block, set())
-                for idx, record in enumerate(warp.records):
-                    if idx in warp_skips:
-                        continue
-                    warp_instrs += 1
-                    if (
-                        self.with_scalar
-                        and record.uniform
-                        and not instrs[record.pc].is_memory
-                        and not instrs[record.pc].is_control
-                    ):
-                        thread_instrs += 1
-                    else:
-                        thread_instrs += record.active
-        stats.warp_instructions += warp_instrs
-        stats.thread_instructions += thread_instrs
+        simd = ~policy.skip & ~policy.inline
+        stats.warp_instructions += len(trace.cols) - int(policy.skip.sum())
+        stats.thread_instructions += int(policy.inline.sum()) + int(
+            trace.cols.active[simd].sum(dtype=np.int64)
+        )
 
         timing = TimingSimulator(config, trace, policy=policy, l2=l2).run()
         stats.add_timing(timing)

@@ -20,12 +20,21 @@ eliminator of one redundancy class would execute.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict
+
+import numpy as np
 
 from ..linear.analyzer import AnalysisResult, LinearKind, analyze_kernel
 from ..sim.config import GPUConfig
 from ..sim.trace import KernelTrace
-from .base import ArchStats, Architecture
+from .base import ArchStats, Architecture, repeats_in_block
+
+
+def _wp_cost(trace: KernelTrace) -> np.ndarray:
+    """Per row: thread instructions WP pays (one for a uniform warp
+    instruction, ``active`` otherwise)."""
+    cols = trace.cols
+    return np.where(cols.uniform, 1, cols.active.astype(np.int64))
 
 
 class IdealWP(Architecture):
@@ -36,13 +45,8 @@ class IdealWP(Architecture):
         self, trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2=None
     ) -> None:
         stats.launches += 1
-        warp_instrs = 0
-        thread_instrs = 0
-        for _block, _warp, record in trace.records():
-            warp_instrs += 1
-            thread_instrs += 1 if record.uniform else record.active
-        stats.warp_instructions += warp_instrs
-        stats.thread_instructions += thread_instrs
+        stats.warp_instructions += len(trace.cols)
+        stats.thread_instructions += int(_wp_cost(trace).sum())
 
 
 class IdealTB(Architecture):
@@ -53,21 +57,18 @@ class IdealTB(Architecture):
         self, trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2=None
     ) -> None:
         stats.launches += 1
-        warp_instrs = 0
-        thread_instrs = 0
-        for block in trace.blocks:
-            seen: Set[int] = set()
-            for warp in block.warps:
-                for record in warp.records:
-                    h = record.src_hash
-                    if h is not None and h in seen:
-                        continue  # redundant warp instruction: skipped
-                    if h is not None:
-                        seen.add(h)
-                    warp_instrs += 1
-                    thread_instrs += record.active
-        stats.warp_instructions += warp_instrs
-        stats.thread_instructions += thread_instrs
+        cols = trace.cols
+        # Redundant warp instructions (a hashed row repeating an earlier
+        # hash of its block) are skipped.
+        rows = np.flatnonzero(cols.hashed)
+        kept = np.ones(len(cols), dtype=bool)
+        kept[rows] = ~repeats_in_block(
+            trace.row_blocks()[rows], cols.src_hash[rows]
+        )
+        stats.warp_instructions += int(kept.sum())
+        stats.thread_instructions += int(
+            cols.active[kept].sum(dtype=np.int64)
+        )
 
 
 class IdealLN(Architecture):
@@ -96,42 +97,44 @@ class IdealLN(Architecture):
         kinds = analysis.kind_by_pc
 
         # Aggregate dynamic behaviour per static pc.
-        pc_blocks: Dict[int, Set[int]] = {}
-        pc_active: Dict[int, int] = {}
-        pc_first_block_active: Dict[int, int] = {}
-        pc_count: Dict[int, int] = {}
-        pc_wp_cost: Dict[int, int] = {}
-        first_block = trace.blocks[0].block_linear_id if trace.blocks else 0
-        for block in trace.blocks:
-            for warp in block.warps:
-                for record in warp.records:
-                    pc = record.pc
-                    pc_blocks.setdefault(pc, set()).add(
-                        block.block_linear_id
-                    )
-                    pc_active[pc] = pc_active.get(pc, 0) + record.active
-                    pc_count[pc] = pc_count.get(pc, 0) + 1
-                    # "The redundancy addressed by WP ... is also incurred
-                    # by the linearity" (Section 2.2): LN never pays more
-                    # than WP for a record it cannot classify statically.
-                    pc_wp_cost[pc] = pc_wp_cost.get(pc, 0) + (
-                        1 if record.uniform else record.active
-                    )
-                    if block.block_linear_id == first_block:
-                        pc_first_block_active[pc] = (
-                            pc_first_block_active.get(pc, 0) + record.active
-                        )
+        cols = trace.cols
+        pc = cols.pc.astype(np.int64)
+        n_pc = len(trace.kernel.instructions)
+        blocks = trace.row_blocks()
+
+        def per_pc(weights=None, rows=slice(None)) -> list:
+            w = None if weights is None else weights[rows]
+            return np.bincount(
+                pc[rows], weights=w, minlength=n_pc
+            ).astype(np.int64).tolist()
+
+        active = cols.active.astype(np.int64)
+        pc_count = per_pc()
+        # "The redundancy addressed by WP ... is also incurred by the
+        # linearity" (Section 2.2): LN never pays more than WP for a
+        # record it cannot classify statically.
+        pc_wp_cost = per_pc(_wp_cost(trace))
+        first = blocks == 0
+        pc_first_count = per_pc(rows=first)
+        pc_first_block_active = per_pc(active, first)
+        n_blocks_all = max(1, len(trace.blocks))
+        pc_blocks = np.bincount(
+            np.unique(pc * n_blocks_all + blocks) // n_blocks_all,
+            minlength=n_pc,
+        ).tolist()
 
         thread_instrs = 0
         warp_instrs = 0
-        for pc, total_active in pc_active.items():
+        for pc in np.flatnonzero(pc_count).tolist():
             kind = kinds.get(pc, LinearKind.NONLINEAR)
-            n_blocks = len(pc_blocks[pc])
+            n_blocks = pc_blocks[pc]
             if kind is LinearKind.SCALAR:
                 thread_instrs += 1
                 warp_instrs += 1
             elif kind is LinearKind.THREAD:
-                per_kernel = pc_first_block_active.get(pc, 32)
+                per_kernel = (
+                    pc_first_block_active[pc] if pc_first_count[pc] else 32
+                )
                 thread_instrs += per_kernel
                 warp_instrs += max(1, per_kernel // 32)
             elif kind in (LinearKind.BLOCK, LinearKind.UNIFORM_UPDATE):

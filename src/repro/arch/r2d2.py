@@ -20,19 +20,16 @@ Execution flow per launch:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..isa.kernel import Dim3, Kernel, LaunchConfig
 from ..isa.operands import LinearRef, LinearRegOperand
 from ..sim.config import GPUConfig
 from ..sim.gpu import Device, as_dim3
-from ..sim.timing import (
-    IssueMode,
-    IssuePolicy,
-    TimingSimulator,
-    WarpIssuePlan,
-)
-from ..sim.trace import BlockTrace, KernelTrace, WarpTrace
+from ..sim.timing import IssueMode, IssuePolicy, TimingSimulator
+from ..sim.trace import BlockTrace, KernelTrace
 from ..transform.decouple import R2D2Kernel, r2d2_transform
 from ..transform.values import R2D2Values
 from .base import ArchStats, Architecture
@@ -67,6 +64,14 @@ class LinearPhaseCounts:
         return self.coef_total + self.thread_total + self.block_total
 
 
+def uniform_rows(trace: KernelTrace, uniform_pcs) -> np.ndarray:
+    """Per row of ``trace.cols``: its pc was promoted to the uniform
+    datapath."""
+    is_uniform = np.zeros(len(trace.kernel.instructions), dtype=bool)
+    is_uniform[sorted(uniform_pcs)] = True
+    return is_uniform[trace.cols.pc]
+
+
 class _R2D2Policy(IssuePolicy):
     name = "r2d2"
 
@@ -83,38 +88,25 @@ class _R2D2Policy(IssuePolicy):
         lat = config.latency
         self._mem_extra = lat.r2d2_regid_extra + lat.r2d2_address_add
         self._reg_extra = lat.r2d2_regid_extra
-        # Per-pc plans are identical across warps (same static stream).
-        self._pc_mode: List[int] = []
-        self._pc_extra: List[int] = []
+        # Plans are a pure function of the static pc (same static
+        # stream in every warp).
+        self._pc_mode = np.full(len(self.instrs), IssueMode.SIMD, np.int8)
+        self._pc_extra = np.zeros(len(self.instrs), dtype=np.int32)
         for pc, instr in enumerate(self.instrs):
-            mode = IssueMode.SIMD
             if pc in rkernel.uniform_pcs:
-                mode = IssueMode.SCALAR
+                self._pc_mode[pc] = IssueMode.SCALAR
             extra = 0
             for op in instr.srcs:
                 if isinstance(op, LinearRef):
                     extra = max(extra, self._mem_extra)
                 elif isinstance(op, LinearRegOperand):
                     extra = max(extra, self._reg_extra)
-            self._pc_mode.append(mode)
-            self._pc_extra.append(extra)
-        self._any_special = any(
-            m != IssueMode.SIMD for m in self._pc_mode
-        ) or any(e for e in self._pc_extra)
+            self._pc_extra[pc] = extra
 
     # ------------------------------------------------------------------
-    def plan_warp(self, block: BlockTrace, warp: WarpTrace) -> WarpIssuePlan:
-        if not self._any_special:
-            return WarpIssuePlan()
-        modes = [self._pc_mode[r.pc] for r in warp.records]
-        extras = [self._pc_extra[r.pc] for r in warp.records]
-        return WarpIssuePlan(modes=modes, extra_latency=extras)
-
-    def plan_arrays(self):
-        # Plans are a pure function of the static pc (the tables above),
-        # so the signature passes can compose them without per-warp
-        # plan_warp calls.
-        return self._pc_mode, self._pc_extra
+    def plan(self, trace: KernelTrace):
+        pc = trace.cols.pc
+        return self._pc_mode[pc], self._pc_extra[pc]
 
     def sm_prologue_cycles(self, sm_id: int) -> int:
         lat = self.config.latency
@@ -245,14 +237,9 @@ class R2D2Arch(Architecture):
         # Loop updates promoted to the uniform datapath (Section 3.1.2)
         # leave the SIMT instruction stream: one scalar operation replaces
         # the 32-lane warp instruction.
-        uniform_pcs = rkernel.uniform_pcs
-        uniform_records = 0
-        uniform_lanes = 0
-        if uniform_pcs:
-            for _b, _w, record in trace.records():
-                if record.pc in uniform_pcs:
-                    uniform_records += 1
-                    uniform_lanes += record.active
+        uniform = uniform_rows(trace, rkernel.uniform_pcs)
+        uniform_records = int(uniform.sum())
+        uniform_lanes = int(trace.cols.active[uniform].sum(dtype=np.int64))
         nonlinear_warp = trace.warp_instruction_count() - uniform_records
         stats.warp_instructions += nonlinear_warp + counts.warp_total
         stats.thread_instructions += (

@@ -124,7 +124,7 @@ class ProbeExecutor(FunctionalExecutor):
             self.probes[key] = probe
         return probe
 
-    def _execute_instruction(self, warp, wtrace, pc, instr, active,
+    def _execute_instruction(self, warp, wrows, pc, instr, active,
                              shared) -> None:
         probe = self._probe_for(warp)
         if (instr.is_global_memory or instr.is_shared_memory) and (
@@ -139,7 +139,7 @@ class ProbeExecutor(FunctionalExecutor):
                     tuple(int(a) for a in addrs),
                 )
             )
-        super()._execute_instruction(warp, wtrace, pc, instr, active,
+        super()._execute_instruction(warp, wrows, pc, instr, active,
                                      shared)
         dst = instr.dst
         if (

@@ -46,7 +46,7 @@ from typing import Any, Iterator, List, Optional, Sequence
 from .. import obs
 
 #: Bump whenever the pickled payloads or the key recipe change shape.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _DEFAULT_MAX_MB = 512.0
 

@@ -26,7 +26,6 @@ from .timing import (
     TimingResult,
     TimingSimulator,
     TimingVerifyMismatch,
-    WarpIssuePlan,
     timing_differences,
     timing_mode_from_env,
 )
@@ -38,7 +37,7 @@ from .vector import (
 from .trace import (
     BlockTrace,
     KernelTrace,
-    TraceRecord,
+    TraceColumns,
     WarpTrace,
     bank_conflict_degree,
     coalesce,
@@ -68,11 +67,10 @@ __all__ = [
     "TimingResult",
     "TimingSimulator",
     "TimingVerifyMismatch",
-    "TraceRecord",
+    "TraceColumns",
     "VectorMismatch",
     "VectorReport",
     "WarpContext",
-    "WarpIssuePlan",
     "WarpTrace",
     "WARP_SIZE",
     "as_dim3",

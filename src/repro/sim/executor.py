@@ -38,7 +38,6 @@ from .memory import GlobalMemory, SharedMemory
 from .trace import (
     BlockTrace,
     KernelTrace,
-    TraceRecord,
     WarpTrace,
     bank_conflict_degree,
     coalesce,
@@ -258,22 +257,30 @@ class FunctionalExecutor:
         # overflow or divide by zero without affecting any visible state.
         with np.errstate(over="ignore", invalid="ignore",
                          divide="ignore"):
-            start = self._maybe_vectorize(trace)
-            for block_id in range(start, grid.count):
-                block_xyz = grid.linear_to_xyz(block_id)
-                block_trace = self._run_block(block_id, block_xyz)
-                trace.blocks.append(block_trace)
+            if not self._maybe_vectorize(trace):
+                # Records are appended per warp (warps of a block
+                # interleave between barriers) and become the launch's
+                # columns once every block has run.
+                warp_rows: List[list] = []
+                for block_id in range(grid.count):
+                    block_xyz = grid.linear_to_xyz(block_id)
+                    block_trace = self._run_block(
+                        block_id, block_xyz, warp_rows
+                    )
+                    trace.blocks.append(block_trace)
+                if self.collect_trace:
+                    trace.set_rows(warp_rows)
             if self.vector == "verify":
                 self._verify_vectorization(trace)
         return trace
 
-    def _maybe_vectorize(self, trace: KernelTrace) -> int:
-        """Try megawarp vectorization; returns how many leading blocks
-        it covered (0 when skipped or bailed).  Gated to exactly this
-        class: subclasses (probes, tests) override pieces of the
-        interpreter the megawarp would bypass."""
+    def _maybe_vectorize(self, trace: KernelTrace) -> bool:
+        """Try megawarp vectorization; True when it ran the whole
+        launch (False when skipped, bailed, or only verifying).  Gated
+        to exactly this class: subclasses (probes, tests) override
+        pieces of the interpreter the megawarp would bypass."""
         if type(self) is not FunctionalExecutor:
-            return 0
+            return False
         from .vector import attempt_vectorization
 
         return attempt_vectorization(self, trace)
@@ -310,7 +317,8 @@ class FunctionalExecutor:
 
     # ------------------------------------------------------------------
     def _run_block(
-        self, block_id: int, block_xyz: Tuple[int, int, int]
+        self, block_id: int, block_xyz: Tuple[int, int, int],
+        warp_rows: List[list],
     ) -> BlockTrace:
         n_threads = self.launch.threads_per_block
         n_warps = (n_threads + WARP_SIZE - 1) // WARP_SIZE
@@ -319,14 +327,15 @@ class FunctionalExecutor:
         warps = [
             self._make_warp(w, block_xyz) for w in range(n_warps)
         ]
-        traces = [WarpTrace(block_id, w) for w in range(n_warps)]
+        rows: List[list] = [[] for _ in range(n_warps)]
+        warp_rows.extend(rows)
 
         while True:
             progressed = False
-            for warp, wtrace in zip(warps, traces):
+            for warp, wrows in zip(warps, rows):
                 if warp.done or warp.at_barrier:
                     continue
-                self._run_warp_until_break(warp, wtrace, shared)
+                self._run_warp_until_break(warp, wrows, shared)
                 progressed = True
             live = [w for w in warps if not w.done]
             if not live:
@@ -339,14 +348,17 @@ class FunctionalExecutor:
                     f"deadlock in block {block_id} of {self.kernel.name}"
                 )
 
-        block_trace = BlockTrace(block_id, block_xyz, traces)
-        return block_trace
+        return BlockTrace(
+            block_id, block_xyz,
+            [WarpTrace(block_id, w) for w in range(n_warps)],
+        )
 
     # ------------------------------------------------------------------
     def _run_warp_until_break(
-        self, warp: WarpContext, wtrace: WarpTrace, shared: SharedMemory
+        self, warp: WarpContext, wrows: list, shared: SharedMemory
     ) -> None:
-        """Run until the warp hits a barrier or finishes."""
+        """Run until the warp hits a barrier or finishes, appending its
+        records to ``wrows``."""
         instrs = self.kernel.instructions
         while warp.stack:
             entry = warp.stack[-1]
@@ -368,7 +380,7 @@ class FunctionalExecutor:
                 )
 
             if instr.opcode is Opcode.BRA:
-                self._record(wtrace, entry.pc, mask, instr, None, [])
+                self._record(wrows, entry.pc, mask, instr, None, [])
                 self._execute_branch(warp, entry, instr, mask)
                 continue
             if instr.opcode is Opcode.EXIT:
@@ -377,7 +389,7 @@ class FunctionalExecutor:
                 entry.pc += 1
                 continue
             if instr.opcode is Opcode.BAR:
-                self._record(wtrace, entry.pc, mask, instr, None, [])
+                self._record(wrows, entry.pc, mask, instr, None, [])
                 entry.pc += 1
                 warp.at_barrier = True
                 return
@@ -385,7 +397,7 @@ class FunctionalExecutor:
             active = self._guard_mask(warp, instr, mask)
             if active.any():
                 self._execute_instruction(
-                    warp, wtrace, entry.pc, instr, active, shared
+                    warp, wrows, entry.pc, instr, active, shared
                 )
             entry.pc += 1
 
@@ -506,7 +518,7 @@ class FunctionalExecutor:
     def _execute_instruction(
         self,
         warp: WarpContext,
-        wtrace: WarpTrace,
+        wrows: list,
         pc: int,
         instr: Instruction,
         active: np.ndarray,
@@ -514,13 +526,13 @@ class FunctionalExecutor:
     ) -> None:
         op = instr.opcode
         if op in (Opcode.LD_GLOBAL, Opcode.LD_SHARED):
-            self._execute_load(warp, wtrace, pc, instr, active, shared)
+            self._execute_load(warp, wrows, pc, instr, active, shared)
             return
         if op in (Opcode.ST_GLOBAL, Opcode.ST_SHARED):
-            self._execute_store(warp, wtrace, pc, instr, active, shared)
+            self._execute_store(warp, wrows, pc, instr, active, shared)
             return
         if op in (Opcode.ATOM_GLOBAL, Opcode.ATOM_SHARED):
-            self._execute_atomic(warp, wtrace, pc, instr, active, shared)
+            self._execute_atomic(warp, wrows, pc, instr, active, shared)
             return
         if op is Opcode.LD_PARAM:
             ref = instr.srcs[0]
@@ -532,7 +544,7 @@ class FunctionalExecutor:
                 dtype=np.float64 if instr.dtype.is_float else np.int64,
             )
             warp.write(instr.dst, values, active)
-            self._record(wtrace, pc, active, instr, values, [value])
+            self._record(wrows, pc, active, instr, values, [value])
             return
 
         srcs = [self._fetch(warp, s) for s in instr.srcs]
@@ -541,7 +553,7 @@ class FunctionalExecutor:
             warp.write(instr.dst, np.broadcast_to(
                 np.asarray(result), (WARP_SIZE,)
             ).copy() if np.ndim(result) == 0 else result, active)
-        self._record(wtrace, pc, active, instr, result, srcs)
+        self._record(wrows, pc, active, instr, result, srcs)
 
     def _compute(self, instr: Instruction, srcs: list, warp: WarpContext):
         op = instr.opcode
@@ -693,7 +705,7 @@ class FunctionalExecutor:
     # Memory instructions
     # ------------------------------------------------------------------
     def _execute_load(
-        self, warp, wtrace, pc, instr, active, shared: SharedMemory
+        self, warp, wrows, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
         addrs = self._address(warp, instr.srcs[0], active)
@@ -708,13 +720,13 @@ class FunctionalExecutor:
         else:
             conflict = bank_conflict_degree(addrs)
         self._record(
-            wtrace, pc, active, instr, full, [addrs],
+            wrows, pc, active, instr, full, [addrs],
             lines=lines, shared=instr.is_shared_memory,
             bank_conflict=conflict,
         )
 
     def _execute_store(
-        self, warp, wtrace, pc, instr, active, shared: SharedMemory
+        self, warp, wrows, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
         addrs = self._address(warp, instr.srcs[0], active)
@@ -728,13 +740,13 @@ class FunctionalExecutor:
         else:
             conflict = bank_conflict_degree(addrs)
         self._record(
-            wtrace, pc, active, instr, None, [addrs, value],
+            wrows, pc, active, instr, None, [addrs, value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             bank_conflict=conflict,
         )
 
     def _execute_atomic(
-        self, warp, wtrace, pc, instr, active, shared: SharedMemory
+        self, warp, wrows, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
         addrs = self._address(warp, instr.srcs[0], active)
@@ -749,7 +761,7 @@ class FunctionalExecutor:
         if instr.is_global_memory:
             lines = coalesce(addrs, self.line_bytes)
         self._record(
-            wtrace, pc, active, instr, None, [addrs, value],
+            wrows, pc, active, instr, None, [addrs, value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
         )
 
@@ -758,7 +770,7 @@ class FunctionalExecutor:
     # ------------------------------------------------------------------
     def _record(
         self,
-        wtrace: WarpTrace,
+        wrows: list,
         pc: int,
         active: np.ndarray,
         instr: Instruction,
@@ -769,26 +781,23 @@ class FunctionalExecutor:
         skippable: bool = True,
         bank_conflict: int = 1,
     ) -> None:
+        """Append one record tuple in the :meth:`TraceColumns.from_rows`
+        layout."""
         if not self.collect_trace:
             return
-        n_active = int(active.sum())
-        uniform = self._is_uniform(srcs, active)
-        affine = self._is_affine(result, active, instr)
         src_hash = None
         if skippable and not instr.is_control:
             src_hash = self._hash_sources(pc, active, srcs)
-        wtrace.records.append(
-            TraceRecord(
-                pc=pc,
-                active=n_active,
-                uniform=uniform,
-                affine=affine,
-                src_hash=src_hash,
-                lines=lines,
-                shared=shared,
-                bank_conflict=bank_conflict,
-            )
-        )
+        wrows.append((
+            pc,
+            int(active.sum()),
+            self._is_uniform(srcs, active),
+            self._is_affine(result, active, instr),
+            src_hash,
+            shared,
+            bank_conflict,
+            lines,
+        ))
 
     @staticmethod
     def _is_uniform(srcs, active: np.ndarray) -> bool:
@@ -913,7 +922,7 @@ def _rows_u64(mat: np.ndarray) -> np.ndarray:
     return mat.astype(np.uint64)
 
 
-def hash_source_rows(pc: int, active: np.ndarray, srcs) -> List[int]:
+def hash_source_rows(pc: int, active: np.ndarray, srcs) -> np.ndarray:
     """Vectorized :func:`hash_sources` over the row axis.
 
     ``active`` is ``(R, 32)``; ``srcs`` is a list of ``(kind, value)``
@@ -921,7 +930,7 @@ def hash_source_rows(pc: int, active: np.ndarray, srcs) -> List[int]:
     hashed per row over its active-compressed lanes, and ``"src"`` is
     any other source: a python scalar or ``(32,)`` vector (shared by
     every row), an ``(R, 1)`` per-row scalar column, or an ``(R, 32)``
-    per-row lane matrix.  Row ``i`` of the result equals
+    per-row lane matrix.  Row ``i`` of the uint64 result equals
     ``hash_sources(pc, active[i], row_i_sources)`` bit for bit.
     """
     active = np.ascontiguousarray(active)
@@ -967,4 +976,4 @@ def hash_source_rows(pc: int, active: np.ndarray, srcs) -> List[int]:
                 d = (_rows_u64(vals) * _H_W).sum(axis=1, dtype=np.uint64)
                 d += np.uint64(((WARP_SIZE + 1) * _H_LEN) & _MASK64)
         h = h * chain + d
-    return h.tolist()
+    return h

@@ -9,11 +9,11 @@ front of an L1/L2/DRAM hierarchy, and ``bar.sync`` blocks warps until
 their whole thread block arrives.  Idle stretches are skipped by jumping
 simulation time to the next ready event.
 
-Architecture variants plug in through :class:`IssuePolicy`: a per-record
-issue mode (SIMD / scalar-pipeline / skipped) plus optional per-record
-extra latency, and prologue delays modeling R2D2's decoupled linear
-phases (SM-level coefficient + thread-index computation, per-block
-block-index computation).
+Architecture variants plug in through :class:`IssuePolicy`: per-row
+issue modes (SIMD / scalar-pipeline / skipped) and extra latencies over
+the trace's record columns, and prologue delays modeling R2D2's
+decoupled linear phases (SM-level coefficient + thread-index
+computation, per-block block-index computation).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..isa.instruction import Instruction
 from ..isa.kernel import Kernel
@@ -30,7 +32,7 @@ from ..isa.opcodes import DType, Opcode, SFU_OPCODES
 from ..isa.regalloc import allocated_registers
 from .caches import Cache, CacheStats, MemoryHierarchy
 from .config import GPUConfig
-from .trace import BlockTrace, KernelTrace, TraceRecord, WarpTrace
+from .trace import BlockTrace, KernelTrace, WarpTrace
 
 _FAR_FUTURE = 1 << 60
 
@@ -46,40 +48,18 @@ class IssueMode(enum.IntEnum):
     SCALAR_INLINE = 3
 
 
-@dataclass
-class WarpIssuePlan:
-    """Per-record issue decisions for one warp (``None`` = all-SIMD)."""
-
-    modes: Optional[List[int]] = None
-    extra_latency: Optional[List[int]] = None
-
-    def mode(self, idx: int) -> int:
-        if self.modes is None:
-            return IssueMode.SIMD
-        return self.modes[idx]
-
-    def extra(self, idx: int) -> int:
-        if self.extra_latency is None:
-            return 0
-        return self.extra_latency[idx]
-
-
 class IssuePolicy:
     """Architecture hook: defaults model the baseline GPU."""
 
     name = "baseline"
 
-    def plan_warp(self, block: BlockTrace, warp: WarpTrace) -> WarpIssuePlan:
-        return WarpIssuePlan()
-
-    def plan_arrays(self) -> Optional[Tuple[List[int], List[int]]]:
-        """Per-pc ``(modes, extra_latency)`` tables when — and only
-        when — :meth:`plan_warp` is a pure function of each record's pc.
-        The event-driven engine's signature pass then composes plans
-        per static pc instead of walking every warp's records.  ``None``
-        (the default) means "no such tables"; policies whose plans
-        depend on anything beyond the pc must not override this."""
-        return None
+    def plan(self, trace: KernelTrace) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row issue ``(modes, extra_latency)`` over ``trace.cols``:
+        :class:`IssueMode` values and extra cycles added to each row's
+        completion.  The default issues every row on the SIMD pipeline
+        with no extra latency."""
+        n = len(trace.cols)
+        return np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int32)
 
     def sm_prologue_cycles(self, sm_id: int) -> int:
         """Delay before any warp of this SM issues (R2D2: coefficients +
@@ -236,9 +216,8 @@ class _WarpSim:
     __slots__ = (
         "slot",
         "block",
-        "trace",
-        "plan",
         "idx",
+        "stop",
         "reg_avail",
         "start_time",
         "blocked_until",
@@ -246,18 +225,18 @@ class _WarpSim:
         "done",
     )
 
-    def __init__(self, slot: int, block: "_BlockSim", trace: WarpTrace,
-                 plan: WarpIssuePlan) -> None:
+    def __init__(self, slot: int, block: "_BlockSim",
+                 trace: WarpTrace) -> None:
         self.slot = slot
         self.block = block
-        self.trace = trace
-        self.plan = plan
-        self.idx = 0
+        #: next row of the trace's columns; rows run up to ``stop``
+        self.idx = trace.start
+        self.stop = trace.stop
         self.reg_avail: Dict[str, int] = {}
         self.start_time = 0
         self.blocked_until = 0
         self.at_barrier = False
-        self.done = len(trace.records) == 0
+        self.done = trace.start >= trace.stop
 
 
 class _BlockSim:
@@ -268,6 +247,25 @@ class _BlockSim:
         self.warps: List[_WarpSim] = []
         self.barrier_count = 0
         self.remaining = 0
+
+
+class _Rows:
+    """The trace columns and issue plan as python lists, for the
+    reference loop's per-row reads."""
+
+    __slots__ = ("pc", "active", "shared", "bank_conflict", "line_off",
+                 "lines", "mode", "extra")
+
+    def __init__(self, trace: KernelTrace, plan) -> None:
+        cols = trace.cols
+        self.pc = cols.pc.tolist()
+        self.active = cols.active.tolist()
+        self.shared = cols.shared.tolist()
+        self.bank_conflict = cols.bank_conflict.tolist()
+        self.line_off = cols.line_off.tolist()
+        self.lines = cols.lines.tolist()
+        self.mode = plan[0].tolist()
+        self.extra = plan[1].tolist()
 
 
 class TimingSimulator:
@@ -299,6 +297,15 @@ class TimingSimulator:
                 f"got {timing!r}"
             )
         self.timing = timing
+        self._plan: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    # ------------------------------------------------------------------
+    def issue_plan(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The policy's per-row ``(modes, extra_latency)``, computed
+        once per simulator (verify mode replays it twice)."""
+        if self._plan is None:
+            self._plan = self.policy.plan(self.trace)
+        return self._plan
 
     # ------------------------------------------------------------------
     def resident_blocks_limit(self) -> int:
@@ -377,6 +384,7 @@ class TimingSimulator:
         event-driven engine is validated against it)."""
         result = TimingResult()
         cfg = self.config
+        self._rows = _Rows(self.trace, self.issue_plan())
         blocks = self.trace.blocks
         n_sms = min(cfg.num_sms, max(1, len(blocks)))
         result.sms_used = n_sms
@@ -425,8 +433,7 @@ class TimingSimulator:
             result.prologue_cycles += bprologue
             start = now + bprologue
             for wtrace in block_trace.warps:
-                plan = self.policy.plan_warp(block_trace, wtrace)
-                wsim = _WarpSim(slot_counter, bsim, wtrace, plan)
+                wsim = _WarpSim(slot_counter, bsim, wtrace)
                 wsim.start_time = start
                 slot_counter += 1
                 self._advance_skips(wsim, start, result)
@@ -497,22 +504,18 @@ class TimingSimulator:
     # ------------------------------------------------------------------
     def _advance_skips(self, warp: _WarpSim, t: int,
                        result: TimingResult) -> None:
-        records = warp.trace.records
-        plan = warp.plan
-        while warp.idx < len(records) and plan.mode(
-            warp.idx
-        ) == IssueMode.SKIP:
-            record = records[warp.idx]
-            instr = self.instrs[record.pc]
+        rows = self._rows
+        while warp.idx < warp.stop and rows.mode[warp.idx] == IssueMode.SKIP:
+            instr = self.instrs[rows.pc[warp.idx]]
             if instr.dst is not None:
                 warp.reg_avail[instr.dst.name] = t
             result.skipped += 1
             warp.idx += 1
-        if warp.idx >= len(records):
+        if warp.idx >= warp.stop:
             warp.done = True
 
-    def _dep_time(self, warp: _WarpSim, record: TraceRecord) -> int:
-        instr = self.instrs[record.pc]
+    def _dep_time(self, warp: _WarpSim, pc: int) -> int:
+        instr = self.instrs[pc]
         dep = 0
         avail = warp.reg_avail
         for reg in instr.source_regs():
@@ -524,19 +527,18 @@ class TimingSimulator:
     def _ready_time(self, warp: _WarpSim) -> int:
         if warp.at_barrier:
             return _FAR_FUTURE
-        if warp.idx >= len(warp.trace.records):
+        if warp.idx >= warp.stop:
             return _FAR_FUTURE
-        record = warp.trace.records[warp.idx]
         return max(
-            self._dep_time(warp, record),
+            self._dep_time(warp, self._rows.pc[warp.idx]),
             warp.start_time,
             warp.blocked_until,
         )
 
     def _next_is_scalar(self, warp: _WarpSim) -> bool:
-        if warp.idx >= len(warp.trace.records):
+        if warp.idx >= warp.stop:
             return False
-        return warp.plan.mode(warp.idx) == IssueMode.SCALAR
+        return self._rows.mode[warp.idx] == IssueMode.SCALAR
 
     def _pick(
         self,
@@ -606,10 +608,12 @@ class TimingSimulator:
         cfg = self.config
         lat = cfg.latency
         energy = result.energy
-        record = warp.trace.records[warp.idx]
-        instr = self.instrs[record.pc]
-        mode = warp.plan.mode(warp.idx)
-        extra = warp.plan.extra(warp.idx)
+        rows = self._rows
+        i = warp.idx
+        instr = self.instrs[rows.pc[i]]
+        mode = rows.mode[i]
+        extra = rows.extra[i]
+        active = rows.active[i]
 
         if mode in (IssueMode.SCALAR, IssueMode.SCALAR_INLINE):
             result.issued_scalar += 1
@@ -624,7 +628,7 @@ class TimingSimulator:
             return lsu_free
 
         result.issued_simd += 1
-        result.thread_ops += record.active
+        result.thread_ops += active
         energy.add("fetch", cfg.energy.fetch_decode_pj)
         n_src_regs = len(instr.source_regs())
         energy.add("rf", cfg.energy.rf_read_pj * n_src_regs)
@@ -645,46 +649,41 @@ class TimingSimulator:
             self._finish_record(warp, t, result)
             return lsu_free
 
-        if instr.is_global_memory and record.lines:
+        lines = rows.lines[rows.line_off[i]:rows.line_off[i + 1]]
+        if instr.is_global_memory and lines:
             start = max(t, lsu_free)
             lsu_free = start + max(
-                1, len(record.lines) // cfg.mem_ports_per_sm
+                1, len(lines) // cfg.mem_ports_per_sm
             )
-            access = hierarchy.access(record.lines, is_store=instr.is_store)
+            access = hierarchy.access(lines, is_store=instr.is_store)
             completion = start + access.latency + extra
             result.dram_accesses += access.dram_accesses
             energy.add(
-                "l1", cfg.energy.l1_access_pj * len(record.lines)
+                "l1", cfg.energy.l1_access_pj * len(lines)
             )
-            n_l2 = len(record.lines) - access.l1_hits
+            n_l2 = len(lines) - access.l1_hits
             energy.add("l2", cfg.energy.l2_access_pj * max(0, n_l2))
             energy.add(
                 "dram", cfg.energy.dram_access_pj * access.dram_accesses
             )
-        elif instr.is_shared_memory or record.shared:
+        elif instr.is_shared_memory or rows.shared[i]:
             # bank conflicts serialize the LSU replay, 1 cycle per extra
             # distinct word on the worst bank
             completion = (
-                t + lat.shared_mem + max(0, record.bank_conflict - 1)
+                t + lat.shared_mem + max(0, rows.bank_conflict[i] - 1)
                 + extra
             )
             energy.add(
-                "shared", cfg.energy.shared_access_pj * record.active
+                "shared", cfg.energy.shared_access_pj * active
             )
         else:
             completion = t + _latency_of(instr, lat) + extra
             if instr.opcode in SFU_OPCODES:
-                energy.add(
-                    "sfu", cfg.energy.sfu_lane_pj * record.active
-                )
+                energy.add("sfu", cfg.energy.sfu_lane_pj * active)
             elif instr.dtype.is_float:
-                energy.add(
-                    "alu", cfg.energy.float_lane_pj * record.active
-                )
+                energy.add("alu", cfg.energy.float_lane_pj * active)
             else:
-                energy.add(
-                    "alu", cfg.energy.int_lane_pj * record.active
-                )
+                energy.add("alu", cfg.energy.int_lane_pj * active)
 
         if instr.dst is not None:
             warp.reg_avail[instr.dst.name] = completion
@@ -696,5 +695,5 @@ class TimingSimulator:
     ) -> None:
         warp.idx += 1
         self._advance_skips(warp, t + 1, result)
-        if warp.idx >= len(warp.trace.records):
+        if warp.idx >= warp.stop:
             warp.done = True

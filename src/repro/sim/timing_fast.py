@@ -20,14 +20,16 @@ mismatch the L2 is rolled back to a snapshot and the SM is simulated
 in full.
 
 **Record-stream precompilation.**  The signature pass (:class:`_Prep`)
-reduces each warp's record stream to a signature
-(``TraceRecord.static_issue_key`` plus the issue plan's per-record
-mode/extra) and flattens each distinct signature into per-record
-tables — latency class, dense source/dest register slots, issue mode,
-extra latency, memory-line counts, bank-conflict-adjusted latencies,
-barrier flags, skip runs, and the exact energy additions — so the inner
-loop indexes integers instead of walking ``Instruction`` operands and
-calling ``source_regs()`` per issue.
+keys each warp by the bytes of its rows of seven columns — ``pc``,
+``active``, ``shared``, ``bank_conflict``, the line count, and the
+issue plan's mode and extra latency — and flattens each distinct key
+into per-record tables — latency class, dense source/dest register
+slots, issue mode, extra latency, memory-line counts,
+bank-conflict-adjusted latencies, barrier flags, skip runs, and the
+exact energy additions — so the inner loop indexes integers instead of
+walking ``Instruction`` operands and calling ``source_regs()`` per
+issue.  Only global-memory records read their actual lines, from the
+trace's flat ``lines`` column.
 
 **Event-driven scheduling.**  Each warp caches its scoreboard ready
 time (``_EW.rt``).  The scoreboard is strictly per-warp, so a cached
@@ -64,6 +66,8 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .. import obs
 from .caches import Cache, MemoryHierarchy
 from .timing import IssueMode, TimingResult, _latency_of
@@ -79,11 +83,6 @@ _K_GMEM = 2
 _K_SMEM = 3
 _K_ALU = 4
 _K_SKIP = 5
-
-#: Sig-tuple tail for plain-SIMD plans; plain ints hash faster than the
-#: IssueMode members they equal.
-_SIMD_TAIL = (int(IssueMode.SIMD), 0)
-
 
 class _SigGroup:
     """Per-record static issue tables shared by all warps of one
@@ -129,8 +128,37 @@ class _SigGroup:
         self.has_scalar = False
 
 
+def _pc_static(instr, prep: "_Prep") -> tuple:
+    """The parts of an issue row that depend only on the instruction:
+    register slots, the per-issue energy additions every SIMD issue
+    makes, the lane-energy component and rate, and the ALU latency."""
+    e = prep.cfg.energy
+    dst = instr.dst
+    src_regs = instr.source_regs()
+    adds = [
+        ("fetch", e.fetch_decode_pj),
+        ("rf", e.rf_read_pj * len(src_regs)),
+    ]
+    if dst is not None:
+        adds.append(("rf", e.rf_write_pj))
+    if instr.opcode in prep.sfu_opcodes:
+        lane = ("sfu", e.sfu_lane_pj)
+    elif instr.dtype.is_float:
+        lane = ("alu", e.float_lane_pj)
+    else:
+        lane = ("alu", e.int_lane_pj)
+    return (
+        prep.reg_ids[dst.name] if dst is not None else -1,
+        tuple(dict.fromkeys(prep.reg_ids[r.name] for r in src_regs)),
+        tuple(adds),
+        lane,
+        _latency_of(instr, prep.cfg.latency),
+    )
+
+
 def _build_row(key: tuple, prep: "_Prep") -> tuple:
-    """Static issue row for one record key.
+    """Static issue row for one record key ``(pc, active, shared,
+    bank_conflict, n_lines, mode, extra)``.
 
     A row depends only on the 7-tuple record key (never on the
     surrounding signature), so it is memoized in ``prep.row_cache``:
@@ -139,16 +167,10 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
     group used to dominate the precompilation pass.
     """
     cfg = prep.cfg
-    lat = cfg.latency
     e = cfg.energy
     pc, active, shared, bank_conflict, n_lines, mode, extra = key
     instr = prep.instrs[pc]
-    dst = instr.dst
-    dst_id = prep.reg_ids[dst.name] if dst is not None else -1
-    src_regs = instr.source_regs()
-    src_ids = tuple(
-        dict.fromkeys(prep.reg_ids[r.name] for r in src_regs)
-    )
+    dst_id, src_ids, adds, (lane_key, lane_pj), alu_lat = prep.pc_static[pc]
     next_scalar = mode == IssueMode.SCALAR
 
     if mode == IssueMode.SKIP:
@@ -163,47 +185,37 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
             ("rf", e.rf_read_pj + e.rf_write_pj),
         )
         return (
-            _K_SCALAR, _latency_of(instr, lat), extra, active, dst_id,
+            _K_SCALAR, alu_lat, extra, active, dst_id,
             src_ids, eadds, 0, n_lines, instr.is_store, next_scalar,
             mode == IssueMode.SCALAR,
         )
 
-    adds: List[Tuple[str, float]] = [
-        ("fetch", e.fetch_decode_pj),
-        ("rf", e.rf_read_pj * len(src_regs)),
-    ]
-    if dst is not None:
-        adds.append(("rf", e.rf_write_pj))
     lsu = 0
     if instr.is_barrier:
         kind, latv = _K_BARRIER, 0
     elif instr.is_global_memory and n_lines:
         kind, latv = _K_GMEM, 0
         lsu = max(1, n_lines // cfg.mem_ports_per_sm)
-        adds.append(("l1", e.l1_access_pj * n_lines))
+        adds += (("l1", e.l1_access_pj * n_lines),)
     elif instr.is_shared_memory or shared:
         kind = _K_SMEM
-        latv = lat.shared_mem + max(0, bank_conflict - 1)
-        adds.append(("shared", e.shared_access_pj * active))
+        latv = cfg.latency.shared_mem + max(0, bank_conflict - 1)
+        adds += (("shared", e.shared_access_pj * active),)
     else:
-        kind, latv = _K_ALU, _latency_of(instr, lat)
-        if instr.opcode in prep.sfu_opcodes:
-            adds.append(("sfu", e.sfu_lane_pj * active))
-        elif instr.dtype.is_float:
-            adds.append(("alu", e.float_lane_pj * active))
-        else:
-            adds.append(("alu", e.int_lane_pj * active))
+        kind, latv = _K_ALU, alu_lat
+        adds += ((lane_key, lane_pj * active),)
     return (
-        kind, latv, extra, active, dst_id, src_ids, tuple(adds),
+        kind, latv, extra, active, dst_id, src_ids, adds,
         lsu, n_lines, instr.is_store, next_scalar, False,
     )
 
 
-def _build_group(sig: tuple, prep: "_Prep") -> _SigGroup:
-    grp = _SigGroup(len(sig))
+def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
+    """Tables for one signature, from its ``(n, 7)`` key rows."""
+    grp = _SigGroup(len(keys))
     cache = prep.row_cache
     rows = []
-    for key in sig:
+    for key in map(tuple, keys.tolist()):
         row = cache.get(key)
         if row is None:
             row = _build_row(key, prep)
@@ -275,99 +287,49 @@ class _Prep:
                 if reg.name not in self.reg_ids:
                     self.reg_ids[reg.name] = len(self.reg_ids)
         self.n_regs = len(self.reg_ids)
+        self.pc_static = [_pc_static(instr, self) for instr in self.instrs]
 
-        self._groups: Dict[tuple, _SigGroup] = {}
-        self._group_ids: Dict[tuple, int] = {}
+        cols = sim.trace.cols
+        #: flat line addresses and per-row offsets, for global records
+        self.line_off: List[int] = cols.line_off.tolist()
+        self.lines: List[int] = cols.lines.tolist()
+        modes, extra = sim.issue_plan()
+        keys = np.empty((len(cols), 7), dtype=np.int32)
+        for j, col in enumerate((
+            cols.pc, cols.active, cols.shared, cols.bank_conflict,
+            cols.n_lines, modes, extra,
+        )):
+            keys[:, j] = col
+
+        groups_by_key: Dict[bytes, Tuple[_SigGroup, int]] = {}
         #: block id -> (prologue cycles, per-warp _SigGroup list)
         self.block_info: Dict[int, Tuple[int, List[_SigGroup]]] = {}
         self.block_sig: Dict[int, tuple] = {}
         self.any_scalar = False
         policy = sim.policy
-        # Policies whose plans are a pure function of the static pc
-        # (e.g. R2D2's per-pc mode/extra tables) export them as arrays;
-        # the signature composes per record from the pc without ever
-        # materializing a per-warp WarpIssuePlan.
-        arrays = policy.plan_arrays()
-        if arrays is not None:
-            mode_by_pc = [int(m) for m in arrays[0]]
-            extra_by_pc = [int(x) for x in arrays[1]]
-        # Megawarp traces carry an interned tuple of static_issue_key()s
-        # per warp (WarpTrace.sig_base); warps that share the interned
-        # object skip the per-record key walk.
-        simd_sigs: Dict[int, tuple] = {}
-        pc_sigs: Dict[int, tuple] = {}
         for block in sim.trace.blocks:
             bprologue = policy.block_prologue_cycles(block)
             groups: List[_SigGroup] = []
             wsigs: List[int] = []
             for warp in block.warps:
-                if arrays is not None:
-                    base = getattr(warp, "sig_base", None)
-                    if base is not None:
-                        sig = pc_sigs.get(id(base))
-                        if sig is None:
-                            sig = tuple(
-                                key
-                                + (mode_by_pc[key[0]], extra_by_pc[key[0]])
-                                for key in base
-                            )
-                            pc_sigs[id(base)] = sig
-                    else:
-                        sig = tuple(
-                            r.static_issue_key()
-                            + (mode_by_pc[r.pc], extra_by_pc[r.pc])
-                            for r in warp.records
-                        )
-                    grp = self._groups.get(sig)
-                    if grp is None:
-                        grp = _build_group(sig, self)
-                        self._groups[sig] = grp
-                        self._group_ids[sig] = len(self._group_ids)
-                        self.any_scalar = self.any_scalar or grp.has_scalar
-                    groups.append(grp)
-                    wsigs.append(self._group_ids[sig])
-                    continue
-                plan = policy.plan_warp(block, warp)
-                if plan.modes is None and plan.extra_latency is None:
-                    base = getattr(warp, "sig_base", None)
-                    if base is not None:
-                        sig = simd_sigs.get(id(base))
-                        if sig is None:
-                            sig = tuple(
-                                key + _SIMD_TAIL for key in base
-                            )
-                            simd_sigs[id(base)] = sig
-                    else:
-                        sig = tuple(
-                            r.static_issue_key() + _SIMD_TAIL
-                            for r in warp.records
-                        )
-                else:
-                    sig = tuple(
-                        r.static_issue_key()
-                        + (int(plan.mode(i)), int(plan.extra(i)))
-                        for i, r in enumerate(warp.records)
-                    )
-                grp = self._groups.get(sig)
-                if grp is None:
-                    grp = _build_group(sig, self)
-                    self._groups[sig] = grp
-                    self._group_ids[sig] = len(self._group_ids)
+                wkeys = keys[warp.start:warp.stop]
+                kb = wkeys.tobytes()
+                entry = groups_by_key.get(kb)
+                if entry is None:
+                    grp = _build_group(wkeys, self)
+                    entry = groups_by_key[kb] = (grp, len(groups_by_key))
                     self.any_scalar = self.any_scalar or grp.has_scalar
-                groups.append(grp)
-                wsigs.append(self._group_ids[sig])
+                groups.append(entry[0])
+                wsigs.append(entry[1])
             self.block_info[id(block)] = (bprologue, groups)
             self.block_sig[id(block)] = (bprologue, tuple(wsigs))
+        self.n_groups = len(groups_by_key)
 
     def sm_signature(self, sm_id: int, blocks: List[BlockTrace]) -> tuple:
         return (
             self.policy.sm_prologue_cycles(sm_id),
             tuple(self.block_sig[id(b)] for b in blocks),
         )
-
-    @property
-    def n_groups(self) -> int:
-        return len(self._groups)
 
 
 #: trace id -> (weakref keeping the eviction callback alive,
@@ -424,13 +386,14 @@ class _EW:
     """Dynamic per-warp state with cached scheduler inputs: ``rt`` is
     the ready time :meth:`TimingSimulator._ready_time` would compute,
     ``nsc`` whether the next record issues on the scalar pass;
-    ``bseq``/``wpos`` locate the warp's records for the clone log."""
+    ``base`` is the warp's first row in the trace columns and
+    ``bseq``/``wpos`` locate the warp for the clone log."""
 
     __slots__ = (
         "slot",
         "fb",
         "grp",
-        "recs",
+        "base",
         "idx",
         "reg",
         "start",
@@ -443,12 +406,12 @@ class _EW:
         "wpos",
     )
 
-    def __init__(self, slot: int, fb: "_EB", grp: _SigGroup, recs,
+    def __init__(self, slot: int, fb: "_EB", grp: _SigGroup, base: int,
                  n_regs: int, bseq: int, wpos: int) -> None:
         self.slot = slot
         self.fb = fb
         self.grp = grp
-        self.recs = recs
+        self.base = base
         self.idx = 0
         self.reg = [0] * n_regs
         self.start = 0
@@ -518,8 +481,8 @@ def _fold(evals: Dict[str, float], energy) -> None:
         evals[key] = reduce(add, seq, evals.get(key, 0.0))
 
 
-def _try_clone(sim, rec: _SMRecord, blocks: List[BlockTrace],
-               result: TimingResult) -> bool:
+def _try_clone(sim, prep: _Prep, rec: _SMRecord,
+               blocks: List[BlockTrace], result: TimingResult) -> bool:
     """Replay the representative's memory accesses for a candidate clone;
     commit the recorded deltas if every outcome matches, else roll the L2
     back and report failure."""
@@ -528,9 +491,10 @@ def _try_clone(sim, rec: _SMRecord, blocks: List[BlockTrace],
     snap = l2.snapshot() if rec.memlog else None
     l1 = Cache(cfg.l1)
     hierarchy = MemoryHierarchy(l1, l2, cfg.latency)
+    off, lines = prep.line_off, prep.lines
     for bseq, wpos, ridx, want_l1, want_l2, want_dram, is_store in rec.memlog:
-        record = blocks[bseq].warps[wpos].records[ridx]
-        acc = hierarchy.access(record.lines, is_store=is_store)
+        r = blocks[bseq].warps[wpos].start + ridx
+        acc = hierarchy.access(lines[off[r]:off[r + 1]], is_store=is_store)
         if (
             acc.l1_hits != want_l1
             or acc.l2_hits != want_l2
@@ -574,7 +538,7 @@ def run_fast(sim) -> TimingResult:
         sig = sm_sigs[sm_id]
         rec = seen.get(sig)
         if rec is not None:
-            if _try_clone(sim, rec, per_sm[sm_id], result):
+            if _try_clone(sim, prep, rec, per_sm[sm_id], result):
                 n_cloned += 1
                 sm_cycles.append(rec.cycles)
                 continue
@@ -624,6 +588,7 @@ def _run_sm(
     use_gto = cfg.scheduler_policy == "gto"
     e_l2_pj = cfg.energy.l2_access_pj
     e_dram_pj = cfg.energy.dram_access_pj
+    line_off, lines = prep.line_off, prep.lines
     # component -> this SM's increments in issue order (see _fold)
     energy: Dict[str, List[float]] = defaultdict(list)
 
@@ -659,7 +624,7 @@ def _run_sm(
         fb = _EB()
         for wpos, wtrace in enumerate(block_trace.warps):
             grp = groups[wpos]
-            ew = _EW(slot_counter, fb, grp, wtrace.records, n_regs,
+            ew = _EW(slot_counter, fb, grp, wtrace.start, n_regs,
                      bseq, wpos)
             ew.start = start
             slot_counter += 1
@@ -752,10 +717,12 @@ def _run_sm(
             finish(w, now)
             return
         if kind == _K_GMEM:
-            rec = w.recs[i]
+            r = w.base + i
             start = now if now > lsu_free else lsu_free
             lsu_free = start + grp.lsu_slots[i]
-            acc = hierarchy.access(rec.lines, is_store=grp.is_store[i])
+            acc = hierarchy.access(
+                lines[line_off[r]:line_off[r + 1]], is_store=grp.is_store[i]
+            )
             completion = start + acc.latency + grp.extra[i]
             result.dram_accesses += acc.dram_accesses
             n_l2 = grp.n_lines[i] - acc.l1_hits

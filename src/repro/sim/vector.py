@@ -39,9 +39,11 @@ columns, for arbitrary control flow:
    allocator's high-water mark faults there and bails too.
 
 3. **Bit-identity.**  Committed launches produce byte-identical memory
-   and record-identical :class:`KernelTrace` streams — same ``active``
-   masks, ``uniform``/``affine`` flags, source hashes, coalesced
-   lines, and bank conflicts as the serial interpreter.
+   and column-identical :class:`KernelTrace` records — same ``active``
+   counts, ``uniform``/``affine`` flags, source hashes, coalesced
+   lines, and bank conflicts as the serial interpreter.  Each PC-group
+   step appends its rows as arrays; ``emit`` reorders a chunk's rows
+   into block/warp order once.
    ``R2D2_VECTOR=verify`` runs *both* engines and raises
    :class:`VectorMismatch` on any divergence; the differential oracle
    fuzzes this mode.
@@ -79,14 +81,7 @@ from .executor import (
     hash_source_rows,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
-from .trace import (
-    BlockTrace,
-    KernelTrace,
-    TraceRecord,
-    WarpTrace,
-    bank_conflict_degree,
-    coalesce,
-)
+from .trace import BlockTrace, KernelTrace, TraceColumns, WarpTrace
 
 ENV_KNOB = "R2D2_VECTOR"
 
@@ -232,44 +227,45 @@ def _affine_cols(result, instr, act: np.ndarray, n_act: np.ndarray,
     return ((diffs == diffs[:, :1]) | pad).all(axis=1) & (n_act >= 3)
 
 
-class _LineMemo:
-    """``(segment, Δ)`` memoization for coalescing and bank conflicts.
+#: Sort key of inactive lanes: past every real line or word.
+_NO_ADDR = np.iinfo(np.int64).max
 
-    Two address rows with the same pattern relative to their first
-    lane's 128-byte segment produce the same line-offset tuple, and —
-    because a 128-byte shift moves every address by a whole multiple of
-    the 32-bank × 4-byte period — the same bank-conflict degree.  Each
-    distinct pattern is computed once and rebased per row by adding
-    the segment base back.
-    """
 
-    __slots__ = ("lines", "banks")
+def _distinct_rows(keys: np.ndarray,
+                   active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's active ``keys`` sorted ascending (inactive lanes
+    last), plus a mask of the first lane of every distinct value."""
+    keys = np.where(active, keys, _NO_ADDR)
+    keys.sort(axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    first[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    first &= keys != _NO_ADDR
+    return keys, first
 
-    def __init__(self) -> None:
-        self.lines: Dict[bytes, Tuple[int, ...]] = {}
-        self.banks: Dict[bytes, int] = {}
 
-    def coalesce(self, addrs: np.ndarray, line_bytes: int) -> Tuple[int, ...]:
-        seg = int(addrs[0]) // line_bytes * line_bytes
-        rel = addrs - seg
-        key = rel.tobytes()
-        pattern = self.lines.get(key)
-        if pattern is None:
-            pattern = coalesce(rel, line_bytes)
-            self.lines[key] = pattern
-        if seg == 0:
-            return pattern
-        return tuple(seg + off for off in pattern)
+def _coalesce_rows(addrs: np.ndarray, active: np.ndarray,
+                   line_bytes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`~repro.sim.trace.coalesce` over the row axis:
+    per-row line counts and every row's ascending distinct lines,
+    flattened in row order."""
+    keys, first = _distinct_rows(addrs // line_bytes, active)
+    return first.sum(axis=1), keys[first] * line_bytes
 
-    def bank_conflict(self, addrs: np.ndarray) -> int:
-        seg = int(addrs[0]) // 128 * 128
-        rel = addrs - seg
-        key = rel.tobytes()
-        degree = self.banks.get(key)
-        if degree is None:
-            degree = bank_conflict_degree(rel)
-            self.banks[key] = degree
-        return degree
+
+def _bank_conflict_rows(addrs: np.ndarray, active: np.ndarray,
+                        n_banks: int = 32,
+                        bank_bytes: int = 4) -> np.ndarray:
+    """Vectorized :func:`~repro.sim.trace.bank_conflict_degree`: per
+    row, the most distinct words any one bank serves (at least 1)."""
+    words, first = _distinct_rows(addrs // bank_bytes, active)
+    R = words.shape[0]
+    row = np.broadcast_to(
+        np.arange(R, dtype=np.int64)[:, None], words.shape
+    )[first]
+    per_bank = np.bincount(
+        row * n_banks + words[first] % n_banks, minlength=R * n_banks
+    ).reshape(R, n_banks)
+    return np.maximum(per_bank.max(axis=1), 1)
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +315,10 @@ class _WarpState:
 
     __slots__ = (
         "row", "block", "stack", "exit_gen", "done", "at_barrier",
-        "trace", "sig",
     )
 
     def __init__(self, row: int, block: int, n_instructions: int,
-                 base_mask: np.ndarray, trace: WarpTrace) -> None:
+                 base_mask: np.ndarray) -> None:
         self.row = row
         self.block = block
         mask = base_mask.copy()
@@ -333,8 +328,6 @@ class _WarpState:
         self.exit_gen = 0
         self.done = False
         self.at_barrier = False
-        self.trace = trace
-        self.sig: List[tuple] = []
 
 
 class _Addrs:
@@ -357,8 +350,7 @@ class _MegaWarpEngine(FunctionalExecutor):
     """
 
     def __init__(self, host: FunctionalExecutor, lo: int, hi: int,
-                 memory: ByteSpace, memo: _LineMemo,
-                 sig_intern: Dict[tuple, tuple], executed0: int) -> None:
+                 memory: ByteSpace, executed0: int) -> None:
         # Deliberately no super().__init__: the parsed host state (CFG,
         # validated args) is shared; only memory differs.
         self.kernel = host.kernel
@@ -379,8 +371,6 @@ class _MegaWarpEngine(FunctionalExecutor):
         wpb = (self.launch.threads_per_block + WARP_SIZE - 1) // WARP_SIZE
         self.wpb = wpb
         self.W = self.nblocks * wpb
-        self.memo = memo
-        self.sig_intern = sig_intern
         n_instr = len(self.kernel.instructions)
 
         # -- lane geometry: (W, 32) thread ids, (W, 1) block ids -------
@@ -438,9 +428,7 @@ class _MegaWarpEngine(FunctionalExecutor):
         ]
         for r in range(self.W):
             b = r // wpb
-            ws = _WarpState(
-                r, b, n_instr, base[r], WarpTrace(lo + b, r % wpb)
-            )
+            ws = _WarpState(r, b, n_instr, base[r])
             self._warps.append(ws)
             self._block_warps[b].append(ws)
         self._pending = self.W
@@ -478,6 +466,10 @@ class _MegaWarpEngine(FunctionalExecutor):
         self._log_elems = 0
         self._step_pcs: List[int] = []
         self._sid = 0
+        #: per recorded PC-group step: (rows, pc, active counts,
+        #: uniform, affine, hashes or None, shared, banks or None,
+        #: (line counts, flat lines) or None) — see :meth:`emit`.
+        self._steps: List[tuple] = []
         self.counters = {
             "steps": 0, "pc_groups": 0, "pc_group_rows": 0,
             "divergence_splits": 0, "barrier_releases": 0,
@@ -597,7 +589,7 @@ class _MegaWarpEngine(FunctionalExecutor):
 
         op = instr.opcode
         if op is Opcode.BRA:
-            self._record_group(pc, instr, ws_list, mask, None, [])
+            self._record_group(pc, instr, rows, mask, None, [])
             with obs.span("vector.reconverge"):
                 self._exec_branch(pc, instr, rows, ws_list, entries, mask)
             return
@@ -612,7 +604,7 @@ class _MegaWarpEngine(FunctionalExecutor):
                 e.pc += 1
             return
         if op is Opcode.BAR:
-            self._record_group(pc, instr, ws_list, mask, None, [])
+            self._record_group(pc, instr, rows, mask, None, [])
             for ws, e in zip(ws_list, entries):
                 e.pc += 1
                 ws.at_barrier = True
@@ -632,11 +624,11 @@ class _MegaWarpEngine(FunctionalExecutor):
                 ws_list = [ws_list[i] for i in keep]
 
         if op in (Opcode.LD_GLOBAL, Opcode.LD_SHARED):
-            self._exec_load(pc, instr, rows, ws_list, active)
+            self._exec_load(pc, instr, rows, active)
         elif op in (Opcode.ST_GLOBAL, Opcode.ST_SHARED):
-            self._exec_store(pc, instr, rows, ws_list, active)
+            self._exec_store(pc, instr, rows, active)
         elif op in (Opcode.ATOM_GLOBAL, Opcode.ATOM_SHARED):
-            self._exec_atomic(pc, instr, rows, ws_list, active)
+            self._exec_atomic(pc, instr, rows, active)
         elif op is Opcode.LD_PARAM:
             ref = instr.srcs[0]
             assert isinstance(ref, ParamRef)
@@ -648,14 +640,14 @@ class _MegaWarpEngine(FunctionalExecutor):
             )
             self._write(instr.dst, rows, active, values)
             self._record_group(
-                pc, instr, ws_list, active, values, [value]
+                pc, instr, rows, active, values, [value]
             )
         else:
             srcs = [self._fetch_rows(s, rows) for s in instr.srcs]
             result = self._compute(instr, srcs, None)
             if instr.dst is not None:
                 self._write(instr.dst, rows, active, result)
-            self._record_group(pc, instr, ws_list, active, result, srcs)
+            self._record_group(pc, instr, rows, active, result, srcs)
 
         for e in entries:
             e.pc += 1
@@ -814,20 +806,12 @@ class _MegaWarpEngine(FunctionalExecutor):
         return (addrs + self._shared_off[rows])[active]
 
     def _mem_rows(self, addrs: np.ndarray, active: np.ndarray,
-                  instr: Instruction, n_act: np.ndarray):
-        """Per-row ``lines``/``bank_conflict`` for one access."""
-        R = active.shape[0]
+                  instr: Instruction):
+        """Per-row ``(line counts, flat lines)`` of a global access, or
+        bank-conflict degrees of a shared one."""
         if instr.is_global_memory:
-            lines: List[Optional[Tuple[int, ...]]] = [None] * R
-            for i in range(R):
-                lines[i] = self.memo.coalesce(
-                    addrs[i, active[i]], self.line_bytes
-                )
-            return lines, None
-        bank = np.ones(R, dtype=np.int64)
-        for i in range(R):
-            bank[i] = self.memo.bank_conflict(addrs[i, active[i]])
-        return None, bank
+            return _coalesce_rows(addrs, active, self.line_bytes), None
+        return None, _bank_conflict_rows(addrs, active)
 
     def _log_access(self, shared: bool, addrs_act: np.ndarray,
                     rows: np.ndarray, n_act: np.ndarray, itemsize: int,
@@ -851,7 +835,7 @@ class _MegaWarpEngine(FunctionalExecutor):
             )
 
     def _exec_load(self, pc: int, instr: Instruction, rows: np.ndarray,
-                   ws_list: List[_WarpState], active: np.ndarray) -> None:
+                   active: np.ndarray) -> None:
         addrs = self._addr_matrix(instr.srcs[0], rows)
         itemsize = _NP_DTYPES[instr.dtype].itemsize
         n_act = active.sum(axis=1)
@@ -878,15 +862,14 @@ class _MegaWarpEngine(FunctionalExecutor):
         mat[rows] = full
         if not self.collect_trace:
             return
-        lines, bank = self._mem_rows(addrs, active, instr, n_act)
+        lines, bank = self._mem_rows(addrs, active, instr)
         self._record_group(
-            pc, instr, ws_list, active, full, [_Addrs(addrs)],
+            pc, instr, rows, active, full, [_Addrs(addrs)],
             lines=lines, shared=instr.is_shared_memory, bank=bank,
             n_act=n_act,
         )
 
     def _exec_store(self, pc: int, instr: Instruction, rows: np.ndarray,
-                    ws_list: List[_WarpState],
                     active: np.ndarray) -> None:
         addrs = self._addr_matrix(instr.srcs[0], rows)
         value = self._fetch_rows(instr.srcs[1], rows)
@@ -910,15 +893,14 @@ class _MegaWarpEngine(FunctionalExecutor):
         )
         if not self.collect_trace:
             return
-        lines, bank = self._mem_rows(addrs, active, instr, n_act)
+        lines, bank = self._mem_rows(addrs, active, instr)
         self._record_group(
-            pc, instr, ws_list, active, None, [_Addrs(addrs), value],
+            pc, instr, rows, active, None, [_Addrs(addrs), value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             bank=bank, n_act=n_act,
         )
 
     def _exec_atomic(self, pc: int, instr: Instruction, rows: np.ndarray,
-                     ws_list: List[_WarpState],
                      active: np.ndarray) -> None:
         addrs = self._addr_matrix(instr.srcs[0], rows)
         value = self._fetch_rows(instr.srcs[1], rows)
@@ -956,16 +938,16 @@ class _MegaWarpEngine(FunctionalExecutor):
             return
         lines = None
         if instr.is_global_memory:
-            lines, _ = self._mem_rows(addrs, active, instr, n_act)
+            lines, _ = self._mem_rows(addrs, active, instr)
         self._record_group(
-            pc, instr, ws_list, active, None, [_Addrs(addrs), value],
+            pc, instr, rows, active, None, [_Addrs(addrs), value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             n_act=n_act,
         )
 
     # -- trace recording -----------------------------------------------
     def _record_group(self, pc: int, instr: Instruction,
-                      ws_list: List[_WarpState], active: np.ndarray,
+                      rows: np.ndarray, active: np.ndarray,
                       result, srcs, lines=None, shared: bool = False,
                       skippable: bool = True, bank=None,
                       n_act: Optional[np.ndarray] = None) -> None:
@@ -983,32 +965,12 @@ class _MegaWarpEngine(FunctionalExecutor):
         hashes = None
         if skippable and not instr.is_control:
             hashes = self._hash_rows(pc, active, srcs)
-        # The per-row loop below runs once per warp-instruction — the
-        # single hottest path in the engine.  Convert the numpy columns
-        # to python lists up front and inline static_issue_key (a pure
-        # tuple of fields already at hand) to keep the loop scalar-only.
-        act_l = n_act.tolist()
-        uni_l = uniform.tolist()
-        aff_l = affine.tolist()
-        bank_l = bank.tolist() if bank is not None else None
-        for i, ws in enumerate(ws_list):
-            bk = bank_l[i] if bank_l is not None else 1
-            ln = lines[i] if lines is not None else None
-            rec = TraceRecord(
-                pc,
-                act_l[i],
-                uni_l[i],
-                aff_l[i],
-                hashes[i] if hashes is not None else None,
-                ln,
-                shared,
-                bk,
-            )
-            ws.trace.records.append(rec)
-            ws.sig.append((pc, act_l[i], shared, bk, len(ln) if ln else 0))
+        self._steps.append(
+            (rows, pc, n_act, uniform, affine, hashes, shared, bank, lines)
+        )
 
     def _hash_rows(self, pc: int, active: np.ndarray,
-                   srcs) -> List[int]:
+                   srcs) -> np.ndarray:
         """Per-row source hashes matching
         :func:`repro.sim.executor.hash_sources` bit for bit — one
         vectorized multiply-sum digest pass over the whole group."""
@@ -1091,32 +1053,76 @@ class _MegaWarpEngine(FunctionalExecutor):
         )
 
     # -- trace assembly --------------------------------------------------
-    def emit(self, out_blocks: List[BlockTrace]) -> None:
+    def _columns(self) -> Tuple[TraceColumns, np.ndarray]:
+        """The chunk's records in block/warp order (each warp's rows in
+        step order), plus each warp row's record count."""
+        steps = self._steps
+        if not steps:
+            return TraceColumns.empty(), np.zeros(self.W, dtype=np.int64)
+        sizes = [len(st[0]) for st in steps]
+
+        def per_row(i: int) -> np.ndarray:
+            return np.repeat([st[i] for st in steps], sizes)
+
+        def cat(i: int, fill, dtype) -> np.ndarray:
+            return np.concatenate([
+                st[i] if st[i] is not None else np.full(n, fill, dtype)
+                for st, n in zip(steps, sizes)
+            ])
+
+        rows = np.concatenate([st[0] for st in steps])
+        lines = [st[8] for st in steps if st[8] is not None]
+        cols = TraceColumns.from_arrays(
+            pc=per_row(1),
+            active=np.concatenate([st[2] for st in steps]),
+            uniform=np.concatenate([st[3] for st in steps]),
+            affine=np.concatenate([st[4] for st in steps]),
+            hashed=np.repeat([st[5] is not None for st in steps], sizes),
+            src_hash=cat(5, 0, np.uint64),
+            shared=per_row(6),
+            bank_conflict=cat(7, 1, np.int64),
+            n_lines=np.concatenate([
+                st[8][0] if st[8] is not None
+                else np.zeros(n, dtype=np.int64)
+                for st, n in zip(steps, sizes)
+            ]),
+            lines=np.concatenate(
+                [ln[1] for ln in lines] or [np.zeros(0, np.int64)]
+            ),
+        )
+        # Stable: a warp's rows keep their step (= program) order.
+        cols = cols.take(np.argsort(rows, kind="stable"))
+        return cols, np.bincount(rows, minlength=self.W)
+
+    def emit(self, out_blocks: List[BlockTrace],
+             base: int) -> TraceColumns:
+        """Append the chunk's blocks, their warps' row ranges starting
+        at ``base``, and return the chunk's columns."""
         grid = self.launch.grid
-        intern = self.sig_intern
+        cols, counts = self._columns()
+        stops = (base + np.cumsum(counts)).tolist()
+        starts = [base] + stops[:-1]
+        wpb = self.wpb
         for b in range(self.nblocks):
             block_id = self.lo + b
-            wtraces = []
-            for ws in self._block_warps[b]:
-                wt = ws.trace
-                if self.collect_trace:
-                    key = tuple(ws.sig)
-                    wt.sig_base = intern.setdefault(key, key)
-                wtraces.append(wt)
-            out_blocks.append(
-                BlockTrace(block_id, grid.linear_to_xyz(block_id),
-                           wtraces)
-            )
+            out_blocks.append(BlockTrace(
+                block_id, grid.linear_to_xyz(block_id),
+                [
+                    WarpTrace(block_id, w, starts[r], stops[r])
+                    for w, r in enumerate(range(b * wpb, (b + 1) * wpb))
+                ],
+            ))
+        return cols
 
 
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
 def attempt_vectorization(host: FunctionalExecutor,
-                          trace: KernelTrace) -> int:
-    """Called from ``FunctionalExecutor.run``.  Returns how many leading
-    blocks the megawarp covered: the whole grid when it committed, 0 on
-    skip or bail (the serial loop then covers everything).
+                          trace: KernelTrace) -> bool:
+    """Called from ``FunctionalExecutor.run``.  Returns True when the
+    megawarp committed the whole launch, False on skip or bail (the
+    serial loop then covers everything).
 
     In ``verify`` mode the megawarp runs against a fork and commits
     nothing; :func:`verify_vectorization` compares after the serial
@@ -1135,13 +1141,13 @@ def attempt_vectorization(host: FunctionalExecutor,
     if mode == "0":
         report.reason = "disabled"
         _engine_skip(report)
-        return 0
+        return False
     min_warps = 1 if mode == "verify" else MIN_WARPS
     if total_warps < min_warps:
         report.reason = "launch-too-small"
         report.detail = f"{total_warps} < {min_warps} warps"
         _engine_skip(report)
-        return 0
+        return False
     obs.inc("vector.engaged", kernel=host.kernel.name)
 
     shared_stride = (max(host.kernel.shared_mem_bytes, 16) + 127) \
@@ -1152,8 +1158,8 @@ def attempt_vectorization(host: FunctionalExecutor,
     ))
     fork = host.memory.fork()
     blocks: List[BlockTrace] = []
-    memo = _LineMemo()
-    sig_intern: Dict[tuple, tuple] = {}
+    parts: List[TraceColumns] = []
+    n_rows = 0
     counters: Dict[str, int] = {}
     executed = 0
     try:
@@ -1164,16 +1170,15 @@ def attempt_vectorization(host: FunctionalExecutor,
             # blocks observe earlier blocks' stores serially.
             for lo in range(0, grid.count, blocks_per_chunk):
                 hi = min(lo + blocks_per_chunk, grid.count)
-                engine = _MegaWarpEngine(
-                    host, lo, hi, fork, memo, sig_intern, executed
-                )
+                engine = _MegaWarpEngine(host, lo, hi, fork, executed)
                 try:
                     engine.run_megawarp()
                     engine.check_hazards()
                 finally:
                     for key, val in engine.counters.items():
                         counters[key] = counters.get(key, 0) + val
-                engine.emit(blocks)
+                parts.append(engine.emit(blocks, n_rows))
+                n_rows += len(parts[-1])
                 executed = engine._executed
     except (_VBail, MemoryError_, ExecutionError) as exc:
         # Discard everything; the serial rerun reproduces the exact
@@ -1189,18 +1194,20 @@ def attempt_vectorization(host: FunctionalExecutor,
             "vector", report.kernel, report.reason,
             detail=report.detail, bailed=True,
         )
-        return 0
+        return False
 
     _emit_counters(host.kernel.name, counters)
     report.engaged = True
+    cols = TraceColumns.concat(parts)
     if mode == "verify":
-        host._pending_vector_verify = (fork, blocks)
-        return 0
+        host._pending_vector_verify = (fork, blocks, cols)
+        return False
 
     # Commit the forked prefix in place, so existing dtype views over
     # the buffer stay valid, then adopt the megawarp traces.
     host.memory.buf[:fork.size] = fork.buf
     trace.blocks.extend(blocks)
+    trace.cols = cols
     report.warps_vectorized = total_warps
     obs.inc(
         "vector.warps_vectorized", total_warps, kernel=report.kernel
@@ -1209,7 +1216,7 @@ def attempt_vectorization(host: FunctionalExecutor,
         "vector", "engage", kernel=report.kernel,
         units_total=report.warps_total, units_taken=total_warps,
     )
-    return grid.count
+    return True
 
 
 def _emit_counters(kernel: str, counters: Dict[str, int]) -> None:
@@ -1235,8 +1242,8 @@ def verify_vectorization(host: FunctionalExecutor,
     if pending is None:
         return
     host._pending_vector_verify = None
-    fork, blocks = pending
-    diffs = _trace_diffs(blocks, trace.blocks)
+    fork, blocks, cols = pending
+    diffs = _trace_diffs(blocks, cols, trace.blocks, trace.cols)
     serial = host.memory.buf[:fork.size]
     if not np.array_equal(fork.buf, serial):
         bad = np.flatnonzero(fork.buf != serial)
@@ -1259,14 +1266,17 @@ def verify_vectorization(host: FunctionalExecutor,
     )
 
 
+#: Record columns compared under ``verify``; ``lines`` is compared
+#: per row.
 _RECORD_FIELDS = (
-    "pc", "active", "uniform", "affine", "src_hash", "lines", "shared",
+    "pc", "active", "uniform", "affine", "hashed", "src_hash", "shared",
     "bank_conflict",
 )
 
 
-def _trace_diffs(xblocks: List[BlockTrace],
-                 sblocks: List[BlockTrace]) -> List[str]:
+def _trace_diffs(xblocks: List[BlockTrace], xcols: TraceColumns,
+                 sblocks: List[BlockTrace],
+                 scols: TraceColumns) -> List[str]:
     if len(xblocks) != len(sblocks):
         return [f"block count {len(xblocks)} != {len(sblocks)}"]
     diffs: List[str] = []
@@ -1276,25 +1286,39 @@ def _trace_diffs(xblocks: List[BlockTrace],
             sb.block_linear_id, sb.block_xyz
         ):
             diffs.append(f"{where}: identity mismatch")
-            continue
-        if len(xb.warps) != len(sb.warps):
-            diffs.append(f"{where}: warp count")
-            continue
-        for xw, sw in zip(xb.warps, sb.warps):
-            head = f"{where} warp {sw.warp_in_block}"
-            if len(xw.records) != len(sw.records):
-                diffs.append(
-                    f"{head}: {len(xw.records)} records != "
-                    f"{len(sw.records)}"
-                )
-                continue
-            for i, (xr, sr) in enumerate(zip(xw.records, sw.records)):
-                for f in _RECORD_FIELDS:
-                    if getattr(xr, f) != getattr(sr, f):
-                        diffs.append(
-                            f"{head} record {i} ({f}): "
-                            f"{getattr(xr, f)!r} != {getattr(sr, f)!r}"
-                        )
-                if len(diffs) > 8:
-                    return diffs
+        elif [(w.warp_in_block, w.start, w.stop) for w in xb.warps] != [
+            (w.warp_in_block, w.start, w.stop) for w in sb.warps
+        ]:
+            diffs.append(
+                f"{where}: warp row ranges "
+                f"{[len(w) for w in xb.warps]} != "
+                f"{[len(w) for w in sb.warps]} records"
+            )
+        if len(diffs) > 8:
+            return diffs
+    if diffs or len(xcols) != len(scols):
+        return diffs or [f"{len(xcols)} records != {len(scols)}"]
+    # Rows line up: find every differing (row, column).
+    bad = np.zeros(len(scols), dtype=bool)
+    for f in _RECORD_FIELDS:
+        bad |= getattr(xcols, f) != getattr(scols, f)
+    bad |= xcols.n_lines != scols.n_lines
+    if not bad.any():
+        # Equal line counts: the flat lines align position by position.
+        pos = np.flatnonzero(xcols.lines != scols.lines)
+        bad[np.searchsorted(scols.line_off, pos, side="right") - 1] = True
+    warps = [w for b in sblocks for w in b.warps]
+    for i in np.flatnonzero(bad)[:8].tolist():
+        warp = next(w for w in warps if w.start <= i < w.stop)
+        head = (
+            f"block {warp.block_linear_id} warp {warp.warp_in_block} "
+            f"record {i - warp.start}"
+        )
+        for f in _RECORD_FIELDS + ("lines",):
+            if f == "lines":
+                a, b = xcols.row_lines(i), scols.row_lines(i)
+            else:
+                a, b = getattr(xcols, f)[i], getattr(scols, f)[i]
+            if a != b:
+                diffs.append(f"{head} ({f}): {a!r} != {b!r}")
     return diffs

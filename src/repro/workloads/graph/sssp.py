@@ -97,6 +97,9 @@ class SSSPWorkload(Workload):
         assert (got >= exact).all(), "beats true shortest path"
 
     def _bellman_ford(self, rounds: int):
+        """Distances after ``rounds`` synchronous relaxation rounds.
+        A round reads only its snapshot, so once one changes nothing
+        every later round is a no-op and the loop stops there."""
         dist = np.full(self.n, np.int64(INF))
         dist[0] = 0
         for _ in range(rounds):
@@ -109,4 +112,6 @@ class SSSPWorkload(Workload):
                     cand = snapshot[u] + self.weights[e]
                     if cand < dist[v]:
                         dist[v] = cand
+            if np.array_equal(dist, snapshot):
+                break
         return dist

@@ -15,6 +15,8 @@ from repro.arch import (
 from repro.isa import CmpOp, DType, KernelBuilder, Param
 from repro.sim import Cache, Device, tiny
 
+from .trace_oracles import records
+
 CONFIG = tiny()
 
 
@@ -126,7 +128,7 @@ class TestDAC:
         dac = run_arch(DACArch(), trace)
         instrs = trace.kernel.instructions
         n_state_changing = sum(
-            1 for _b, _w, r in trace.records()
+            1 for _b, _w, r in records(trace)
             if instrs[r.pc].is_store or instrs[r.pc].is_barrier
             or instrs[r.pc].is_branch
         )
@@ -137,7 +139,7 @@ class TestDAC:
         dac = run_arch(DACArch(), trace)
         instrs = trace.kernel.instructions
         squares = sum(
-            1 for _b, _w, r in trace.records()
+            1 for _b, _w, r in records(trace)
             if instrs[r.pc].opcode.value == "mul"
             and instrs[r.pc].dst is not None
             and instrs[r.pc].dst.name.startswith("%r")

@@ -6,6 +6,8 @@ import pytest
 from repro.isa import DType, KernelBuilder, Param
 from repro.sim import Device, TimingSimulator, bank_conflict_degree, tiny
 
+from .trace_oracles import records
+
 
 class TestConflictDegree:
     def test_consecutive_words_conflict_free(self):
@@ -63,7 +65,7 @@ class TestConflictTiming:
     def test_records_carry_conflict_degree(self):
         trace, _ = self._run(32)
         shared_records = [
-            r for _b, _w, r in trace.records() if r.shared
+            r for _b, _w, r in records(trace) if r.shared
         ]
         assert shared_records
         assert max(r.bank_conflict for r in shared_records) == 32
@@ -76,6 +78,6 @@ class TestConflictTiming:
     def test_conflict_free_records(self):
         trace, _ = self._run(1)
         shared_records = [
-            r for _b, _w, r in trace.records() if r.shared
+            r for _b, _w, r in records(trace) if r.shared
         ]
         assert all(r.bank_conflict == 1 for r in shared_records)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from repro.arch import R2D2Arch
-from repro.arch.darsie import _compute_skips
+from repro.arch.darsie import skipped_rows
 from repro.isa import DType, KernelBuilder, Param
 from repro.sim import Cache, Device, tiny
 from repro.workloads import factory
+
+from .trace_oracles import darsie_skip_rows
 
 
 class TestRegisterPressureFallback:
@@ -81,17 +83,13 @@ class TestDarsieStoreFence:
 
     def _skipped_loads(self, trace):
         instrs = trace.kernel.instructions
-        total = 0
-        for block in trace.blocks:
-            skips = _compute_skips(block, instrs)
-            for warp in block.warps:
-                for idx in skips.get(warp.warp_in_block, set()):
-                    record = warp.records[idx]
-                    if instrs[record.pc].is_load and instrs[
-                        record.pc
-                    ].is_global_memory:
-                        total += 1
-        return total
+        skip = skipped_rows(trace)
+        # the per-record reference walk agrees row for row
+        assert np.array_equal(skip, darsie_skip_rows(trace))
+        gload = np.array(
+            [i.is_load and i.is_global_memory for i in instrs]
+        )
+        return int((skip & gload[trace.cols.pc]).sum())
 
     def test_non_aliasing_stores_allow_load_reuse(self):
         trace = self._trace_with_reload(store_aliases=False)

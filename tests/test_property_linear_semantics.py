@@ -123,8 +123,8 @@ def test_coefficient_vectors_predict_register_values(program):
     captured = {}
 
     class CapturingExecutor(FunctionalExecutor):
-        def _run_block(self, block_id, block_xyz):
-            trace = super()._run_block(block_id, block_xyz)
+        def _run_block(self, block_id, block_xyz, warp_rows):
+            trace = super()._run_block(block_id, block_xyz, warp_rows)
             return trace
 
     # simpler: re-run one block manually through WarpContext inspection
@@ -133,10 +133,9 @@ def test_coefficient_vectors_predict_register_values(program):
     n_instr = len(kernel.instructions)
     warp = WarpContext(0, block_xyz, BLOCK, n_instr)
     wtrace_holder = []
-    from repro.sim.trace import WarpTrace
-    wtrace = WarpTrace(0, 0)
+    wrows = []  # the warp's record tuples
     from repro.sim.memory import SharedMemory
-    ex._run_warp_until_break(warp, wtrace, SharedMemory(16))
+    ex._run_warp_until_break(warp, wrows, SharedMemory(16))
 
     # Compare analyzer predictions against actual register contents.
     vec_by_reg = {}

@@ -15,6 +15,8 @@ from repro.isa import (
 )
 from repro.sim import Device, ExecutionError, tiny
 
+from .trace_oracles import records
+
 
 def make_device():
     return Device(tiny())
@@ -260,7 +262,7 @@ class TestTraceContents:
     def test_uniform_flag(self):
         _, trace = run_simple(lambda b, p: b.add(p[0], 1), extra_args=(7,))
         adds = [
-            r for _b, _w, r in trace.records()
+            r for _b, _w, r in records(trace)
             if trace.kernel.instructions[r.pc].opcode.value == "add"
         ]
         assert adds and all(r.uniform for r in adds)
@@ -268,14 +270,14 @@ class TestTraceContents:
     def test_affine_flag_on_tid(self):
         _, trace = run_simple(lambda b, p: b.mul(b.tid_x(), 4))
         muls = [
-            r for _b, _w, r in trace.records()
+            r for _b, _w, r in records(trace)
             if trace.kernel.instructions[r.pc].opcode.value == "mul"
         ]
         assert muls and all(r.affine for r in muls)
 
     def test_coalesced_lines_counted(self):
         _, trace = run_simple(lambda b, p: b.tid_x())
-        stores = [r for _b, _w, r in trace.records() if r.lines]
+        stores = [r for _b, _w, r in records(trace) if r.lines]
         # 32 lanes x 4B = 128B = 1 line when aligned
         assert stores
         assert all(len(r.lines) <= 2 for r in stores)
@@ -291,7 +293,7 @@ class TestTraceContents:
         d_out = dev.alloc(4 * 32)
         trace = dev.launch(b.build(), grid=1, block=32, args=(d_out,))
         stores = [
-            r for _b, _w, r in trace.records()
+            r for _b, _w, r in records(trace)
             if trace.kernel.instructions[r.pc].is_store
         ]
         assert stores[0].active == 4

@@ -11,7 +11,6 @@ from repro.sim import (
     IssueMode,
     IssuePolicy,
     TimingSimulator,
-    WarpIssuePlan,
     tiny,
 )
 
@@ -105,16 +104,14 @@ class TestIssuePolicies:
         trace = vadd_trace(n=4096)
 
         class SkipArith(IssuePolicy):
-            def plan_warp(self, block, warp):
+            def plan(self, trace):
                 instrs = trace.kernel.instructions
-                modes = [
-                    IssueMode.SKIP
-                    if not instrs[r.pc].is_memory
-                    and not instrs[r.pc].is_control
-                    else IssueMode.SIMD
-                    for r in warp.records
-                ]
-                return WarpIssuePlan(modes=modes)
+                modes, extra = super().plan(trace)
+                arith = np.array([
+                    not i.is_memory and not i.is_control for i in instrs
+                ])
+                modes[arith[trace.cols.pc]] = IssueMode.SKIP
+                return modes, extra
 
         base = TimingSimulator(tiny(), trace).run()
         skip = TimingSimulator(tiny(), trace, policy=SkipArith()).run()
@@ -126,16 +123,14 @@ class TestIssuePolicies:
         trace = vadd_trace(n=2048)
 
         class ScalarArith(IssuePolicy):
-            def plan_warp(self, block, warp):
+            def plan(self, trace):
                 instrs = trace.kernel.instructions
-                modes = [
-                    IssueMode.SCALAR
-                    if not instrs[r.pc].is_memory
-                    and not instrs[r.pc].is_control
-                    else IssueMode.SIMD
-                    for r in warp.records
-                ]
-                return WarpIssuePlan(modes=modes)
+                modes, extra = super().plan(trace)
+                arith = np.array([
+                    not i.is_memory and not i.is_control for i in instrs
+                ])
+                modes[arith[trace.cols.pc]] = IssueMode.SCALAR
+                return modes, extra
 
         res = TimingSimulator(tiny(), trace, policy=ScalarArith()).run()
         assert res.issued_scalar > 0
@@ -160,10 +155,10 @@ class TestIssuePolicies:
         trace = vadd_trace(n=2048)
 
         class Extra(IssuePolicy):
-            def plan_warp(self, block, warp):
-                return WarpIssuePlan(
-                    extra_latency=[50] * len(warp.records)
-                )
+            def plan(self, trace):
+                modes, extra = super().plan(trace)
+                extra[:] = 50
+                return modes, extra
 
         base = TimingSimulator(tiny(), trace).run()
         extra = TimingSimulator(tiny(), trace, policy=Extra()).run()

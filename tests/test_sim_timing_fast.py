@@ -23,7 +23,6 @@ from repro.sim import (
     MemoryHierarchy,
     TimingResult,
     TimingSimulator,
-    WarpIssuePlan,
     timing_differences,
     timing_mode_from_env,
     tiny,
@@ -145,36 +144,32 @@ class TestVerifyEquivalence:
 
     def test_skip_mode_policy(self):
         trace = vadd_trace()
-        instrs = trace.kernel.instructions
 
         class SkipArith(IssuePolicy):
-            def plan_warp(self, block, warp):
-                modes = [
-                    IssueMode.SKIP
-                    if not instrs[r.pc].is_memory
-                    and not instrs[r.pc].is_control
-                    else IssueMode.SIMD
-                    for r in warp.records
-                ]
-                return WarpIssuePlan(modes=modes)
+            def plan(self, trace):
+                instrs = trace.kernel.instructions
+                modes, extra = super().plan(trace)
+                arith = np.array([
+                    not i.is_memory and not i.is_control for i in instrs
+                ])
+                modes[arith[trace.cols.pc]] = IssueMode.SKIP
+                return modes, extra
 
         res = _verify(trace, tiny(), policy=SkipArith())
         assert res.skipped > 0
 
     def test_scalar_mode_policy(self):
         trace = vadd_trace()
-        instrs = trace.kernel.instructions
 
         class ScalarArith(IssuePolicy):
-            def plan_warp(self, block, warp):
-                modes = [
-                    IssueMode.SCALAR
-                    if not instrs[r.pc].is_memory
-                    and not instrs[r.pc].is_control
-                    else IssueMode.SIMD
-                    for r in warp.records
-                ]
-                return WarpIssuePlan(modes=modes)
+            def plan(self, trace):
+                instrs = trace.kernel.instructions
+                modes, extra = super().plan(trace)
+                arith = np.array([
+                    not i.is_memory and not i.is_control for i in instrs
+                ])
+                modes[arith[trace.cols.pc]] = IssueMode.SCALAR
+                return modes, extra
 
         for scheduler in ("gto", "rr"):
             cfg = tiny().with_scheduler(scheduler)
@@ -185,10 +180,10 @@ class TestVerifyEquivalence:
         trace = vadd_trace()
 
         class Extra(IssuePolicy):
-            def plan_warp(self, block, warp):
-                return WarpIssuePlan(
-                    extra_latency=[7] * len(warp.records)
-                )
+            def plan(self, trace):
+                modes, extra = super().plan(trace)
+                extra[:] = 7
+                return modes, extra
 
             def sm_prologue_cycles(self, sm_id):
                 return 40 + sm_id
@@ -332,10 +327,10 @@ class TestPrepCache:
         trace = vadd_trace(config=cfg)
 
         class Extra(IssuePolicy):
-            def plan_warp(self, block, warp):
-                return WarpIssuePlan(
-                    extra_latency=[3] * len(warp.records)
-                )
+            def plan(self, trace):
+                modes, extra = super().plan(trace)
+                extra[:] = 3
+                return modes, extra
 
         pol = Extra()
         s1 = TimingSimulator(cfg, trace, policy=pol)

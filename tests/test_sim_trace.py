@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa import Dim3, Kernel, LaunchConfig
-from repro.sim import BlockTrace, KernelTrace, TraceRecord, WarpTrace, coalesce
+from repro.sim import BlockTrace, KernelTrace, WarpTrace, coalesce
 
 
 class TestCoalesce:
@@ -49,13 +49,16 @@ class TestTraceContainers:
         for blk in range(2):
             block = BlockTrace(blk, (blk, 0, 0))
             for w in range(2):
-                warp = WarpTrace(blk, w)
-                warp.records = [
-                    TraceRecord(pc=0, active=32),
-                    TraceRecord(pc=1, active=16, uniform=True),
-                ]
-                block.warps.append(warp)
+                block.warps.append(WarpTrace(blk, w))
             trace.blocks.append(block)
+        # (pc, active, uniform, affine, src_hash, shared, bank, lines)
+        trace.set_rows([
+            [
+                (0, 32, False, False, None, False, 1, None),
+                (1, 16, True, False, 7, False, 1, (128, 256)),
+            ]
+            for _ in range(4)
+        ])
         return trace
 
     def test_warp_instruction_count(self):
@@ -65,11 +68,28 @@ class TestTraceContainers:
         assert self._trace().thread_instruction_count() == 4 * (32 + 16)
 
     def test_records_iterates_all(self):
-        assert len(list(self._trace().records())) == 8
+        trace = self._trace()
+        warps = [w for b in trace.blocks for w in b.warps]
+        assert [(w.start, w.stop) for w in warps] == [
+            (0, 2), (2, 4), (4, 6), (6, 8)
+        ]
+        assert len(trace.cols) == sum(len(w) for w in warps) == 8
+        assert trace.row_blocks().tolist() == [0] * 4 + [1] * 4
 
-    def test_warps_per_block(self):
-        assert self._trace().warps_per_block == 2
+    def test_columns_keep_record_fields(self):
+        cols = self._trace().cols
+        assert cols.pc.tolist() == [0, 1] * 4
+        assert cols.uniform.tolist() == [False, True] * 4
+        assert cols.hashed.tolist() == [False, True] * 4
+        assert cols.src_hash.tolist() == [0, 7] * 4
+        assert cols.n_lines.tolist() == [0, 2] * 4
+        assert cols.row_lines(1) == (128, 256)
+        assert cols.row_lines(0) == ()
 
-    def test_record_repr_flags(self):
-        r = TraceRecord(pc=3, active=8, uniform=True, affine=True)
-        assert "U" in repr(r) and "A" in repr(r)
+    def test_take_reorders_line_segments(self):
+        cols = self._trace().cols
+        rev = cols.take(np.arange(len(cols))[::-1])
+        assert rev.pc.tolist() == [1, 0] * 4
+        assert rev.row_lines(0) == (128, 256)
+        assert rev.row_lines(1) == ()
+        assert rev.lines.tolist() == [128, 256] * 4

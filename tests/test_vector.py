@@ -22,6 +22,7 @@ from repro.sim import (
     vector_mode,
 )
 from repro.sim import vector as vector_engine
+from repro.sim.timing_fast import prep_for
 from repro.sim.memory import MemoryError_
 from repro.workloads import factory as workload_factory
 import random
@@ -239,25 +240,46 @@ class TestCommitPath:
         assert np.array_equal(serial, vectored)
         assert trace.vector.engaged and not trace.vector.bailed
 
-    def test_sig_base_matches_static_issue_keys(self):
+    def test_megawarp_columns_match_serial(self):
+        serial, _ = _run(_collatz_kernel(), "0")
         trace, _ = _run(_collatz_kernel(), "1")
-        for block in trace.blocks:
-            for warp in block.warps:
-                assert warp.sig_base == tuple(
-                    r.static_issue_key() for r in warp.records
-                )
+        assert trace.vector.engaged
+        ranges = [
+            [(w.warp_in_block, w.start, w.stop) for w in b.warps]
+            for b in trace.blocks
+        ]
+        assert ranges == [
+            [(w.warp_in_block, w.start, w.stop) for w in b.warps]
+            for b in serial.blocks
+        ]
+        for name in ("pc", "active", "uniform", "affine", "hashed",
+                     "src_hash", "shared", "bank_conflict", "line_off",
+                     "lines"):
+            got = getattr(trace.cols, name)
+            want = getattr(serial.cols, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
-    def test_sig_base_interned_on_regular_kernel(self):
+    def test_prep_groups_warps_by_column_keys(self):
         trace, _ = _run(_vadd_kernel(), "1")
-        bases = set()
-        for block in trace.blocks:
-            for warp in block.warps:
-                assert warp.sig_base == tuple(
-                    r.static_issue_key() for r in warp.records
-                )
-                bases.add(id(warp.sig_base))
-        # Interning: identical streams share one tuple object.
-        assert len(bases) < sum(len(b.warps) for b in trace.blocks)
+        prep = prep_for(TimingSimulator(tiny(), trace))
+        warps = [w for b in trace.blocks for w in b.warps]
+        # Identical key rows share one group: a regular kernel has far
+        # fewer signatures than warps.
+        assert prep.n_groups < len(warps)
+        cols = trace.cols
+        key = np.stack([cols.pc, cols.active, cols.n_lines], axis=1)
+        groups = [g for b in trace.blocks for g in prep.block_info[id(b)][1]]
+        for w, g in zip(warps, groups):
+            assert g.n == len(w)
+            assert g.active == cols.active[w.start:w.stop].tolist()
+            assert g.n_lines == cols.n_lines[w.start:w.stop].tolist()
+        by_key = {}
+        for w, g in zip(warps, groups):
+            by_key.setdefault(key[w.start:w.stop].tobytes(), set()).add(
+                id(g)
+            )
+        assert all(len(ids) == 1 for ids in by_key.values())
 
     def test_timing_replay_agrees_on_megawarp_trace(self):
         trace, _ = _run(_vadd_kernel(), "1")
@@ -404,6 +426,32 @@ class TestVerifyMode:
     def test_partial_tail_verifies(self):
         trace, _ = _run(_vadd_kernel(), "verify", n=1000 - 17)
         assert trace.vector.verified
+
+    def test_trace_diffs_name_record_and_column(self):
+        trace, _ = _run(_vadd_kernel(), "0")
+        cols = trace.cols
+        row = int(np.flatnonzero(cols.n_lines)[3])
+        warp = next(
+            w for b in trace.blocks for w in b.warps
+            if w.start <= row < w.stop
+        )
+        lines = cols.take(np.arange(len(cols)))
+        lines.lines[lines.line_off[row]] += 128
+        hashes = cols.take(np.arange(len(cols)))
+        hashes.src_hash[warp.start] ^= 1
+        for bad, field, idx in ((lines, "lines", row - warp.start),
+                                (hashes, "src_hash", 0)):
+            diffs = vector_engine._trace_diffs(
+                trace.blocks, bad, trace.blocks, cols
+            )
+            assert len(diffs) == 1
+            assert diffs[0].startswith(
+                f"block {warp.block_linear_id} warp {warp.warp_in_block} "
+                f"record {idx} ({field})"
+            )
+        assert vector_engine._trace_diffs(
+            trace.blocks, cols, trace.blocks, cols
+        ) == []
 
     def test_chunked_execution_verifies(self, monkeypatch):
         # force multiple chunks so chunk boundaries are exercised
