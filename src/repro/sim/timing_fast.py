@@ -9,15 +9,17 @@ trace, scheduler, and issue policy.  Four layers:
 regular kernels those slices have identical signature sequences
 (:meth:`_Prep.sm_signature`).  The first SM of a repeated signature is
 simulated with recording on: its global-memory accesses in issue order
-with their L1/L2/DRAM outcomes, its counter deltas, and its energy
-increments.  A later SM with the same signature only replays those
-accesses against a fresh L1 and the real shared L2.  If every access
-resolves to the representative's outcome, the SM's dynamics are
-provably identical and the recorded deltas are committed without
-re-simulating; the L2 content evolution stays exact because the replay
-performs the very accesses a full simulation would.  On any outcome
-mismatch the L2 is rolled back to a snapshot and the SM is simulated
-in full.
+with their L1/L2/DRAM outcomes, its cycles, and its energy increments.
+A later SM with the same signature only replays those accesses against
+a fresh L1 and the real shared L2.  If every load and atomic resolves
+to the representative's outcome, the SM's dynamics are provably
+identical: a store may resolve differently, because it writes no
+register and its LSU slots depend only on its line count.  The clone
+then commits the representative's cycles and energy with its own DRAM
+count, L1 statistics and ``l2``/``dram`` energy, without re-simulating;
+the L2 content evolution stays exact because the replay performs the
+very accesses a full simulation would.  On a load or atomic mismatch
+the L2 is rolled back to a snapshot and the SM is simulated in full.
 
 **Record-stream precompilation.**  The signature pass (:class:`_Prep`)
 keys each warp by the bytes of its rows of seven columns — ``pc``,
@@ -43,7 +45,9 @@ non-memory records retires in a closed-form burst (``burst`` in
 :func:`_run_sm`) without consulting the other schedulers at all.
 Bursts preserve the reference's issue order (and therefore its energy
 float-addition order) because the bursting warp is, by construction,
-the only warp the reference could have issued in that interval.
+the only warp the reference could have issued in that interval.  The
+scan stops at the second warp ready now: then neither a jump nor a
+burst can apply.
 
 **Array-backed cache model.**  ``sim/caches.py`` stores tags and LRU
 stamps in numpy arrays, so a multi-line record that hits entirely in L1
@@ -53,8 +57,11 @@ than a per-line Python loop.
 Energy stays exact across clones because no SM adds into the running
 totals directly: each appends its increments to per-component lists in
 issue order and folds them on when it finishes (:func:`_fold`), and a
-clone folds the representative's lists the same way.  The engine is
-selected with ``R2D2_TIMING={fast,reference,verify}`` (see
+clone folds the representative's lists the same way, with its own
+``l2`` and ``dram`` lists in place of the representative's.  The issue
+counters need no per-SM bookkeeping: every row issues or skips exactly
+once, so :func:`run_fast` reduces them from the issue plan.  The engine
+is selected with ``R2D2_TIMING={fast,reference,verify}`` (see
 :meth:`TimingSimulator.run`); ``verify`` runs this engine *and* the
 reference loop and asserts equality field by field.
 """
@@ -76,13 +83,13 @@ from .trace import BlockTrace
 _FAR = 1 << 60
 
 # Record kinds, mirroring the branch structure of
-# ``TimingSimulator._issue``.
-_K_SCALAR = 0
-_K_BARRIER = 1
-_K_GMEM = 2
-_K_SMEM = 3
-_K_ALU = 4
-_K_SKIP = 5
+# ``TimingSimulator._issue`` (scalar-pipeline records complete like ALU
+# ones).
+_K_BARRIER = 0
+_K_GMEM = 1
+_K_SMEM = 2
+_K_ALU = 3
+_K_SKIP = 4
 
 class _SigGroup:
     """Per-record static issue tables shared by all warps of one
@@ -103,7 +110,6 @@ class _SigGroup:
         "next_scalar",
         "skip_next",
         "skip_dsts",
-        "skip_count",
         "has_scalar",
     )
 
@@ -124,7 +130,6 @@ class _SigGroup:
         self.next_scalar: List[bool] = []
         self.skip_next: List[int] = []
         self.skip_dsts: List[Tuple[int, ...]] = []
-        self.skip_count: List[int] = []
         self.has_scalar = False
 
 
@@ -185,7 +190,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
             ("rf", e.rf_read_pj + e.rf_write_pj),
         )
         return (
-            _K_SCALAR, alu_lat, extra, active, dst_id,
+            _K_ALU, alu_lat, extra, active, dst_id,
             src_ids, eadds, 0, n_lines, instr.is_store, next_scalar,
             mode == IssueMode.SCALAR,
         )
@@ -239,17 +244,13 @@ def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
 
     # Maximal skip runs from every position (mirrors ``_advance_skips``):
     # ``skip_next[i]`` is the first non-SKIP index at or after i,
-    # ``skip_dsts[i]`` the destination slots written while skipping,
-    # ``skip_count[i]`` how many records were skipped.
+    # ``skip_dsts[i]`` the destination slots written while skipping.
     n = grp.n
+    grp.skip_dsts = [()] * (n + 1)
     if _K_SKIP not in grp.kind:
         grp.skip_next = list(range(n + 1))
-        grp.skip_dsts = [()] * (n + 1)
-        grp.skip_count = [0] * (n + 1)
         return grp
     grp.skip_next = [0] * (n + 1)
-    grp.skip_dsts = [()] * (n + 1)
-    grp.skip_count = [0] * (n + 1)
     grp.skip_next[n] = n
     for i in range(n - 1, -1, -1):
         if grp.kind[i] == _K_SKIP:
@@ -259,7 +260,6 @@ def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
                 grp.skip_dsts[i] = (dst,) + grp.skip_dsts[i + 1]
             else:
                 grp.skip_dsts[i] = grp.skip_dsts[i + 1]
-            grp.skip_count[i] = grp.skip_count[i + 1] + 1
         else:
             grp.skip_next[i] = i
     return grp
@@ -457,19 +457,7 @@ def _refresh(w: _EW) -> None:
 class _SMRecord:
     """Everything needed to clone an SM without re-simulating it."""
 
-    __slots__ = (
-        "cycles",
-        "d_simd",
-        "d_scalar",
-        "d_skipped",
-        "d_threads",
-        "d_prologue",
-        "d_dram",
-        "l1_accesses",
-        "l1_hits",
-        "energy",
-        "memlog",
-    )
+    __slots__ = ("cycles", "d_prologue", "energy", "memlog")
 
 
 def _fold(evals: Dict[str, float], energy) -> None:
@@ -483,34 +471,42 @@ def _fold(evals: Dict[str, float], energy) -> None:
 
 def _try_clone(sim, prep: _Prep, rec: _SMRecord,
                blocks: List[BlockTrace], result: TimingResult) -> bool:
-    """Replay the representative's memory accesses for a candidate clone;
-    commit the recorded deltas if every outcome matches, else roll the L2
-    back and report failure."""
+    """Replay the representative's memory accesses for a candidate clone.
+    Every load and atomic must resolve to the representative's L1/L2/DRAM
+    outcome, else the L2 is rolled back and the clone fails.  A store may
+    resolve differently: it writes no register and its LSU slots depend
+    only on its line count, so the schedule, the cycles and every energy
+    list but ``l2``/``dram`` are the representative's.  The clone commits
+    those with its own DRAM count, L1 stats and per-access ``l2``/``dram``
+    increments, which in memlog order are its issue order."""
     cfg = sim.config
+    e = cfg.energy
     l2 = sim.l2
     snap = l2.snapshot() if rec.memlog else None
     l1 = Cache(cfg.l1)
     hierarchy = MemoryHierarchy(l1, l2, cfg.latency)
     off, lines = prep.line_off, prep.lines
+    own: Dict[str, List[float]] = {"l2": [], "dram": []}
+    dram = 0
     for bseq, wpos, ridx, want_l1, want_l2, want_dram, is_store in rec.memlog:
         r = blocks[bseq].warps[wpos].start + ridx
         acc = hierarchy.access(lines[off[r]:off[r + 1]], is_store=is_store)
-        if (
+        if not is_store and (
             acc.l1_hits != want_l1
             or acc.l2_hits != want_l2
             or acc.dram_accesses != want_dram
         ):
             l2.restore(snap)
             return False
-    result.issued_simd += rec.d_simd
-    result.issued_scalar += rec.d_scalar
-    result.skipped += rec.d_skipped
-    result.thread_ops += rec.d_threads
+        dram += acc.dram_accesses
+        n_l2 = off[r + 1] - off[r] - acc.l1_hits
+        own["l2"].append(e.l2_access_pj * (n_l2 if n_l2 > 0 else 0))
+        own["dram"].append(e.dram_access_pj * acc.dram_accesses)
     result.prologue_cycles += rec.d_prologue
-    result.dram_accesses += rec.d_dram
-    result.l1.accesses += rec.l1_accesses
-    result.l1.hits += rec.l1_hits
-    _fold(result.energy.values, rec.energy)
+    result.dram_accesses += dram
+    result.l1.merge(l1.stats)
+    _fold(result.energy.values,
+          ((key, own.get(key, seq)) for key, seq in rec.energy))
     return True
 
 
@@ -558,6 +554,18 @@ def run_fast(sim) -> TimingResult:
         obs.inc("dedup.clone_rejects", n_rejected, kernel=kname)
     obs.inc("dedup.signatures", len(sig_counts), kernel=kname)
 
+    # Every row issues or skips exactly once, on whichever SM, so the
+    # issue counters are reductions of the plan.
+    modes = sim.issue_plan()[0]
+    n_mode = np.bincount(modes, minlength=len(IssueMode)).tolist()
+    result.issued_simd = n_mode[IssueMode.SIMD]
+    result.issued_scalar = (
+        n_mode[IssueMode.SCALAR] + n_mode[IssueMode.SCALAR_INLINE]
+    )
+    result.skipped = n_mode[IssueMode.SKIP]
+    result.thread_ops = result.issued_scalar + int(
+        sim.trace.cols.active[modes == IssueMode.SIMD].sum(dtype=np.int64)
+    )
     result.cycles = max(sm_cycles) if sm_cycles else 0
     result.l2 = sim.l2.stats
     static = cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms
@@ -592,16 +600,8 @@ def _run_sm(
     # component -> this SM's increments in issue order (see _fold)
     energy: Dict[str, List[float]] = defaultdict(list)
 
-    if record:
-        pre_simd = result.issued_simd
-        pre_scalar = result.issued_scalar
-        pre_skipped = result.skipped
-        pre_threads = result.thread_ops
-        pre_prologue = result.prologue_cycles
-        pre_dram = result.dram_accesses
-        memlog: Optional[list] = []
-    else:
-        memlog = None
+    pre_prologue = result.prologue_cycles
+    memlog: Optional[list] = [] if record else None
 
     prologue = policy.sm_prologue_cycles(sm_id)
     result.prologue_cycles += prologue
@@ -629,15 +629,11 @@ def _run_sm(
             ew.start = start
             slot_counter += 1
             # Leading skip run (mirrors _advance_skips at activation).
-            n_sk = grp.skip_count[0] if grp.n else 0
-            if n_sk:
-                reg = ew.reg
-                for dst in grp.skip_dsts[0]:
-                    reg[dst] = start
-                result.skipped += n_sk
-                ew.idx = grp.skip_next[0]
-                if ew.idx >= grp.n:
-                    ew.done = True
+            for dst in grp.skip_dsts[0]:
+                ew.reg[dst] = start
+            ew.idx = grp.skip_next[0]
+            if ew.idx >= grp.n:
+                ew.done = True
             if not ew.done:
                 fb.warps.append(ew)
                 scheds[ew.slot % n_sched].append(ew)
@@ -658,15 +654,9 @@ def _run_sm(
         nonlocal active_count, nlive
         grp = w.grp
         i = w.idx + 1
-        n_sk = grp.skip_count[i]
-        if n_sk:
-            t1 = now + 1
-            reg = w.reg
-            for dst in grp.skip_dsts[i]:
-                reg[dst] = t1
-            result.skipped += n_sk
-            i = grp.skip_next[i]
-        w.idx = i
+        for dst in grp.skip_dsts[i]:
+            w.reg[dst] = now + 1
+        w.idx = i = grp.skip_next[i]
         if i >= grp.n:
             w.done = True
             w.rt = _FAR
@@ -689,16 +679,6 @@ def _run_sm(
         for key, pj in grp.eadds[i]:
             energy[key].append(pj)
         kind = grp.kind[i]
-        if kind == _K_SCALAR:
-            result.issued_scalar += 1
-            result.thread_ops += 1
-            dst = grp.dst[i]
-            if dst >= 0:
-                w.reg[dst] = now + grp.lat[i] + grp.extra[i]
-            finish(w, now)
-            return
-        result.issued_simd += 1
-        result.thread_ops += grp.active[i]
         if kind == _K_BARRIER:
             fb = w.fb
             fb.barrier_count += 1
@@ -747,25 +727,13 @@ def _run_sm(
         i = w.idx
         for key, pj in grp.eadds[i]:
             energy[key].append(pj)
-        if grp.kind[i] == _K_SCALAR:
-            result.issued_scalar += 1
-            result.thread_ops += 1
-        else:
-            result.issued_simd += 1
-            result.thread_ops += grp.active[i]
+        reg = w.reg
         dst = grp.dst[i]
         if dst >= 0:
-            w.reg[dst] = now + grp.lat[i] + grp.extra[i]
-        j = i + 1
-        n_sk = grp.skip_count[j]
-        if n_sk:
-            t1 = now + 1
-            reg = w.reg
-            for dst2 in grp.skip_dsts[j]:
-                reg[dst2] = t1
-            result.skipped += n_sk
-            j = grp.skip_next[j]
-        w.idx = j
+            reg[dst] = now + grp.lat[i] + grp.extra[i]
+        for dst in grp.skip_dsts[i + 1]:
+            reg[dst] = now + 1
+        w.idx = grp.skip_next[i + 1]
         _refresh(w)
 
     def burst(w: _EW, t: int, horizon: int) -> int:
@@ -865,19 +833,26 @@ def _run_sm(
             activate_block(t + 1)
             continue
         # Two smallest cached ready times across the SM decide the next
-        # step: jump, burst, or a full reference-order issue pass.
+        # step: jump, burst, or a full reference-order issue pass.  Once
+        # two warps are ready at ``t`` only the full pass can apply, so
+        # the scan stops there.
         w1 = None
         m1 = _FAR
         m2 = _FAR
         for lst in scheds:
             for w in lst:
                 rt = w.rt
-                if rt < m1:
-                    m2 = m1
-                    m1 = rt
-                    w1 = w
-                elif rt < m2:
-                    m2 = rt
+                if rt < m2:
+                    if rt < m1:
+                        m2 = m1
+                        m1 = rt
+                        w1 = w
+                    else:
+                        m2 = rt
+                    if m2 <= t:
+                        break
+            if m2 <= t:
+                break
         if m1 > t:
             # Nothing can issue this cycle: the reference loop's pick
             # passes come up empty and it jumps to the next event.
@@ -928,14 +903,7 @@ def _run_sm(
         return t, None
     smrec = _SMRecord()
     smrec.cycles = t
-    smrec.d_simd = result.issued_simd - pre_simd
-    smrec.d_scalar = result.issued_scalar - pre_scalar
-    smrec.d_skipped = result.skipped - pre_skipped
-    smrec.d_threads = result.thread_ops - pre_threads
     smrec.d_prologue = result.prologue_cycles - pre_prologue
-    smrec.d_dram = result.dram_accesses - pre_dram
-    smrec.l1_accesses = l1.stats.accesses
-    smrec.l1_hits = l1.stats.hits
     smrec.energy = tuple(energy.items())
     smrec.memlog = memlog
     return t, smrec

@@ -1,12 +1,14 @@
 """SM cloning in the event-driven timing engine is exact.
 
 ``TimingSimulator.run()`` simulates the first SM of a repeated signature
-and clones later SMs of that signature when their replayed memory
-accesses resolve exactly as the representative's did.  Every field of
-the result — integers, cache statistics, and the energy floats with
-their dict key order — must equal :meth:`TimingSimulator.run_reference`
-started from the same L2 state, whether or not a clone commits or is
-rolled back.  See docs/PERFORMANCE.md §4.
+and clones later SMs of that signature when their replayed loads and
+atomics resolve exactly as the representative's did; a replayed store
+may resolve differently, and the clone then commits its own DRAM count,
+L1 statistics and ``l2``/``dram`` energy.  Every field of the result —
+integers, cache statistics, and the energy floats with their dict key
+order — must equal :meth:`TimingSimulator.run_reference` started from
+the same L2 state, whether or not a clone commits or is rolled back.
+See docs/PERFORMANCE.md §4.
 """
 
 import numpy as np
@@ -149,3 +151,50 @@ def test_clone_rollback_exact():
     assert diffs == []
     assert obs.counter_value("dedup.clone_rejects", kernel="bcast") >= 1
     assert obs.counter_value("dedup.sms.cloned", kernel="bcast") > 0
+
+
+def _block_store_trace(threads, store_first):
+    """16 blocks on ``tiny()``'s 4 SMs; every thread stores
+    ``out[%ctaid.x]``, so all blocks store into one line.  The load is
+    ``a[global tid]`` (distinct lines per SM) before the store, or
+    ``a[%tid.x]`` (one line every block shares) after it."""
+    b = KernelBuilder(
+        "blockstore",
+        params=[Param("a", is_pointer=True), Param("out", is_pointer=True)],
+    )
+    a_p, out_p = b.param(0), b.param(1)
+    out_addr = b.addr(out_p, b.ctaid_x(), 4)
+    if store_first:
+        b.st_global(out_addr, b.tid_x(), DType.S32)
+        b.ld_global(b.addr(a_p, b.tid_x(), 4), DType.S32)
+    else:
+        v = b.ld_global(b.addr(a_p, b.global_tid_x(), 4), DType.S32)
+        b.st_global(out_addr, v, DType.S32)
+    blocks = 16
+    dev = Device(tiny())
+    da = dev.upload(np.ones(blocks * threads, dtype=np.int32))
+    dout = dev.alloc(4 * blocks)
+    return dev.launch(b.build(), blocks, threads, (da, dout))
+
+
+def test_store_outcome_mismatch_still_clones():
+    """SM1's first store hits the L2 line SM0's store allocated.  A store
+    writes no register, so the clone commits with its own L1, DRAM and
+    energy figures instead of being rejected."""
+    trace = _block_store_trace(128, store_first=False)
+    obs.reset()
+    _, diffs = _check(TimingSimulator(tiny(), trace))
+    assert diffs == []
+    assert obs.counter_value("dedup.clone_rejects", kernel="blockstore") == 0
+    assert obs.counter_value("dedup.sms.cloned", kernel="blockstore") == 3
+
+
+def test_load_mismatch_after_store_mismatch_rejects():
+    """A tolerated store mismatch does not commit the rest of the replay:
+    the shared ``a[%tid.x]`` load after it hits L2 where the
+    representative missed, so the clone is still rejected, exactly."""
+    trace = _block_store_trace(32, store_first=True)
+    obs.reset()
+    _, diffs = _check(TimingSimulator(tiny(), trace))
+    assert diffs == []
+    assert obs.counter_value("dedup.clone_rejects", kernel="blockstore") >= 1

@@ -176,6 +176,36 @@ class TestVerifyEquivalence:
             res = _verify(trace, cfg, policy=ScalarArith())
             assert res.issued_scalar > 0
 
+    @pytest.mark.parametrize("scheduler", ["gto", "rr"])
+    def test_inline_scalar_and_skip_policy(self, scheduler):
+        # DARSIE+Scalar's modes on a trace whose SMs clone: arithmetic
+        # rows issue SCALAR_INLINE, and leading, interior and
+        # whole-warp skip runs surround them.
+        cfg = tiny().with_scheduler(scheduler)
+        trace = vadd_trace(config=cfg)
+
+        class InlineSkip(IssuePolicy):
+            def plan(self, trace):
+                instrs = trace.kernel.instructions
+                modes, extra = super().plan(trace)
+                arith = np.array([
+                    not i.is_memory and not i.is_control for i in instrs
+                ])
+                modes[arith[trace.cols.pc]] = IssueMode.SCALAR_INLINE
+                for block in trace.blocks:
+                    for w in block.warps:
+                        if w.warp_in_block == 3:
+                            modes[w.start:w.stop] = IssueMode.SKIP
+                        else:
+                            modes[w.start:w.start + 2] = IssueMode.SKIP
+                            modes[w.start + 4:w.start + 6] = IssueMode.SKIP
+                return modes, extra
+
+        obs.reset()
+        res = _verify(trace, cfg, policy=InlineSkip())
+        assert res.issued_scalar > 0 and res.skipped > 0
+        assert obs.counter_value("dedup.sms.cloned", kernel="vadd") > 0
+
     def test_extra_latency_and_prologue_policy(self):
         trace = vadd_trace()
 
