@@ -28,7 +28,7 @@ R_N = R_THREADS * R_BLOCKS
 _KERNEL = kernels.reduce0_kernel(R_THREADS)
 
 
-def _reduction_bench(benchmark, mode, rounds=3):
+def _reduction_bench(benchmark, engine, rounds=3):
     def setup():
         dev = Device(tiny())
         rng = np.random.default_rng(3)
@@ -43,9 +43,8 @@ def _reduction_bench(benchmark, mode, rounds=3):
             grid=Dim3(R_BLOCKS), block=Dim3(R_THREADS),
             args=(d_in, d_out),
         )
-        trace = FunctionalExecutor(
-            _KERNEL, launch, dev.memory, vector=mode
-        ).run()
+        executor = FunctionalExecutor(_KERNEL, launch, dev.memory)
+        trace = getattr(executor, f"run_{engine}")()
         # the partial sums must actually be correct in both engines
         got = dev.download(d_out, R_BLOCKS, np.int32)
         want = dev.download(d_in, R_N, np.int32).reshape(
@@ -58,11 +57,11 @@ def _reduction_bench(benchmark, mode, rounds=3):
 
 
 def test_redtree_reduction_on(benchmark):
-    trace = _reduction_bench(benchmark, "1")
+    trace = _reduction_bench(benchmark, "fast")
     report = trace.vector
     assert report.engaged and not report.bailed
     assert report.warps_vectorized == report.warps_total
 
 
 def test_redtree_reduction_off(benchmark):
-    _reduction_bench(benchmark, "0")
+    _reduction_bench(benchmark, "reference")

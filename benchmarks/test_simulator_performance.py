@@ -112,16 +112,14 @@ def test_functional_execution_throughput_divergent(benchmark):
 
 def test_vadd_timing_on(benchmark):
     trace = _vadd_trace()
-    result = benchmark(
-        lambda: TimingSimulator(tiny(), trace, timing="fast").run()
-    )
+    result = benchmark(lambda: TimingSimulator(tiny(), trace).run_fast())
     assert result.cycles > 0
 
 
 def test_vadd_timing_off(benchmark):
     trace = _vadd_trace()
     result = benchmark(
-        lambda: TimingSimulator(tiny(), trace, timing="reference").run()
+        lambda: TimingSimulator(tiny(), trace).run_reference()
     )
     assert result.cycles > 0
 
@@ -130,7 +128,7 @@ def test_timing_replay_engines_agree():
     """Not a timing benchmark: the two engines above must agree on
     every result field of the benchmarked trace, energy included."""
     trace = _vadd_trace()
-    fast = TimingSimulator(tiny(), trace, timing="fast").run()
+    fast = TimingSimulator(tiny(), trace).run_fast()
     ref = TimingSimulator(tiny(), trace).run_reference()
     assert timing_differences(fast, ref) == []
 
@@ -148,8 +146,8 @@ def test_transform_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Megawarp vectorization (R2D2_VECTOR): serial interpretation vs the
-# masked megawarp engine.  ``compare.py`` pairs
+# Megawarp vectorization: serial interpretation (``run_reference``) vs
+# the masked megawarp engine (``run_fast``).  ``compare.py`` pairs
 # ``test_<stem>_vector_on/_off``, enforces the >=5x speedup, and records
 # the trajectory in BENCH_vector.json.  Two pairs: ``smem_shift`` — an
 # affine shared-memory kernel with a block-wide barrier at 256 blocks x
@@ -203,7 +201,7 @@ def _smem_shift_kernel():
     return b.build()
 
 
-def _smem_shift_bench(benchmark, mode):
+def _smem_shift_bench(benchmark, engine):
     def setup():
         dev = Device(tiny())
         p0 = dev.upload(np.ones(X_N, dtype=np.float32))
@@ -215,9 +213,10 @@ def _smem_shift_bench(benchmark, mode):
             grid=Dim3(X_BLOCKS), block=Dim3(X_THREADS),
             args=(p0, p1, X_N),
         )
-        return FunctionalExecutor(
-            _smem_shift_kernel(), launch, dev.memory, vector=mode
-        ).run()
+        executor = FunctionalExecutor(
+            _smem_shift_kernel(), launch, dev.memory
+        )
+        return getattr(executor, f"run_{engine}")()
 
     trace = benchmark.pedantic(run, setup=setup, rounds=3)
     assert trace.warp_instruction_count() > 0
@@ -225,13 +224,13 @@ def _smem_shift_bench(benchmark, mode):
 
 
 def test_smem_shift_vector_on(benchmark):
-    report = _smem_shift_bench(benchmark, "1").vector
+    report = _smem_shift_bench(benchmark, "fast").vector
     assert report.engaged and not report.bailed
     assert report.warps_vectorized == report.warps_total
 
 
 def test_smem_shift_vector_off(benchmark):
-    _smem_shift_bench(benchmark, "0")
+    _smem_shift_bench(benchmark, "reference")
 
 
 # The ``dyntrip`` pair — per-lane data-dependent trip counts, the
@@ -262,7 +261,7 @@ def _dyntrip_kernel():
     return b.build()
 
 
-def _vector_bench(benchmark, kernel, mode, rounds=3):
+def _vector_bench(benchmark, kernel, engine, rounds=3):
     def setup():
         dev = Device(tiny())
         rng = np.random.default_rng(11)
@@ -274,9 +273,8 @@ def _vector_bench(benchmark, kernel, mode, rounds=3):
         launch = LaunchConfig(
             grid=Dim3(V_BLOCKS), block=Dim3(V_THREADS), args=(p0, p1)
         )
-        return FunctionalExecutor(
-            kernel, launch, dev.memory, vector=mode
-        ).run()
+        executor = FunctionalExecutor(kernel, launch, dev.memory)
+        return getattr(executor, f"run_{engine}")()
 
     trace = benchmark.pedantic(run, setup=setup, rounds=rounds)
     assert trace.warp_instruction_count() > 0
@@ -284,19 +282,19 @@ def _vector_bench(benchmark, kernel, mode, rounds=3):
 
 
 def test_dyntrip_vector_on(benchmark):
-    trace = _vector_bench(benchmark, _dyntrip_kernel(), "1")
+    trace = _vector_bench(benchmark, _dyntrip_kernel(), "fast")
     report = trace.vector
     assert report.engaged and not report.bailed
     assert report.warps_vectorized == report.warps_total
 
 
 def test_dyntrip_vector_off(benchmark):
-    _vector_bench(benchmark, _dyntrip_kernel(), "0")
+    _vector_bench(benchmark, _dyntrip_kernel(), "reference")
 
 
 # ---------------------------------------------------------------------------
-# Event-driven timing engine (R2D2_TIMING): timing replay of the
-# divergent dyntrip trace, event-driven vs reference loop.
+# Event-driven timing engine: timing replay of the divergent dyntrip
+# trace, event-driven (``run_fast``) vs reference loop.
 # ``compare.py`` pairs ``test_dyntrip_timing_on/_off`` and enforces
 # BENCH_MIN_TIMING_SPEEDUP (default 5x).  The trace and config are
 # shared across rounds, so the precompiled record streams stay cached
@@ -324,7 +322,7 @@ def _dyntrip_timing_trace():
 def test_dyntrip_timing_on(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
-        lambda: TimingSimulator(_TIMING_CFG, trace, timing="fast").run(),
+        lambda: TimingSimulator(_TIMING_CFG, trace).run_fast(),
         rounds=3,
     )
     assert result.cycles > 0
@@ -333,21 +331,19 @@ def test_dyntrip_timing_on(benchmark):
 def test_dyntrip_timing_off(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
-        lambda: TimingSimulator(
-            _TIMING_CFG, trace, timing="reference"
-        ).run(),
+        lambda: TimingSimulator(_TIMING_CFG, trace).run_reference(),
         rounds=3,
     )
     assert result.cycles > 0
 
 
 def test_timing_fast_engine_agrees():
-    """Not a timing benchmark: verify mode runs both engines above on
-    the benchmarked trace and asserts every result field — cycles,
+    """Not a timing benchmark: ``run_verify`` runs both engines above
+    on the benchmarked trace and asserts every result field — cycles,
     counters, cache stats, and the exact energy floats — is identical
     (raises ``TimingVerifyMismatch`` otherwise)."""
     trace = _dyntrip_timing_trace()
-    result = TimingSimulator(_TIMING_CFG, trace, timing="verify").run()
+    result = TimingSimulator(_TIMING_CFG, trace).run_verify()
     assert result.cycles > 0
 
 
@@ -406,7 +402,7 @@ def test_vector_engines_agree():
     for kernel_fn, blocks, threads, affine in cases:
         outs = {}
         n = blocks * threads
-        for mode in ("0", "1"):
+        for engine in ("reference", "fast"):
             dev = Device(tiny())
             rng = np.random.default_rng(11)
             if affine:
@@ -418,8 +414,7 @@ def test_vector_engines_agree():
             launch = LaunchConfig(
                 grid=Dim3(blocks), block=Dim3(threads), args=args
             )
-            FunctionalExecutor(
-                kernel_fn(), launch, dev.memory, vector=mode
-            ).run()
-            outs[mode] = dev.memory.buf.copy()
-        assert np.array_equal(outs["0"], outs["1"])
+            executor = FunctionalExecutor(kernel_fn(), launch, dev.memory)
+            getattr(executor, f"run_{engine}")()
+            outs[engine] = dev.memory.buf.copy()
+        assert np.array_equal(outs["reference"], outs["fast"])

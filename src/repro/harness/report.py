@@ -145,7 +145,7 @@ def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
     megawarp vectorization) from a snapshot's flattened counter keys.
 
     The ``timing`` column renders the engine mix per kernel (``fast``,
-    ``reference``, ``verify``), e.g. ``fast x4``."""
+    plus ``verify`` under ``R2D2_VERIFY=1``), e.g. ``fast x4``."""
     from ..obs import parse_key
 
     counters: Dict[str, float] = dict(snapshot.get("counters") or {})

@@ -171,7 +171,10 @@ def _run_workload_phases(
                 workload, launches, config, arch_names, r2d2_kwargs,
                 verify,
             )
-            trace_key = functional_trace_key(workload, launches, config)
+            # Verified runs need the device's output state, so they
+            # always execute: only unverified runs read or write traces.
+            if not verify:
+                trace_key = functional_trace_key(workload, launches, config)
         except UnhashableKeyPart:
             obs.inc("cache.unhashable", abbr=workload.abbr)
             tcache = None
@@ -181,9 +184,7 @@ def _run_workload_phases(
                 return hit
 
     traces = None
-    if tcache is not None and not verify:
-        # Verified runs need the device's output state, so the
-        # functional execution cannot be skipped for them.
+    if trace_key is not None:
         traces = tcache.get("trace", trace_key)
     if traces is None:
         with obs.span("execute"):
@@ -193,7 +194,7 @@ def _run_workload_phases(
                 )
                 for spec in launches
             ]
-        if tcache is not None:
+        if trace_key is not None:
             tcache.put("trace", trace_key, traces)
     if verify:
         with obs.span("verify"):

@@ -11,8 +11,9 @@ For one kernel spec this module runs the full soundness gauntlet:
    launch-time values, probe-execute the *transformed* kernel on an
    identically prepared second device, and require bit-identical memory
    outputs and per-warp data-address streams;
-   both kernels also run on the megawarp engine (``verify``, then
-   committing) and must match their serial runs exactly;
+   both kernels also run on the megawarp engine (``run_verify``, then
+   the committing ``run_fast``) and must match their serial runs
+   exactly;
 5. replay both traces through the production timing engine (the
    event-driven loop with SM cloning) and through the reference loop,
    requiring every field of :class:`~repro.sim.timing.TimingResult` to
@@ -105,9 +106,9 @@ def _timing_engine_diffs(
     """Production timing replay (the event-driven engine with SM
     cloning) against the reference loop, each from a fresh L2, as
     ``(violation-kind, detail)`` pairs: every field, energy floats
-    included — the ``R2D2_TIMING=verify`` contract."""
+    included — the ``TimingSimulator.run_verify`` contract."""
     kwargs = dict(policy=policy, regs_per_thread=regs_per_thread)
-    fast = TimingSimulator(config, trace, timing="fast", **kwargs).run()
+    fast = TimingSimulator(config, trace, **kwargs).run_fast()
     ref = TimingSimulator(config, trace, **kwargs).run_reference()
     return [
         ("timing-fast-mismatch", d) for d in timing_differences(fast, ref)
@@ -175,7 +176,7 @@ def _check_spec(
     launch_a = LaunchConfig(args=args_a, **launch_geom)
     try:
         ex_a = ProbeExecutor(kernel, launch_a, dev_a.memory)
-        trace_a = ex_a.run()
+        trace_a = ex_a.run_reference()
     except Exception as exc:  # noqa: BLE001
         vio.append(
             Violation("original-run-crash", f"{type(exc).__name__}: {exc}")
@@ -221,7 +222,7 @@ def _check_spec(
                 rkernel.transformed, launch_b, dev_b.memory,
                 linear_values=values,
             )
-            trace_b = ex_b.run()
+            trace_b = ex_b.run_reference()
         except Exception as exc:  # noqa: BLE001
             vio.append(
                 Violation(
@@ -298,31 +299,30 @@ def _megawarp_violations(
     rkernel: Optional[R2D2Kernel] = None,
 ) -> List[Violation]:
     """Megawarp equivalence on one kernel, divergent ones included:
-    ``verify`` mode must be bit-identical to serial (trace records +
-    memory); then the committing path ("1") must leave the same memory
-    as the ``serial`` run, and its trace must replay identically
+    ``run_verify`` must find it bit-identical to serial (trace records +
+    memory); then the committing path (``run_fast``) must leave the same
+    memory as the ``serial`` run, and its trace must replay identically
     through every timing engine.  With ``rkernel`` the transformed
     kernel runs instead, with launch-time :class:`R2D2Values` and the
     R2D2 issue policy, and every detail carries an ``r2d2`` prefix."""
     label = "" if rkernel is None else "r2d2 "
 
-    def run(mode: str):
+    def fresh():
+        """A freshly prepared device and an executor of the launch."""
         dev, args, _ = _prepare_device(spec, config)
         launch = LaunchConfig(args=args, **launch_geom)
         if rkernel is None:
-            executor = FunctionalExecutor(
-                kernel, launch, dev.memory, vector=mode,
-            )
+            ex = FunctionalExecutor(kernel, launch, dev.memory)
         else:
-            executor = FunctionalExecutor(
+            ex = FunctionalExecutor(
                 rkernel.transformed, launch, dev.memory,
                 linear_values=R2D2Values(rkernel.plan, launch),
-                vector=mode,
             )
-        return dev, launch, executor.run()
+        return dev, launch, ex
 
     try:
-        run("verify")
+        _, _, ex = fresh()
+        ex.run_verify()
     except VectorMismatch as exc:
         return [Violation("vector-mismatch", f"{label}{exc}")]
     except Exception as exc:  # noqa: BLE001
@@ -330,7 +330,8 @@ def _megawarp_violations(
             "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
         )]
     try:
-        dev, launch, trace = run("1")
+        dev, launch, ex = fresh()
+        trace = ex.run_fast()
     except Exception as exc:  # noqa: BLE001
         return [Violation(
             "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"

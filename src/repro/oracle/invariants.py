@@ -389,23 +389,3 @@ def check_dynamic(
             if instr.dst is not None:
                 prev_value[instr.dst.name] = values
     return violations
-
-
-def run_and_check(
-    kernel: Kernel,
-    analysis: AnalysisResult,
-    launch: LaunchConfig,
-    memory,
-    max_violations: int = 8,
-) -> Tuple[List[Violation], ProbeExecutor]:
-    """Probe-execute ``kernel`` and check every invariant."""
-    executor = ProbeExecutor(kernel, launch, memory, collect_trace=False)
-    executor.run()
-    violations = check_static(kernel, analysis)
-    violations.extend(
-        check_dynamic(
-            kernel, analysis, launch, executor.probes,
-            max_violations=max_violations,
-        )
-    )
-    return violations, executor

@@ -11,9 +11,10 @@ The harness memoizes two kinds of objects on disk:
   a pure function of the abbr), the architecture list, the R2D2 kwargs,
   and the verify flag;
 - ``trace`` — the functional :class:`KernelTrace` list of a workload,
-  keyed the same way minus the architecture-dependent parts (reused only
-  for ``verify=False`` runs, where the device's output state is not
-  needed).
+  keyed the same way minus the architecture-dependent parts.  Only
+  ``verify=False`` runs write or read it: a verified run needs the
+  device's output state, so it always executes, and the harness's
+  figure runs (all verified) store only ``result`` entries.
 
 Layout: ``<root>/v<SCHEMA_VERSION>/<namespace>/<kk>/<key>.pkl`` where
 ``kk`` is the first two hex digits of the sha256 key.  ``root`` is

@@ -27,13 +27,8 @@ from .timing import (
     TimingSimulator,
     TimingVerifyMismatch,
     timing_differences,
-    timing_mode_from_env,
 )
-from .vector import (
-    VectorMismatch,
-    VectorReport,
-    vector_mode,
-)
+from .vector import VectorMismatch, VectorReport
 from .trace import (
     BlockTrace,
     KernelTrace,
@@ -77,8 +72,6 @@ __all__ = [
     "bank_conflict_degree",
     "coalesce",
     "timing_differences",
-    "timing_mode_from_env",
-    "vector_mode",
     "small",
     "tiny",
     "titan_v",

@@ -118,7 +118,8 @@ class Cache:
     # ------------------------------------------------------------------
     # Snapshot support (used by the event-driven timing engine to roll
     # back probe accesses when an SM-clone attempt turns out not to be
-    # exact, and by verify mode to replay from the same L2 state).
+    # exact, and by ``TimingSimulator.run_verify`` to replay from the
+    # same L2 state).
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:
         """Capture the full replacement state and statistics."""

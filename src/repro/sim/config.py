@@ -6,10 +6,13 @@ L2, 256 KB register file in 8 banks, with register-file energies of
 14.2 pJ/read and 20.9 pJ/write.  ``titan_v()`` reproduces that
 configuration; ``small()``/``tiny()`` are scaled presets that keep the
 per-SM ratios while making Python-speed simulation practical.
+:func:`verify_enabled` reads ``R2D2_VERIFY``, the one switch that makes
+both simulator layers check their fast engine against its oracle.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 
@@ -141,3 +144,18 @@ def tiny() -> GPUConfig:
         l1=CacheConfig(32 * 1024, 128, 4),
         l2=CacheConfig(256 * 1024, 128, 8),
     )
+
+
+def verify_enabled() -> bool:
+    """The ``R2D2_VERIFY`` switch.  Unset, empty or ``0``: the
+    production engines.  ``1``: every functional launch and every
+    timing replay also runs its oracle and raises on any difference
+    (``FunctionalExecutor.run_verify``, ``TimingSimulator.run_verify``).
+    Any other value raises ``ValueError``, so a typo cannot turn
+    verification off."""
+    raw = os.environ.get("R2D2_VERIFY", "")
+    if raw in ("", "0"):
+        return False
+    if raw == "1":
+        return True
+    raise ValueError(f"R2D2_VERIFY must be 0 or 1, got {raw!r}")

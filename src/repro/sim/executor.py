@@ -34,6 +34,7 @@ from ..isa.operands import (
     Reg,
     SpecialReg,
 )
+from .config import verify_enabled
 from .memory import GlobalMemory, SharedMemory
 from .trace import (
     BlockTrace,
@@ -208,18 +209,13 @@ class FunctionalExecutor:
         launch: LaunchConfig,
         memory: GlobalMemory,
         linear_values: Optional[LinearValueProvider] = None,
-        collect_trace: bool = True,
         max_warp_instructions: int = 20_000_000,
-        line_bytes: int = 128,
-        vector: Optional[str] = None,
     ) -> None:
         self.kernel = kernel
         self.launch = launch
         self.memory = memory
         self.linear_values = linear_values
-        self.collect_trace = collect_trace
         self.max_warp_instructions = max_warp_instructions
-        self.line_bytes = line_bytes
         self.cfg = ControlFlowGraph(kernel)
         self._executed = 0
         if len(launch.args) != len(kernel.params):
@@ -227,10 +223,6 @@ class FunctionalExecutor:
                 f"kernel {kernel.name} takes {len(kernel.params)} args, "
                 f"got {len(launch.args)}"
             )
-        from .vector import vector_mode
-
-        self.vector = vector_mode(vector)
-        self._pending_vector_verify: Optional[tuple] = None
         # Register-name -> slot map shared by every warp of the launch
         # (the register file is index-slotted; see _RegFile).
         self._slot_map: Dict[str, int] = {}
@@ -251,46 +243,61 @@ class FunctionalExecutor:
 
     # ------------------------------------------------------------------
     def run(self) -> KernelTrace:
+        """Execute the launch on the production engine
+        (:meth:`run_fast`), or on both engines under ``R2D2_VERIFY=1``
+        (:meth:`run_verify`)."""
+        return self.run_verify() if verify_enabled() else self.run_fast()
+
+    def run_fast(self) -> KernelTrace:
+        """The megawarp (:mod:`repro.sim.vector`), with the serial
+        interpreter for the launches it skips or bails on.  Only this
+        class vectorizes: subclasses (probes, tests) override pieces of
+        the interpreter the megawarp would bypass, so they always run
+        serially."""
         trace = KernelTrace(self.kernel, self.launch)
+        if type(self) is FunctionalExecutor:
+            from .vector import attempt_vectorization
+
+            if attempt_vectorization(self, trace):
+                return trace
+        self._run_serial(trace)
+        return trace
+
+    def run_reference(self) -> KernelTrace:
+        """The serial interpreter alone: the oracle the megawarp must
+        match bit for bit."""
+        trace = KernelTrace(self.kernel, self.launch)
+        self._run_serial(trace)
+        return trace
+
+    def run_verify(self) -> KernelTrace:
+        """Run the megawarp on a fork of device memory and the serial
+        interpreter on the device itself, raise
+        :class:`~repro.sim.vector.VectorMismatch` on any difference in
+        memory or trace columns, and return the serial trace."""
+        if type(self) is not FunctionalExecutor:
+            return self.run_reference()
+        from .vector import verify_vectorization
+
+        return verify_vectorization(self)
+
+    def _run_serial(self, trace: KernelTrace) -> None:
+        """Run every block of the launch, in order, into ``trace``.
+        Records are appended per warp (warps of a block interleave
+        between barriers) and become the launch's columns once every
+        block has run."""
         grid = self.launch.grid
+        warp_rows: List[list] = []
         # Inactive lanes compute on zero-filled registers, which can
         # overflow or divide by zero without affecting any visible state.
         with np.errstate(over="ignore", invalid="ignore",
                          divide="ignore"):
-            if not self._maybe_vectorize(trace):
-                # Records are appended per warp (warps of a block
-                # interleave between barriers) and become the launch's
-                # columns once every block has run.
-                warp_rows: List[list] = []
-                for block_id in range(grid.count):
-                    block_xyz = grid.linear_to_xyz(block_id)
-                    block_trace = self._run_block(
-                        block_id, block_xyz, warp_rows
-                    )
-                    trace.blocks.append(block_trace)
-                if self.collect_trace:
-                    trace.set_rows(warp_rows)
-            if self.vector == "verify":
-                self._verify_vectorization(trace)
-        return trace
-
-    def _maybe_vectorize(self, trace: KernelTrace) -> bool:
-        """Try megawarp vectorization; True when it ran the whole
-        launch (False when skipped, bailed, or only verifying).  Gated
-        to exactly this class: subclasses (probes, tests) override
-        pieces of the interpreter the megawarp would bypass."""
-        if type(self) is not FunctionalExecutor:
-            return False
-        from .vector import attempt_vectorization
-
-        return attempt_vectorization(self, trace)
-
-    def _verify_vectorization(self, trace: KernelTrace) -> None:
-        if type(self) is not FunctionalExecutor:
-            return
-        from .vector import verify_vectorization
-
-        verify_vectorization(self, trace)
+            for block_id in range(grid.count):
+                block_xyz = grid.linear_to_xyz(block_id)
+                trace.blocks.append(
+                    self._run_block(block_id, block_xyz, warp_rows)
+                )
+        trace.set_rows(warp_rows)
 
     # ------------------------------------------------------------------
     def _make_warp(
@@ -716,7 +723,7 @@ class FunctionalExecutor:
         lines = None
         conflict = 1
         if instr.is_global_memory:
-            lines = coalesce(addrs, self.line_bytes)
+            lines = coalesce(addrs)
         else:
             conflict = bank_conflict_degree(addrs)
         self._record(
@@ -736,7 +743,7 @@ class FunctionalExecutor:
         lines = None
         conflict = 1
         if instr.is_global_memory:
-            lines = coalesce(addrs, self.line_bytes)
+            lines = coalesce(addrs)
         else:
             conflict = bank_conflict_degree(addrs)
         self._record(
@@ -759,7 +766,7 @@ class FunctionalExecutor:
             warp.regs[instr.dst.name] = full
         lines = None
         if instr.is_global_memory:
-            lines = coalesce(addrs, self.line_bytes)
+            lines = coalesce(addrs)
         self._record(
             wrows, pc, active, instr, None, [addrs, value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
@@ -783,8 +790,6 @@ class FunctionalExecutor:
     ) -> None:
         """Append one record tuple in the :meth:`TraceColumns.from_rows`
         layout."""
-        if not self.collect_trace:
-            return
         src_hash = None
         if skippable and not instr.is_control:
             src_hash = self._hash_sources(pc, active, srcs)

@@ -69,16 +69,11 @@ class Device:
         block: DimLike,
         args: Sequence[object] = (),
         linear_values: Optional[LinearValueProvider] = None,
-        collect_trace: bool = True,
     ) -> KernelTrace:
         launch = LaunchConfig(
             grid=as_dim3(grid), block=as_dim3(block), args=tuple(args)
         )
         executor = FunctionalExecutor(
-            kernel,
-            launch,
-            self.memory,
-            linear_values=linear_values,
-            collect_trace=collect_trace,
+            kernel, launch, self.memory, linear_values=linear_values
         )
         return executor.run()

@@ -19,7 +19,6 @@ computation, per-block block-index computation).
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,7 @@ from ..isa.kernel import Kernel
 from ..isa.opcodes import DType, Opcode, SFU_OPCODES
 from ..isa.regalloc import allocated_registers
 from .caches import Cache, CacheStats, MemoryHierarchy
-from .config import GPUConfig
+from .config import GPUConfig, verify_enabled
 from .trace import BlockTrace, KernelTrace, WarpTrace
 
 _FAR_FUTURE = 1 << 60
@@ -125,8 +124,8 @@ class TimingResult:
 
 
 class TimingVerifyMismatch(AssertionError):
-    """``R2D2_TIMING=verify`` found the event-driven engine disagreeing
-    with the reference loop."""
+    """:meth:`TimingSimulator.run_verify` found the event-driven engine
+    disagreeing with the reference loop."""
 
     def __init__(self, kernel: str, diffs: List[str]) -> None:
         self.kernel = kernel
@@ -135,18 +134,6 @@ class TimingVerifyMismatch(AssertionError):
             f"timing engines disagree on kernel {kernel!r}: "
             + "; ".join(diffs)
         )
-
-
-def timing_mode_from_env() -> str:
-    """Resolve ``R2D2_TIMING`` to one of ``fast``/``reference``/
-    ``verify`` (unset and unknown values mean ``fast``, mirroring the
-    on-by-default convention of the other engine knobs)."""
-    env = os.environ.get("R2D2_TIMING", "").strip().lower()
-    if env in ("0", "off", "false", "no", "reference", "ref"):
-        return "reference"
-    if env == "verify":
-        return "verify"
-    return "fast"
 
 
 def timing_differences(
@@ -278,7 +265,6 @@ class TimingSimulator:
         policy: Optional[IssuePolicy] = None,
         l2: Optional[Cache] = None,
         regs_per_thread: Optional[int] = None,
-        timing: Optional[str] = None,
     ) -> None:
         self.config = config
         self.trace = trace
@@ -289,20 +275,12 @@ class TimingSimulator:
         if regs_per_thread is None:
             regs_per_thread = allocated_registers(self.kernel)
         self.regs_per_thread = regs_per_thread
-        if timing is None:
-            timing = timing_mode_from_env()
-        elif timing not in ("fast", "reference", "verify"):
-            raise ValueError(
-                f"timing must be 'fast', 'reference' or 'verify', "
-                f"got {timing!r}"
-            )
-        self.timing = timing
         self._plan: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def issue_plan(self) -> Tuple[np.ndarray, np.ndarray]:
         """The policy's per-row ``(modes, extra_latency)``, computed
-        once per simulator (verify mode replays it twice)."""
+        once per simulator (:meth:`run_verify` replays it twice)."""
         if self._plan is None:
             self._plan = self.policy.plan(self.trace)
         return self._plan
@@ -326,25 +304,16 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> TimingResult:
-        """Replay the trace on the event-driven engine with SM cloning
-        (:mod:`repro.sim.timing_fast`; ``R2D2_TIMING=fast``, the
-        default) or on the reference loop (``reference``).
-        ``R2D2_TIMING=verify`` runs both and asserts bit-identical
-        results."""
-        if self.timing == "verify":
-            return self.run_verify()
-        if self.timing == "fast":
-            return self.run_fast()
-        kname = self.kernel.name
-        obs.inc("timing.engine", kernel=kname, engine="reference")
-        obs.decision("timing", "skip", kernel=kname, reason="disabled")
-        return self.run_reference()
+        """Replay the trace on the production engine (:meth:`run_fast`),
+        or on both engines under ``R2D2_VERIFY=1`` (:meth:`run_verify`)."""
+        return self.run_verify() if verify_enabled() else self.run_fast()
 
     # ------------------------------------------------------------------
     def run_fast(self) -> TimingResult:
-        """Event-driven replay, bit-identical to :meth:`run_reference`
-        (enforced by ``R2D2_TIMING=verify``, the oracle, and the
-        timing-verify CI job)."""
+        """Event-driven replay with SM cloning
+        (:mod:`repro.sim.timing_fast`), bit-identical to
+        :meth:`run_reference` (enforced by :meth:`run_verify`, the
+        oracle, and the engine-verify CI job)."""
         from .timing_fast import run_fast
 
         obs.inc(

@@ -60,10 +60,10 @@ issue order and folds them on when it finishes (:func:`_fold`), and a
 clone folds the representative's lists the same way, with its own
 ``l2`` and ``dram`` lists in place of the representative's.  The issue
 counters need no per-SM bookkeeping: every row issues or skips exactly
-once, so :func:`run_fast` reduces them from the issue plan.  The engine
-is selected with ``R2D2_TIMING={fast,reference,verify}`` (see
-:meth:`TimingSimulator.run`); ``verify`` runs this engine *and* the
-reference loop and asserts equality field by field.
+once, so :func:`run_fast` reduces them from the issue plan.  This is
+the production engine of :meth:`TimingSimulator.run`; under
+``R2D2_VERIFY=1`` every replay runs this engine *and* the reference loop
+and asserts equality field by field (:meth:`TimingSimulator.run_verify`).
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class _SigGroup:
         "kind",
         "lat",
         "extra",
-        "active",
         "dst",
         "srcs",
         "eadds",
@@ -118,7 +117,6 @@ class _SigGroup:
         self.kind: List[int] = []
         self.lat: List[int] = []
         self.extra: List[int] = []
-        self.active: List[int] = []
         self.dst: List[int] = []
         self.srcs: List[Tuple[int, ...]] = []
         #: per record: ordered (component, picojoule) additions — the
@@ -180,7 +178,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
 
     if mode == IssueMode.SKIP:
         return (
-            _K_SKIP, 0, extra, active, dst_id, src_ids, (),
+            _K_SKIP, 0, extra, dst_id, src_ids, (),
             0, n_lines, instr.is_store, next_scalar, False,
         )
     if mode in (IssueMode.SCALAR, IssueMode.SCALAR_INLINE):
@@ -190,7 +188,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
             ("rf", e.rf_read_pj + e.rf_write_pj),
         )
         return (
-            _K_ALU, alu_lat, extra, active, dst_id,
+            _K_ALU, alu_lat, extra, dst_id,
             src_ids, eadds, 0, n_lines, instr.is_store, next_scalar,
             mode == IssueMode.SCALAR,
         )
@@ -210,7 +208,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
         kind, latv = _K_ALU, alu_lat
         adds += ((lane_key, lane_pj * active),)
     return (
-        kind, latv, extra, active, dst_id, src_ids, adds,
+        kind, latv, extra, dst_id, src_ids, adds,
         lsu, n_lines, instr.is_store, next_scalar, False,
     )
 
@@ -230,7 +228,6 @@ def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
         grp.kind,
         grp.lat,
         grp.extra,
-        grp.active,
         grp.dst,
         grp.srcs,
         grp.eadds,
@@ -239,7 +236,7 @@ def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
         grp.is_store,
         grp.next_scalar,
         scalar_modes,
-    ) = map(list, zip(*rows)) if rows else ([] for _ in range(12))
+    ) = map(list, zip(*rows)) if rows else ([] for _ in range(11))
     grp.has_scalar = any(scalar_modes)
 
     # Maximal skip runs from every position (mirrors ``_advance_skips``):

@@ -188,8 +188,9 @@ class KernelTrace:
     #: gone, and the field stays only for readers that still check it.
     extrapolation: Optional[object] = None
     #: Outcome of the megawarp vectorization attempt for this launch
-    #: (a ``VectorReport``); ``None`` when an executor subclass ran the
-    #: launch, which never attempts the megawarp.
+    #: (a ``VectorReport``); ``None`` when the serial interpreter ran
+    #: alone (``run_reference``, or an executor subclass, which never
+    #: attempts the megawarp).
     vector: Optional[object] = None
 
     # ------------------------------------------------------------------
@@ -237,10 +238,14 @@ def bank_conflict_degree(addrs, n_banks: int = 32,
     return int(worst)
 
 
-def coalesce(addrs, line_bytes: int = 128) -> Tuple[int, ...]:
+#: Global-memory coalescing granularity: one transaction per line.
+LINE_BYTES = 128
+
+
+def coalesce(addrs) -> Tuple[int, ...]:
     """Unique memory-line addresses touched by the active lanes, in
     ascending order — the global-memory transactions of this access."""
     if len(addrs) == 0:
         return ()
-    lines = np.unique(np.asarray(addrs) // line_bytes)
-    return tuple(int(x) * line_bytes for x in lines)
+    lines = np.unique(np.asarray(addrs) // LINE_BYTES)
+    return tuple(int(x) * LINE_BYTES for x in lines)

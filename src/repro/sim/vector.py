@@ -44,9 +44,10 @@ columns, for arbitrary control flow:
    lines, and bank conflicts as the serial interpreter.  Each PC-group
    step appends its rows as arrays; ``emit`` reorders a chunk's rows
    into block/warp order once.
-   ``R2D2_VECTOR=verify`` runs *both* engines and raises
+   :meth:`FunctionalExecutor.run_verify` (every launch under
+   ``R2D2_VERIFY=1``) runs *both* engines and raises
    :class:`VectorMismatch` on any divergence; the differential oracle
-   fuzzes this mode.
+   runs it on every spec.
 
 Engine selection is vector → serial: the megawarp takes every launch it
 can, and the serial interpreter remains the reference implementation
@@ -55,7 +56,6 @@ and last resort.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -81,9 +81,13 @@ from .executor import (
     hash_source_rows,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
-from .trace import BlockTrace, KernelTrace, TraceColumns, WarpTrace
-
-ENV_KNOB = "R2D2_VECTOR"
+from .trace import (
+    LINE_BYTES,
+    BlockTrace,
+    KernelTrace,
+    TraceColumns,
+    WarpTrace,
+)
 
 #: Below this many warps the megawarp set-up outweighs the win.
 MIN_WARPS = 4
@@ -101,7 +105,7 @@ HAZARD_LOG_CAP = 16_000_000
 
 
 class VectorMismatch(AssertionError):
-    """``verify`` mode found a divergence between the megawarp and the
+    """Verification found a divergence between the megawarp and the
     serially executed launch.  Always a simulator bug, never a workload
     bug — report it."""
 
@@ -121,9 +125,8 @@ class VectorReport:
     reports."""
 
     kernel: str
-    mode: str
     engaged: bool
-    #: Skip/bail slug ("disabled", "launch-too-small",
+    #: Skip/bail slug ("launch-too-small",
     #: "cross-warp-memory-conflict", "cross-block-memory-conflict",
     #: "memory-error", "deadlock", "hazard-log-overflow",
     #: "register-dtype-promotion", ...); empty when the launch
@@ -138,7 +141,6 @@ class VectorReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "kernel": self.kernel,
-            "mode": self.mode,
             "engaged": self.engaged,
             "reason": self.reason,
             "detail": self.detail,
@@ -162,18 +164,6 @@ class VectorReport:
             units_total=self.warps_total,
             units_taken=self.warps_vectorized,
         )
-
-
-def vector_mode(override: Optional[str] = None) -> str:
-    """Resolve the ``R2D2_VECTOR`` knob to ``"0"``, ``"1"`` or
-    ``"verify"`` (unknown values fall back to the default, on)."""
-    raw = override if override is not None else os.environ.get(ENV_KNOB, "1")
-    raw = str(raw).strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return "0"
-    if raw == "verify":
-        return "verify"
-    return "1"
 
 
 # ----------------------------------------------------------------------
@@ -243,13 +233,13 @@ def _distinct_rows(keys: np.ndarray,
     return keys, first
 
 
-def _coalesce_rows(addrs: np.ndarray, active: np.ndarray,
-                   line_bytes: int) -> Tuple[np.ndarray, np.ndarray]:
+def _coalesce_rows(addrs: np.ndarray,
+                   active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`~repro.sim.trace.coalesce` over the row axis:
     per-row line counts and every row's ascending distinct lines,
     flattened in row order."""
-    keys, first = _distinct_rows(addrs // line_bytes, active)
-    return first.sum(axis=1), keys[first] * line_bytes
+    keys, first = _distinct_rows(addrs // LINE_BYTES, active)
+    return first.sum(axis=1), keys[first] * LINE_BYTES
 
 
 def _bank_conflict_rows(addrs: np.ndarray, active: np.ndarray,
@@ -357,13 +347,9 @@ class _MegaWarpEngine(FunctionalExecutor):
         self.launch = host.launch
         self.memory = memory
         self.linear_values = host.linear_values
-        self.collect_trace = host.collect_trace
         self.max_warp_instructions = host.max_warp_instructions
-        self.line_bytes = host.line_bytes
         self.cfg = host.cfg
         self._executed = executed0
-        self.vector = "0"
-        self._pending_vector_verify = None
 
         self.host = host
         self.lo = lo
@@ -810,7 +796,7 @@ class _MegaWarpEngine(FunctionalExecutor):
         """Per-row ``(line counts, flat lines)`` of a global access, or
         bank-conflict degrees of a shared one."""
         if instr.is_global_memory:
-            return _coalesce_rows(addrs, active, self.line_bytes), None
+            return _coalesce_rows(addrs, active), None
         return None, _bank_conflict_rows(addrs, active)
 
     def _log_access(self, shared: bool, addrs_act: np.ndarray,
@@ -860,8 +846,6 @@ class _MegaWarpEngine(FunctionalExecutor):
                 f"{instr.dst.name}: {mat.dtype} -> {full.dtype}",
             )
         mat[rows] = full
-        if not self.collect_trace:
-            return
         lines, bank = self._mem_rows(addrs, active, instr)
         self._record_group(
             pc, instr, rows, active, full, [_Addrs(addrs)],
@@ -891,8 +875,6 @@ class _MegaWarpEngine(FunctionalExecutor):
         self._log_access(
             instr.is_shared_memory, flat, rows, n_act, itemsize, True,
         )
-        if not self.collect_trace:
-            return
         lines, bank = self._mem_rows(addrs, active, instr)
         self._record_group(
             pc, instr, rows, active, None, [_Addrs(addrs), value],
@@ -934,8 +916,6 @@ class _MegaWarpEngine(FunctionalExecutor):
                     f"{instr.dst.name}: {mat.dtype} -> {full.dtype}",
                 )
             mat[rows] = full
-        if not self.collect_trace:
-            return
         lines = None
         if instr.is_global_memory:
             lines, _ = self._mem_rows(addrs, active, instr)
@@ -951,8 +931,6 @@ class _MegaWarpEngine(FunctionalExecutor):
                       result, srcs, lines=None, shared: bool = False,
                       skippable: bool = True, bank=None,
                       n_act: Optional[np.ndarray] = None) -> None:
-        if not self.collect_trace:
-            return
         R = active.shape[0]
         if n_act is None:
             n_act = active.sum(axis=1)
@@ -1118,36 +1096,29 @@ class _MegaWarpEngine(FunctionalExecutor):
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
-def attempt_vectorization(host: FunctionalExecutor,
-                          trace: KernelTrace) -> bool:
-    """Called from ``FunctionalExecutor.run``.  Returns True when the
-    megawarp committed the whole launch, False on skip or bail (the
-    serial loop then covers everything).
-
-    In ``verify`` mode the megawarp runs against a fork and commits
-    nothing; :func:`verify_vectorization` compares after the serial
-    run."""
-    mode = host.vector
+def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
+              min_warps: int) -> Optional[tuple]:
+    """Run the launch on the megawarp against a fork of device memory,
+    committing nothing.  Attaches the launch's :class:`VectorReport` to
+    ``trace`` and returns ``(fork, blocks, cols)``, or ``None`` when the
+    launch has fewer than ``min_warps`` warps or the megawarp bails."""
     grid = host.launch.grid
     wpb = (host.launch.threads_per_block + WARP_SIZE - 1) // WARP_SIZE
     total_warps = grid.count * wpb
     report = VectorReport(
-        kernel=host.kernel.name, mode=mode, engaged=False,
-        warps_total=total_warps,
+        kernel=host.kernel.name, engaged=False, warps_total=total_warps,
     )
     trace.vector = report
     obs.inc("vector.launches", kernel=host.kernel.name)
     obs.inc("vector.warps_total", total_warps, kernel=host.kernel.name)
-    if mode == "0":
-        report.reason = "disabled"
-        _engine_skip(report)
-        return False
-    min_warps = 1 if mode == "verify" else MIN_WARPS
     if total_warps < min_warps:
         report.reason = "launch-too-small"
         report.detail = f"{total_warps} < {min_warps} warps"
-        _engine_skip(report)
-        return False
+        obs.engine_fallback(
+            "vector", report.kernel, report.reason,
+            detail=report.detail, bailed=False,
+        )
+        return None
     obs.inc("vector.engaged", kernel=host.kernel.name)
 
     shared_stride = (max(host.kernel.shared_mem_bytes, 16) + 127) \
@@ -1194,27 +1165,36 @@ def attempt_vectorization(host: FunctionalExecutor,
             "vector", report.kernel, report.reason,
             detail=report.detail, bailed=True,
         )
-        return False
+        return None
 
     _emit_counters(host.kernel.name, counters)
     report.engaged = True
-    cols = TraceColumns.concat(parts)
-    if mode == "verify":
-        host._pending_vector_verify = (fork, blocks, cols)
-        return False
+    return fork, blocks, TraceColumns.concat(parts)
 
+
+def attempt_vectorization(host: FunctionalExecutor,
+                          trace: KernelTrace) -> bool:
+    """Called from ``FunctionalExecutor.run_fast``.  Returns True when
+    the megawarp committed the whole launch, False on skip or bail (the
+    serial loop then covers everything)."""
+    run = _megawarp(host, trace, MIN_WARPS)
+    if run is None:
+        return False
+    fork, blocks, cols = run
     # Commit the forked prefix in place, so existing dtype views over
     # the buffer stay valid, then adopt the megawarp traces.
     host.memory.buf[:fork.size] = fork.buf
     trace.blocks.extend(blocks)
     trace.cols = cols
-    report.warps_vectorized = total_warps
+    report = trace.vector
+    report.warps_vectorized = report.warps_total
     obs.inc(
-        "vector.warps_vectorized", total_warps, kernel=report.kernel
+        "vector.warps_vectorized", report.warps_total,
+        kernel=report.kernel,
     )
     obs.decision(
         "vector", "engage", kernel=report.kernel,
-        units_total=report.warps_total, units_taken=total_warps,
+        units_total=report.warps_total, units_taken=report.warps_total,
     )
     return True
 
@@ -1225,24 +1205,18 @@ def _emit_counters(kernel: str, counters: Dict[str, int]) -> None:
             obs.inc(f"vector.{key}", val, kernel=kernel)
 
 
-def _engine_skip(report: VectorReport) -> None:
-    """Route a skipped launch through the unified fallback path."""
-    obs.engine_fallback(
-        "vector", report.kernel, report.reason,
-        detail=report.detail, bailed=False,
-    )
-
-
-def verify_vectorization(host: FunctionalExecutor,
-                         trace: KernelTrace) -> None:
-    """``verify`` mode epilogue: compare the megawarp run (fork +
-    traces stashed by :func:`attempt_vectorization`) against the serial
-    run that just completed on the real device state."""
-    pending = host._pending_vector_verify
-    if pending is None:
-        return
-    host._pending_vector_verify = None
-    fork, blocks, cols = pending
+def verify_vectorization(host: FunctionalExecutor) -> KernelTrace:
+    """Called from ``FunctionalExecutor.run_verify``: the megawarp
+    against a fork (from a single warp up, so no launch is too small),
+    then the serial interpreter on the device itself; any difference in
+    memory or trace columns raises :class:`VectorMismatch`.  Returns the
+    serial trace."""
+    trace = KernelTrace(host.kernel, host.launch)
+    run = _megawarp(host, trace, 1)
+    host._run_serial(trace)
+    if run is None:
+        return trace
+    fork, blocks, cols = run
     diffs = _trace_diffs(blocks, cols, trace.blocks, trace.cols)
     serial = host.memory.buf[:fork.size]
     if not np.array_equal(fork.buf, serial):
@@ -1264,10 +1238,11 @@ def verify_vectorization(host: FunctionalExecutor,
         "vector.warps_vectorized", report.warps_total,
         kernel=host.kernel.name,
     )
+    return trace
 
 
-#: Record columns compared under ``verify``; ``lines`` is compared
-#: per row.
+#: Record columns :func:`verify_vectorization` compares; ``lines`` is
+#: compared per row.
 _RECORD_FIELDS = (
     "pc", "active", "uniform", "affine", "hashed", "src_hash", "shared",
     "bank_conflict",

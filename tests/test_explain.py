@@ -307,17 +307,19 @@ class TestEngineDecisions:
             assert entry["decision"] in ("engage", "skip", "bail")
 
     def test_fallback_counters_preserved(self, monkeypatch):
-        """engine_fallback keeps the documented counter names."""
-        monkeypatch.setenv("R2D2_VECTOR", "0")
+        """engine_fallback keeps the documented counter names.  LUD's
+        ``lud_scale`` launches run 2 warps at tiny scale, below the
+        megawarp's floor."""
+        monkeypatch.delenv("R2D2_VERIFY", raising=False)
         from repro.harness.runner import run_workload
 
         run_workload(
-            factory("BP", "tiny"), config=tiny(),
+            factory("LUD", "tiny"), config=tiny(),
             arch_names=("baseline",), cache=False,
         )
         counters = obs.snapshot()["counters"]
         assert any(
             key.startswith("vector.ineligible")
-            and "reason=disabled" in key
+            and "reason=launch-too-small" in key
             for key in counters
         )

@@ -301,6 +301,16 @@ class TestRunWorkloadCache:
         assert cache.session_hits > before  # the trace entry hit
         assert res.stats["baseline"].cycles > 0
 
+    def test_verified_run_writes_no_functional_trace(self, tmp_path):
+        # A verified run always executes (it needs the device's output
+        # state), so a trace entry would never be read.
+        cache = TraceCache(root=tmp_path)
+        run_workload(factory("NN", "tiny"), config=bench_config(2),
+                     arch_names=("baseline",), verify=True, cache=cache)
+        version = tmp_path / f"v{SCHEMA_VERSION}"
+        assert list((version / "result").glob("??/*.pkl"))
+        assert not list((version / "trace").glob("??/*.pkl"))
+
 
 class TestParallelRunners:
     def test_run_workload_jobs_matches_serial(self):

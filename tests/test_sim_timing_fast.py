@@ -1,6 +1,6 @@
 """Event-driven timing engine (`sim/timing_fast.py`): bit-identity
-against the reference loop under ``R2D2_TIMING=verify``, engine
-dispatch and env parsing, the precompilation cache, and the
+against the reference loop under ``TimingSimulator.run_verify``, engine
+dispatch through ``R2D2_VERIFY``, the precompilation cache, and the
 array-backed cache model."""
 
 import gc
@@ -24,7 +24,6 @@ from repro.sim import (
     TimingResult,
     TimingSimulator,
     timing_differences,
-    timing_mode_from_env,
     tiny,
 )
 from repro.sim import caches as caches_mod
@@ -39,12 +38,8 @@ def _verify(trace, config, policy=None, regs_per_thread=None):
     """Run the verify engine (fast + reference, field-by-field assert)
     and return the reference result it vouched for."""
     return TimingSimulator(
-        config,
-        trace,
-        policy=policy,
-        regs_per_thread=regs_per_thread,
-        timing="verify",
-    ).run()
+        config, trace, policy=policy, regs_per_thread=regs_per_thread,
+    ).run_verify()
 
 
 def vadd_trace(n=2048, block=128, config=None):
@@ -260,36 +255,29 @@ class TestVerifyEquivalence:
 
 class TestEngineDispatch:
     def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("R2D2_TIMING", raising=False)
-        assert timing_mode_from_env() == "fast"
+        monkeypatch.delenv("R2D2_VERIFY", raising=False)
+        trace = vadd_trace()
+        obs.reset()
+        TimingSimulator(tiny(), trace).run()
+        assert obs.counter_value(
+            "timing.engine", kernel="vadd", engine="fast"
+        ) == 1
+        assert obs.counter_value(
+            "timing.engine", kernel="vadd", engine="verify"
+        ) == 0
 
-    @pytest.mark.parametrize(
-        "value,mode",
-        [
-            ("0", "reference"),
-            ("off", "reference"),
-            ("false", "reference"),
-            ("no", "reference"),
-            ("reference", "reference"),
-            ("ref", "reference"),
-            ("verify", "verify"),
-            ("1", "fast"),
-            ("fast", "fast"),
-            ("anything-else", "fast"),
-        ],
-    )
-    def test_env_parsing(self, monkeypatch, value, mode):
-        monkeypatch.setenv("R2D2_TIMING", value)
-        assert timing_mode_from_env() == mode
+    def test_explicit_invalid_value_raises(self, monkeypatch):
+        trace = vadd_trace()
+        monkeypatch.setenv("R2D2_VERIFY", "verify")
+        with pytest.raises(ValueError, match="R2D2_VERIFY"):
+            TimingSimulator(tiny(), trace).run()
 
-    def test_explicit_invalid_value_raises(self):
-        with pytest.raises(ValueError):
-            TimingSimulator(tiny(), vadd_trace(), timing="bogus")
-
-    def test_fast_engine_counted(self):
+    def test_fast_engine_counted(self, monkeypatch):
+        # run_fast ignores the switch.
+        monkeypatch.setenv("R2D2_VERIFY", "1")
         obs.reset()
         trace = vadd_trace()
-        TimingSimulator(tiny(), trace, timing="fast").run()
+        TimingSimulator(tiny(), trace).run_fast()
         assert (
             obs.counter_value(
                 "timing.engine", kernel="vadd", engine="fast"
@@ -297,23 +285,13 @@ class TestEngineDispatch:
             == 1
         )
 
-    def test_reference_engine_counted(self):
-        obs.reset()
-        trace = vadd_trace()
-        TimingSimulator(tiny(), trace, timing="reference").run()
-        assert (
-            obs.counter_value(
-                "timing.engine", kernel="vadd", engine="reference"
-            )
-            == 1
-        )
-
-    def test_verify_covers_cloning(self):
+    def test_verify_covers_cloning(self, monkeypatch):
         # Verify checks the production path, SM cloning included.
+        monkeypatch.setenv("R2D2_VERIFY", "1")
         obs.reset()
         trace = vadd_trace()
         assert len(trace.blocks) > tiny().num_sms
-        TimingSimulator(tiny(), trace, timing="verify").run()
+        TimingSimulator(tiny(), trace).run()
         assert (
             obs.counter_value(
                 "timing.engine", kernel="vadd", engine="verify"
@@ -342,14 +320,14 @@ class TestPrepCache:
     def test_same_trace_config_shares_prep(self):
         cfg = tiny()
         trace = vadd_trace(config=cfg)
-        sim1 = TimingSimulator(cfg, trace, timing="fast")
-        sim2 = TimingSimulator(cfg, trace, timing="fast")
+        sim1 = TimingSimulator(cfg, trace)
+        sim2 = TimingSimulator(cfg, trace)
         assert prep_for(sim1) is prep_for(sim2)
 
     def test_distinct_config_object_rebuilds(self):
         trace = vadd_trace()
-        p1 = prep_for(TimingSimulator(tiny(), trace, timing="fast"))
-        p2 = prep_for(TimingSimulator(tiny(), trace, timing="fast"))
+        p1 = prep_for(TimingSimulator(tiny(), trace))
+        p2 = prep_for(TimingSimulator(tiny(), trace))
         assert p1 is not p2
 
     def test_custom_policy_identity_keyed(self):

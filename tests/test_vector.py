@@ -1,6 +1,6 @@
 """Megawarp vector engine: bit-identity with the serial interpreter on
 regular, divergent, irregular and R2D2-transformed kernels,
-hazard-driven fallback, the allocated-prefix fork, verify mode, and
+hazard-driven fallback, the allocated-prefix fork, ``run_verify``, and
 report plumbing (see docs/PERFORMANCE.md)."""
 
 import numpy as np
@@ -19,8 +19,8 @@ from repro.sim import (
     TimingSimulator,
     timing_differences,
     tiny,
-    vector_mode,
 )
+from repro.sim.gpu import as_dim3
 from repro.sim import vector as vector_engine
 from repro.sim.timing_fast import prep_for
 from repro.sim.memory import MemoryError_
@@ -163,7 +163,15 @@ def _launch(blocks=8, threads=128, args=()):
     return LaunchConfig(grid=Dim3(blocks), block=Dim3(threads), args=args)
 
 
-def _run(kernel, mode, blocks=8, threads=128, n=1000, fill=None):
+def _execute(kernel, launch, memory, engine):
+    """One launch on ``FunctionalExecutor.run_<engine>``: ``fast`` (the
+    megawarp with its serial fallback), ``reference`` (serial only) or
+    ``verify`` (both, compared)."""
+    executor = FunctionalExecutor(kernel, launch, memory)
+    return getattr(executor, f"run_{engine}")()
+
+
+def _run(kernel, engine, blocks=8, threads=128, n=1000, fill=None):
     """Execute on a fresh device with an int32 input buffer and an
     output buffer; returns (trace, memory snapshot)."""
     dev = Device(tiny())
@@ -175,27 +183,8 @@ def _run(kernel, mode, blocks=8, threads=128, n=1000, fill=None):
     p1 = dev.alloc(4 * (total + 8))
     args = (p0, p1, n)[: len(kernel.params)]
     launch = _launch(blocks, threads, args)
-    trace = FunctionalExecutor(kernel, launch, dev.memory, vector=mode).run()
+    trace = _execute(kernel, launch, dev.memory, engine)
     return trace, dev.memory.buf.copy()
-
-
-# ----------------------------------------------------------------------
-# Knob
-# ----------------------------------------------------------------------
-class TestModeKnob:
-    def test_mode_values(self):
-        assert vector_mode("0") == "0"
-        assert vector_mode("off") == "0"
-        assert vector_mode("FALSE") == "0"
-        assert vector_mode("verify") == "verify"
-        assert vector_mode("1") == "1"
-        assert vector_mode("bogus") == "1"
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("R2D2_VECTOR", "verify")
-        assert vector_mode(None) == "verify"
-        monkeypatch.delenv("R2D2_VECTOR")
-        assert vector_mode(None) == "1"
 
 
 # ----------------------------------------------------------------------
@@ -209,8 +198,8 @@ class TestCommitPath:
     )
     def test_memory_identical_to_serial(self, factory):
         kernel = factory()
-        _, serial = _run(kernel, "0")
-        trace, vectored = _run(kernel, "1")
+        _, serial = _run(kernel, "reference")
+        trace, vectored = _run(kernel, "fast")
         assert np.array_equal(serial, vectored)
         report = trace.vector
         assert report.engaged and not report.bailed
@@ -219,30 +208,25 @@ class TestCommitPath:
     def test_partial_warp_block(self):
         # 48 threads/block: the second warp of each block is half full.
         kernel = _collatz_kernel()
-        _, serial = _run(kernel, "0", threads=48)
-        trace, vectored = _run(kernel, "1", threads=48)
+        _, serial = _run(kernel, "reference", threads=48)
+        trace, vectored = _run(kernel, "fast", threads=48)
         assert np.array_equal(serial, vectored)
         assert trace.vector.engaged
 
-    def test_disabled_mode_reports_reason(self):
-        trace, _ = _run(_collatz_kernel(), "0")
-        report = trace.vector
-        assert not report.engaged and report.reason == "disabled"
-
     def test_launch_too_small_falls_back(self):
-        trace, _ = _run(_collatz_kernel(), "1", blocks=2, threads=32)
+        trace, _ = _run(_collatz_kernel(), "fast", blocks=2, threads=32)
         assert trace.vector.reason == "launch-too-small"
 
     def test_shared_memory_barrier_commits(self):
         kernel = _smem_kernel(128)
-        _, serial = _run(kernel, "0")
-        trace, vectored = _run(kernel, "1")
+        _, serial = _run(kernel, "reference")
+        trace, vectored = _run(kernel, "fast")
         assert np.array_equal(serial, vectored)
         assert trace.vector.engaged and not trace.vector.bailed
 
     def test_megawarp_columns_match_serial(self):
-        serial, _ = _run(_collatz_kernel(), "0")
-        trace, _ = _run(_collatz_kernel(), "1")
+        serial, _ = _run(_collatz_kernel(), "reference")
+        trace, _ = _run(_collatz_kernel(), "fast")
         assert trace.vector.engaged
         ranges = [
             [(w.warp_in_block, w.start, w.stop) for w in b.warps]
@@ -261,7 +245,7 @@ class TestCommitPath:
             assert np.array_equal(got, want), name
 
     def test_prep_groups_warps_by_column_keys(self):
-        trace, _ = _run(_vadd_kernel(), "1")
+        trace, _ = _run(_vadd_kernel(), "fast")
         prep = prep_for(TimingSimulator(tiny(), trace))
         warps = [w for b in trace.blocks for w in b.warps]
         # Identical key rows share one group: a regular kernel has far
@@ -272,7 +256,6 @@ class TestCommitPath:
         groups = [g for b in trace.blocks for g in prep.block_info[id(b)][1]]
         for w, g in zip(warps, groups):
             assert g.n == len(w)
-            assert g.active == cols.active[w.start:w.stop].tolist()
             assert g.n_lines == cols.n_lines[w.start:w.stop].tolist()
         by_key = {}
         for w, g in zip(warps, groups):
@@ -282,13 +265,13 @@ class TestCommitPath:
         assert all(len(ids) == 1 for ids in by_key.values())
 
     def test_timing_replay_agrees_on_megawarp_trace(self):
-        trace, _ = _run(_vadd_kernel(), "1")
-        fast = TimingSimulator(tiny(), trace).run()
+        trace, _ = _run(_vadd_kernel(), "fast")
+        fast = TimingSimulator(tiny(), trace).run_fast()
         ref = TimingSimulator(tiny(), trace).run_reference()
         assert timing_differences(fast, ref) == []
 
     def test_report_to_dict(self):
-        trace, _ = _run(_collatz_kernel(), "1")
+        trace, _ = _run(_collatz_kernel(), "fast")
         d = trace.vector.to_dict()
         assert d["kernel"] == "collatz" and d["engaged"] is True
         assert d["warps_vectorized"] == d["warps_total"] > 0
@@ -300,8 +283,8 @@ class TestCommitPath:
 class TestHazardFallback:
     @staticmethod
     def _assert_bails(kernel, blocks, reason):
-        _, serial = _run(kernel, "0", blocks=blocks)
-        trace, vectored = _run(kernel, "1", blocks=blocks)
+        _, serial = _run(kernel, "reference", blocks=blocks)
+        trace, vectored = _run(kernel, "fast", blocks=blocks)
         report = trace.vector
         assert report.bailed
         assert report.reason == reason
@@ -323,7 +306,7 @@ class TestHazardFallback:
 
     def test_bail_counts_in_obs(self):
         obs.reset()
-        _run(_rw_conflict_kernel(), "1")
+        _run(_rw_conflict_kernel(), "fast")
         counters = obs.snapshot_and_reset()["counters"]
         assert any(
             key.startswith("vector.bailed") and "rwconf" in key
@@ -397,7 +380,7 @@ def test_grouped_hazard_check_matches_per_word_reference():
 
 
 # ----------------------------------------------------------------------
-# Verify mode
+# run_verify: both engines, compared
 # ----------------------------------------------------------------------
 class TestVerifyMode:
     @pytest.mark.parametrize(
@@ -419,7 +402,7 @@ class TestVerifyMode:
         assert trace.vector.verified
 
     def test_single_warp_verifies(self):
-        # verify mode drops the engagement floor to one warp
+        # run_verify drops the engagement floor to one warp
         trace, _ = _run(_collatz_kernel(), "verify", blocks=1, threads=32)
         assert trace.vector.engaged and trace.vector.verified
 
@@ -428,7 +411,7 @@ class TestVerifyMode:
         assert trace.vector.verified
 
     def test_trace_diffs_name_record_and_column(self):
-        trace, _ = _run(_vadd_kernel(), "0")
+        trace, _ = _run(_vadd_kernel(), "reference")
         cols = trace.cols
         row = int(np.flatnonzero(cols.n_lines)[3])
         warp = next(
@@ -479,21 +462,19 @@ class TestVerifyMode:
 # ----------------------------------------------------------------------
 class TestPrefixFork:
     @staticmethod
-    def _run_past_high_water(mode):
+    def _run_past_high_water(engine):
         """vadd whose output pointer lies past every allocation but
         inside the device: legal for the serial interpreter."""
         dev = Device(tiny())
         src = dev.upload(np.arange(1024, dtype=np.int32))
         past = dev.memory._next + 4096
         launch = _launch(8, 128, (src, past, 1000))
-        trace = FunctionalExecutor(
-            _vadd_kernel(), launch, dev.memory, vector=mode
-        ).run()
+        trace = _execute(_vadd_kernel(), launch, dev.memory, engine)
         return trace, dev.memory.buf.copy(), past
 
     def test_store_past_high_water_bails_to_serial(self):
-        _, serial, past = self._run_past_high_water("0")
-        trace, vectored, _ = self._run_past_high_water("1")
+        _, serial, past = self._run_past_high_water("reference")
+        trace, vectored, _ = self._run_past_high_water("fast")
         assert trace.vector.bailed
         assert trace.vector.reason == "memory-error"
         assert np.array_equal(serial, vectored)
@@ -514,9 +495,7 @@ class TestPrefixFork:
         src = dev.upload(np.arange(1024, dtype=np.int32))
         out = dev.alloc(4 * 1024)
         launch = _launch(8, 128, (src, out, 1000))
-        trace = FunctionalExecutor(
-            _vadd_kernel(), launch, dev.memory, vector="1"
-        ).run()
+        trace = _execute(_vadd_kernel(), launch, dev.memory, "fast")
         assert trace.vector.engaged and not trace.vector.bailed
         assert dev.download(out, 1000, np.int32).tolist() == [
             v + 7 for v in range(1000)
@@ -557,14 +536,14 @@ def _run_r2d2(abbr):
     ],
 )
 def test_transformed_launches_verify_and_commit(monkeypatch, abbr):
-    """Verify mode runs every R2D2 launch on both engines (a divergence
-    raises VectorMismatch); the committing path then engages on every
-    launch big enough and leaves the serial run's memory."""
-    monkeypatch.setenv("R2D2_VECTOR", "verify")
+    """``R2D2_VERIFY=1`` runs every R2D2 launch on both engines (a
+    divergence raises VectorMismatch); the committing path then engages
+    on every launch big enough and leaves the serial run's memory."""
+    monkeypatch.setenv("R2D2_VERIFY", "1")
     traces, serial = _run_r2d2(abbr)
     assert any(t.kernel.name.endswith(".r2d2") for t in traces)
     assert all(t.vector.verified for t in traces)
-    monkeypatch.setenv("R2D2_VECTOR", "1")
+    monkeypatch.setenv("R2D2_VERIFY", "0")
     traces, vectored = _run_r2d2(abbr)
     assert np.array_equal(serial, vectored)
     big = [
@@ -578,13 +557,13 @@ def test_transformed_launch_chunked_verifies(monkeypatch):
     """Chunks past the first resolve each %lr's block part from their
     own block ids."""
     monkeypatch.setattr(vector_engine, "DEFAULT_CHUNK_WARPS", 8)
-    monkeypatch.setenv("R2D2_VECTOR", "verify")
+    monkeypatch.setenv("R2D2_VERIFY", "1")
     traces, _ = _run_r2d2("2MM")
     assert all(t.vector.verified for t in traces)
 
 
 def test_r2d2_launch_records_vector_engage(monkeypatch):
-    monkeypatch.setenv("R2D2_VECTOR", "1")
+    monkeypatch.setenv("R2D2_VERIFY", "0")
     obs.reset()
     _run_r2d2("RED0")
     decisions = obs.snapshot_and_reset()["decisions"]
@@ -599,17 +578,20 @@ def test_r2d2_launch_records_vector_engage(monkeypatch):
 # Irregular workloads (bfs / btree / mummer)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("abbr", ["BFS", "BTR", "MUM"])
-def test_irregular_workload_matches_serial(monkeypatch, abbr):
+def test_irregular_workload_matches_serial(abbr):
     outs = {}
-    for mode in ("0", "1"):
-        monkeypatch.setenv("R2D2_VECTOR", mode)
+    for engine in ("reference", "fast"):
         workload = workload_factory(abbr)()
         dev = Device(tiny())
         for s in workload.prepare(dev):
-            dev.launch(s.kernel, s.grid, s.block, s.args)
+            launch = LaunchConfig(
+                grid=as_dim3(s.grid), block=as_dim3(s.block),
+                args=tuple(s.args),
+            )
+            _execute(s.kernel, launch, dev.memory, engine)
         workload.check(dev)
-        outs[mode] = dev.memory.buf.copy()
-    assert np.array_equal(outs["0"], outs["1"])
+        outs[engine] = dev.memory.buf.copy()
+    assert np.array_equal(outs["reference"], outs["fast"])
 
 
 def test_run_workload_reports_vector_decisions():
@@ -663,8 +645,8 @@ class TestReportPlumbing:
 
     def test_obs_kernel_table_shows_vector_columns(self):
         obs.reset()
-        _run(_collatz_kernel(), "1")
-        _run(_rw_conflict_kernel(), "1")
+        _run(_collatz_kernel(), "fast")
+        _run(_rw_conflict_kernel(), "fast")
         snapshot = obs.snapshot_and_reset()
         table = obs_kernel_table(snapshot)
         assert "vwarps" in table.columns and "vfallback" in table.columns

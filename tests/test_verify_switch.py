@@ -1,0 +1,89 @@
+"""The ``R2D2_VERIFY`` switch: unset or ``0`` runs the production
+engines, ``1`` makes every functional launch and every timing replay
+also run its oracle, and anything else is an error naming the
+variable."""
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.harness.runner import run_workload
+from repro.isa import DType, KernelBuilder, Param
+from repro.isa.kernel import Dim3, LaunchConfig
+from repro.sim import Device, FunctionalExecutor, TimingSimulator, tiny
+from repro.sim.config import verify_enabled
+from repro.workloads import factory
+
+
+def _vadd_executor():
+    b = KernelBuilder(
+        "vadd",
+        params=[Param("a", is_pointer=True), Param("c", is_pointer=True)],
+    )
+    a_p, c_p = b.param(0), b.param(1)
+    i = b.global_tid_x()
+    v = b.ld_global(b.addr(a_p, i, 4), DType.S32)
+    b.st_global(b.addr(c_p, i, 4), b.add(v, 7), DType.S32)
+    dev = Device(tiny())
+    a = dev.upload(np.arange(1024, dtype=np.int32))
+    c = dev.alloc(4 * 1024)
+    launch = LaunchConfig(grid=Dim3(8), block=Dim3(128), args=(a, c))
+    return FunctionalExecutor(b.build(), launch, dev.memory)
+
+
+@pytest.mark.parametrize("value,enabled", [(None, False), ("", False),
+                                           ("0", False), ("1", True)])
+def test_accepted_values(monkeypatch, value, enabled):
+    if value is None:
+        monkeypatch.delenv("R2D2_VERIFY", raising=False)
+    else:
+        monkeypatch.setenv("R2D2_VERIFY", value)
+    assert verify_enabled() is enabled
+
+
+@pytest.mark.parametrize("value", ["yes", "verify", "true", " 1", "2"])
+def test_other_values_raise(monkeypatch, value):
+    monkeypatch.setenv("R2D2_VERIFY", value)
+    with pytest.raises(ValueError, match="R2D2_VERIFY"):
+        verify_enabled()
+
+
+def test_yes_raises_in_both_layers(monkeypatch):
+    executor = _vadd_executor()
+    trace = executor.run_fast()
+    monkeypatch.setenv("R2D2_VERIFY", "yes")
+    with pytest.raises(ValueError, match="R2D2_VERIFY"):
+        executor.run()
+    with pytest.raises(ValueError, match="R2D2_VERIFY"):
+        TimingSimulator(tiny(), trace).run()
+
+
+def test_functional_run_follows_the_switch(monkeypatch):
+    monkeypatch.delenv("R2D2_VERIFY", raising=False)
+    report = _vadd_executor().run().vector
+    assert report.engaged and not report.verified
+    monkeypatch.setenv("R2D2_VERIFY", "1")
+    assert _vadd_executor().run().vector.verified
+    # run_fast ignores the switch; run_reference never vectorizes
+    assert not _vadd_executor().run_fast().vector.verified
+    assert _vadd_executor().run_reference().vector is None
+
+
+def test_run_workload_verifies_both_layers(monkeypatch):
+    """One R2D2_VERIFY=1 run of RED0 (baseline + R2D2) checks every
+    launch against the serial interpreter and every timing replay
+    against the reference loop."""
+    monkeypatch.setenv("R2D2_VERIFY", "1")
+    obs.reset()
+    result = run_workload(
+        factory("RED0", "tiny"), config=tiny(),
+        arch_names=("baseline", "r2d2"), jobs=1, cache=False,
+    )
+    assert result.outputs_identical
+    assert obs.counter_total("vector.verified") > 0
+    kernels = {d["kernel"] for d in result.engine_decisions}
+    for kernel in kernels:
+        assert obs.counter_value("vector.verified", kernel=kernel) == 1
+        assert obs.counter_value(
+            "timing.engine", kernel=kernel, engine="verify"
+        ) > 0

@@ -23,9 +23,10 @@ CONFIG = tiny()
 VARIANTS = by_suite("reduction")
 
 
-def _run(abbr, vector="0"):
-    """One tiny-scale run under an explicit engine mode; returns the
-    workload (post-``prepare``), its device, and the kernel trace."""
+def _run(abbr, engine="reference"):
+    """One tiny-scale run on ``FunctionalExecutor.run_<engine>``;
+    returns the workload (post-``prepare``), its device, and the kernel
+    trace."""
     wl = factory(abbr, "tiny")()
     dev = Device(config=CONFIG)
     traces = []
@@ -35,11 +36,8 @@ def _run(abbr, vector="0"):
             block=as_dim3(spec.block),
             args=tuple(spec.args),
         )
-        traces.append(
-            FunctionalExecutor(
-                spec.kernel, launch, dev.memory, vector=vector
-            ).run()
-        )
+        executor = FunctionalExecutor(spec.kernel, launch, dev.memory)
+        traces.append(getattr(executor, f"run_{engine}")())
     assert len(traces) == 1
     return wl, dev, traces[0]
 
@@ -60,8 +58,8 @@ def test_vector_engine_bit_identical(abbr):
     """The megawarp engine must leave the exact memory state of the
     serial interpreter on the divergent, bank-conflict,
     warp-synchronous, and fully unrolled variants."""
-    _, dev_s, _ = _run(abbr, vector="0")
-    wl_v, dev_v, _ = _run(abbr, vector="1")
+    _, dev_s, _ = _run(abbr, "reference")
+    wl_v, dev_v, _ = _run(abbr, "fast")
     wl_v.check(dev_v)
     assert np.array_equal(dev_s.memory.buf, dev_v.memory.buf)
 
@@ -73,7 +71,7 @@ def test_timing_fast_matches_reference(abbr):
     order included, for the tree kernels (barrier-heavy, divergent)."""
     _, _, trace = _run(abbr)
     ref = TimingSimulator(CONFIG, trace).run_reference()
-    fast = TimingSimulator(CONFIG, trace).run()
+    fast = TimingSimulator(CONFIG, trace).run_fast()
     assert timing_differences(fast, ref) == []
 
 
