@@ -100,7 +100,6 @@ class Architecture:
     """Base class; subclasses override one or both hooks."""
 
     name = "abstract"
-    needs_timing = True
 
     def process_trace(
         self,

@@ -39,7 +39,6 @@ def _wp_cost(trace: KernelTrace) -> np.ndarray:
 
 class IdealWP(Architecture):
     name = "wp"
-    needs_timing = False
 
     def process_trace(
         self, trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2=None
@@ -51,7 +50,6 @@ class IdealWP(Architecture):
 
 class IdealTB(Architecture):
     name = "tb"
-    needs_timing = False
 
     def process_trace(
         self, trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2=None
@@ -76,7 +74,6 @@ class IdealLN(Architecture):
     instruction at its ideal multiplicity."""
 
     name = "ln"
-    needs_timing = False
 
     def __init__(self) -> None:
         self._analysis_cache: Dict[int, AnalysisResult] = {}

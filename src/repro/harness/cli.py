@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 from . import experiments
 from .. import obs
 from ..perf import TraceCache, cache_from_env
+from ..sim.config import verify_enabled
 from ..workloads import all_abbrs, factory
 from .experiments import SuiteResults, bench_config, run_suite
 from .report import obs_summary
@@ -329,6 +330,14 @@ def _scoped_env(**values: Optional[str]):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
+
+    # A bad R2D2_VERIFY would otherwise surface as a traceback from the
+    # first kernel launch.
+    try:
+        verify_enabled()
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
     # The oracle has its own subcommand tree; dispatch before the figure
     # parser so its flags don't collide with the artifact choices.

@@ -28,6 +28,7 @@ enforced after each write by evicting least-recently-*used* entries
 The cache is **off by default** so correctness tests always recompute;
 it turns on via an explicit ``cache=`` argument, the ``R2D2_CACHE`` env
 var, or the CLI (which enables it unless ``--no-cache`` is given).
+Under ``R2D2_VERIFY=1`` it is never on (:func:`resolve_cache`).
 """
 
 from __future__ import annotations
@@ -45,17 +46,17 @@ from pathlib import Path
 from typing import Any, Iterator, List, Optional, Sequence
 
 from .. import obs
+from ..sim.config import verify_enabled
 
 #: Bump whenever the pickled payloads or the key recipe change shape.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _DEFAULT_MAX_MB = 512.0
 
 #: Entries younger than this many seconds are exempt from eviction, so
 #: concurrent ``--jobs`` workers sharing one cache directory cannot
 #: delete each other's just-written results while the writer is still
-#: about to read them back.  Override via ``R2D2_CACHE_EVICT_GRACE_S``
-#: (mostly for tests).
+#: about to read them back.
 _DEFAULT_EVICT_GRACE_S = 60.0
 
 
@@ -197,7 +198,7 @@ class TraceCache:
         self,
         root: Optional[os.PathLike] = None,
         max_bytes: Optional[int] = None,
-        evict_grace_s: Optional[float] = None,
+        evict_grace_s: float = _DEFAULT_EVICT_GRACE_S,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version_dir = self.root / f"v{SCHEMA_VERSION}"
@@ -210,15 +211,6 @@ class TraceCache:
                 mb = _DEFAULT_MAX_MB
             max_bytes = int(mb * 1024 * 1024)
         self.max_bytes = max_bytes
-        if evict_grace_s is None:
-            try:
-                evict_grace_s = float(
-                    os.environ.get(
-                        "R2D2_CACHE_EVICT_GRACE_S", _DEFAULT_EVICT_GRACE_S
-                    )
-                )
-            except ValueError:
-                evict_grace_s = _DEFAULT_EVICT_GRACE_S
         self.evict_grace_s = max(0.0, evict_grace_s)
         #: This-process hit/miss counters (reported by ``cache stats``).
         self.session_hits = 0
@@ -378,11 +370,13 @@ def cache_from_env() -> Optional[TraceCache]:
 def resolve_cache(cache) -> Optional[TraceCache]:
     """Normalize a ``cache=`` argument: ``None`` defers to the
     environment, ``True``/``False`` force the default cache on/off, and
-    a :class:`TraceCache` instance is used as-is."""
+    a :class:`TraceCache` instance is used as-is.  Under
+    ``R2D2_VERIFY=1`` there is no cache: a result or trace served from
+    disk would skip the very engines the run is meant to verify."""
+    if cache is False or verify_enabled():
+        return None
     if cache is None:
         return cache_from_env()
-    if cache is False:
-        return None
     if cache is True:
         return TraceCache()
     return cache

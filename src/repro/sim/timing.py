@@ -19,7 +19,7 @@ computation, per-block block-index computation).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -100,6 +100,8 @@ class TimingResult:
     prologue_cycles: int = 0
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     l1: CacheStats = field(default_factory=CacheStats)
+    #: a copy of the shared L2's running stats when the replay ended, so
+    #: a later replay on the same L2 leaves this result unchanged
     l2: CacheStats = field(default_factory=CacheStats)
     dram_accesses: int = 0
     sms_used: int = 0
@@ -107,20 +109,6 @@ class TimingResult:
     @property
     def issued_total(self) -> int:
         return self.issued_simd + self.issued_scalar
-
-    def merge(self, other: "TimingResult") -> None:
-        """Accumulate a subsequent kernel launch (sequential execution)."""
-        self.cycles += other.cycles
-        self.issued_simd += other.issued_simd
-        self.issued_scalar += other.issued_scalar
-        self.skipped += other.skipped
-        self.thread_ops += other.thread_ops
-        self.prologue_cycles += other.prologue_cycles
-        self.energy.merge(other.energy)
-        self.l1.merge(other.l1)
-        self.l2.merge(other.l2)
-        self.dram_accesses += other.dram_accesses
-        self.sms_used = max(self.sms_used, other.sms_used)
 
 
 class TimingVerifyMismatch(AssertionError):
@@ -136,16 +124,11 @@ class TimingVerifyMismatch(AssertionError):
         )
 
 
-def timing_differences(
-    fast: TimingResult,
-    ref: TimingResult,
-    fast_l2: Optional[CacheStats] = None,
-) -> List[str]:
+def timing_differences(fast: TimingResult, ref: TimingResult) -> List[str]:
     """Field-by-field comparison of two :class:`TimingResult`\\ s under
     the event-driven engine's bit-identical contract: every integer
     field, both cache stat pairs, and the exact per-component energy
-    floats in the same key order.  ``fast_l2`` overrides ``fast.l2``
-    for callers whose two runs share (and therefore alias) one L2."""
+    floats in the same key order."""
     diffs: List[str] = []
     for name in (
         "cycles",
@@ -160,10 +143,9 @@ def timing_differences(
         a, b = getattr(fast, name), getattr(ref, name)
         if a != b:
             diffs.append(f"{name}: fast {a} != reference {b}")
-    fl2 = fast_l2 if fast_l2 is not None else fast.l2
     for label, a, b in (
         ("l1", fast.l1, ref.l1),
-        ("l2", fl2, ref.l2),
+        ("l2", fast.l2, ref.l2),
     ):
         if (a.accesses, a.hits) != (b.accesses, b.hits):
             diffs.append(
@@ -333,12 +315,9 @@ class TimingSimulator:
         :class:`TimingVerifyMismatch` on any difference."""
         snap = self.l2.snapshot()
         fast = self.run_fast()
-        # ``result.l2`` aliases the shared L2's stats object, which the
-        # rollback below mutates in place — copy before restoring.
-        fast_l2 = CacheStats(fast.l2.accesses, fast.l2.hits)
         self.l2.restore(snap)
         ref = self.run_reference()
-        diffs = timing_differences(fast, ref, fast_l2=fast_l2)
+        diffs = timing_differences(fast, ref)
         kname = self.kernel.name
         if diffs:
             obs.inc("timing.verify_mismatches", kernel=kname)
@@ -366,7 +345,7 @@ class TimingSimulator:
             cycles = self._run_sm(sm_id, per_sm[sm_id], result)
             sm_cycles.append(cycles)
         result.cycles = max(sm_cycles) if sm_cycles else 0
-        result.l2 = self.l2.stats
+        result.l2 = replace(self.l2.stats)
 
         static = (
             cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms

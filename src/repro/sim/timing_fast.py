@@ -3,7 +3,7 @@
 Bit-identical to :meth:`TimingSimulator.run_reference` — same cycles,
 instruction counters, cache statistics, and the same per-component
 float-addition sequence for energy (key order included) — on any
-trace, scheduler, and issue policy.  Four layers:
+trace, scheduler, and issue policy.  Three layers:
 
 **SM cloning.**  SMs receive round-robin slices of the block list; on
 regular kernels those slices have identical signature sequences
@@ -49,10 +49,8 @@ the only warp the reference could have issued in that interval.  The
 scan stops at the second warp ready now: then neither a jump nor a
 burst can apply.
 
-**Array-backed cache model.**  ``sim/caches.py`` stores tags and LRU
-stamps in numpy arrays, so a multi-line record that hits entirely in L1
-is answered by one vectorized probe (``MemoryHierarchy.access``) rather
-than a per-line Python loop.
+Both this engine and the reference loop probe the same cache model
+(``sim/caches.py``, one LRU-ordered dict per set), one line at a time.
 
 Energy stays exact across clones because no SM adds into the running
 totals directly: each appends its increments to per-component lists in
@@ -69,6 +67,7 @@ and asserts equality field by field (:meth:`TimingSimulator.run_verify`).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import replace
 from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Tuple
@@ -564,7 +563,7 @@ def run_fast(sim) -> TimingResult:
         sim.trace.cols.active[modes == IssueMode.SIMD].sum(dtype=np.int64)
     )
     result.cycles = max(sm_cycles) if sm_cycles else 0
-    result.l2 = sim.l2.stats
+    result.l2 = replace(sim.l2.stats)
     static = cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms
     result.energy.add("static", static)
     return result

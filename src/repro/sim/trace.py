@@ -181,9 +181,6 @@ class KernelTrace:
     launch: LaunchConfig
     blocks: List[BlockTrace] = field(default_factory=list)
     cols: TraceColumns = field(default_factory=TraceColumns.empty)
-    #: Set by the R2D2 transform: decoupled linear-phase instruction
-    #: streams (see repro.arch.r2d2).
-    linear_phase: Optional[object] = None
     #: Always ``None``: the block-trace extrapolator that filled it is
     #: gone, and the field stays only for readers that still check it.
     extrapolation: Optional[object] = None

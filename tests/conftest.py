@@ -16,4 +16,3 @@ def _isolated_perf_env(monkeypatch, tmp_path):
     monkeypatch.delenv("R2D2_JOBS", raising=False)
     monkeypatch.delenv("R2D2_TASK_TIMEOUT", raising=False)
     monkeypatch.delenv("R2D2_CACHE_MAX_MB", raising=False)
-    monkeypatch.delenv("R2D2_CACHE_EVICT_GRACE_S", raising=False)

@@ -63,16 +63,6 @@ class TestArchStats:
         assert stats.energy_pj == pytest.approx(100.0)
 
 
-class TestTimingResultMerge:
-    def test_merge_accumulates_and_maxes(self):
-        a = TimingResult(cycles=10, issued_simd=5, sms_used=4)
-        b = TimingResult(cycles=20, issued_simd=7, sms_used=2)
-        a.merge(b)
-        assert a.cycles == 30
-        assert a.issued_simd == 12
-        assert a.sms_used == 4
-
-
 class TestEnergyBreakdown:
     def test_add_and_total(self):
         e = EnergyBreakdown()

@@ -89,3 +89,12 @@ class TestExecution:
         assert "removed" in capsys.readouterr().out
         assert main(["cache"]) == 0  # default op is stats
         assert "entries" in capsys.readouterr().out
+
+    def test_bad_verify_switch_is_one_line_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("R2D2_VERIFY", "yes")
+        assert main(["fig13", "--scale", "tiny", "--sms", "2",
+                     "--no-cache", "--apps", "BP"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "R2D2_VERIFY" in lines[0]

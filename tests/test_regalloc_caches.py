@@ -111,12 +111,6 @@ class TestCache:
         assert 0.0 <= cache.stats.hit_rate <= 1.0
         assert cache.stats.accesses == len(lines)
 
-    def test_flush(self):
-        cache = Cache(self.cfg())
-        cache.access(0)
-        cache.flush()
-        assert not cache.access(0)
-
 
 class TestMemoryHierarchy:
     def make(self):

@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.harness.runner import run_workload
 from repro.isa import CmpOp, DType, KernelBuilder, Param
-from repro.sim import CacheStats, Device, TimingSimulator, tiny
+from repro.sim import Device, TimingSimulator, tiny
 from repro.sim.timing import timing_differences
 from repro.workloads import factory
 
@@ -38,10 +38,9 @@ def _check(sim):
     snap = sim.l2.snapshot()
     res = _RUN(sim)
     after = sim.l2.snapshot()
-    res_l2 = CacheStats(res.l2.accesses, res.l2.hits)
     sim.l2.restore(snap)
     ref = sim.run_reference()
-    diffs = timing_differences(res, ref, fast_l2=res_l2)
+    diffs = timing_differences(res, ref)
     sim.l2.restore(after)
     return res, diffs
 

@@ -1,7 +1,7 @@
 """Event-driven timing engine (`sim/timing_fast.py`): bit-identity
 against the reference loop under ``TimingSimulator.run_verify``, engine
 dispatch through ``R2D2_VERIFY``, the precompilation cache, and the
-array-backed cache model."""
+LRU cache model."""
 
 import gc
 import json
@@ -26,7 +26,6 @@ from repro.sim import (
     timing_differences,
     tiny,
 )
-from repro.sim import caches as caches_mod
 from repro.sim.timing_fast import _PREP_CACHE, prep_for
 
 CORPUS = sorted(
@@ -359,8 +358,8 @@ class TestPrepCache:
 
 
 class _ModelLRU:
-    """Dict-based set-associative LRU oracle for the array-backed
-    :class:`Cache`."""
+    """Set-associative LRU oracle for :class:`Cache`: it picks victims
+    by last-touch tick, independently of dict order."""
 
     def __init__(self, cache):
         self.line_bytes = cache.config.line_bytes
@@ -388,7 +387,7 @@ class _ModelLRU:
         return False
 
 
-class TestArrayCache:
+class TestCacheModel:
     def test_matches_lru_model_on_random_stream(self):
         cache = Cache(
             CacheConfig(size_bytes=4096, line_bytes=64, ways=4)
@@ -416,39 +415,55 @@ class TestArrayCache:
         tail = [int(a) * 64 for a in rng.integers(0, 512, 200)]
         baseline = [cache.access(a) for a in tail]
         stats_after = (cache.stats.accesses, cache.stats.hits)
-        cache.restore(snap)
-        replay = [cache.access(a) for a in tail]
-        assert replay == baseline
-        assert (cache.stats.accesses, cache.stats.hits) == stats_after
+        for _ in range(2):  # one snapshot restores more than once
+            cache.restore(snap)
+            replay = [cache.access(a) for a in tail]
+            assert replay == baseline
+            assert (cache.stats.accesses, cache.stats.hits) == stats_after
 
-    def test_batched_hierarchy_matches_scalar_path(self, monkeypatch):
-        cfg = tiny()
+    def test_hierarchy_matches_lru_models(self):
+        lat = tiny().latency
+        hier = MemoryHierarchy(
+            Cache(CacheConfig(size_bytes=4096, line_bytes=64, ways=4)),
+            Cache(CacheConfig(size_bytes=16384, line_bytes=64, ways=8)),
+            lat,
+        )
+        model = MemoryHierarchy(
+            _ModelLRU(hier.l1), _ModelLRU(hier.l2), lat
+        )
         rng = np.random.default_rng(5)
-        batched = MemoryHierarchy(
-            Cache(cfg.l1), Cache(cfg.l2), cfg.latency
-        )
-        scalar = MemoryHierarchy(
-            Cache(cfg.l1), Cache(cfg.l2), cfg.latency
-        )
-        # Force the scalar hierarchy down the per-line loop always.
-        seqs = []
-        for _ in range(300):
-            n = int(rng.integers(1, 9))
-            base = int(rng.integers(0, 256))
-            seqs.append(
-                tuple((base + k) * 64 for k in range(n))
-            )
-        results = []
-        for lines in seqs:
-            store = len(lines) % 3 == 0
-            results.append(batched.access(lines, is_store=store))
-        monkeypatch.setattr(caches_mod, "_BATCH_MIN", 1 << 30)
-        expected = []
-        for lines in seqs:
-            store = len(lines) % 3 == 0
-            expected.append(scalar.access(lines, is_store=store))
-        assert results == expected
-        assert batched.l1.stats.accesses == scalar.l1.stats.accesses
-        assert batched.l1.stats.hits == scalar.l1.stats.hits
-        assert batched.l2.stats.accesses == scalar.l2.stats.accesses
-        assert batched.l2.stats.hits == scalar.l2.stats.hits
+        base = 0
+        totals = np.zeros(3, dtype=np.int64)
+        for _ in range(1500):
+            base = (base + int(rng.integers(-24, 25))) % 448
+            n = int(rng.integers(1, 33))
+            # coalesce() hands the hierarchy distinct lines
+            lines = [
+                (base + int(k)) * 64
+                for k in rng.choice(64, n, replace=False)
+            ]
+            store = bool(rng.integers(0, 4) == 0)
+            got = hier.access(lines, is_store=store)
+            assert got == model.access(lines, is_store=store)
+            totals += (got.l1_hits, got.l2_hits, got.dram_accesses)
+        assert (totals > 0).all(), totals
+        for cache, ref in ((hier.l1, model.l1), (hier.l2, model.l2)):
+            assert cache.stats.accesses == ref.accesses
+            assert cache.stats.hits == ref.hits
+
+    @pytest.mark.parametrize("engine", ["run_fast", "run_reference"])
+    def test_result_l2_fixed_when_replay_ends(self, engine):
+        """A replay reports the shared L2's stats as they stood when it
+        ended; a later replay on the same L2 leaves them alone."""
+        cfg = tiny()
+        l2 = Cache(cfg.l2)
+        first = getattr(
+            TimingSimulator(cfg, vadd_trace(config=cfg), l2=l2), engine
+        )()
+        seen = (l2.stats.accesses, l2.stats.hits)
+        assert (first.l2.accesses, first.l2.hits) == seen
+        getattr(
+            TimingSimulator(cfg, dyntrip_trace(config=cfg), l2=l2), engine
+        )()
+        assert l2.stats.accesses > seen[0]
+        assert (first.l2.accesses, first.l2.hits) == seen

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.harness.experiments import run_suite
 from repro.harness.runner import run_workload
 from repro.isa import DType, KernelBuilder, Param
 from repro.isa.kernel import Dim3, LaunchConfig
+from repro.perf import TraceCache
 from repro.sim import Device, FunctionalExecutor, TimingSimulator, tiny
 from repro.sim.config import verify_enabled
 from repro.workloads import factory
@@ -87,3 +89,29 @@ def test_run_workload_verifies_both_layers(monkeypatch):
         assert obs.counter_value(
             "timing.engine", kernel=kernel, engine="verify"
         ) > 0
+
+
+def test_verify_runs_never_read_the_cache(monkeypatch, tmp_path):
+    """A warm cache must not answer an R2D2_VERIFY=1 run, neither in
+    ``run_workload`` nor in ``run_suite``'s parent-side lookup: a
+    served result would verify nothing."""
+    cache = TraceCache(root=tmp_path / "cache")
+    monkeypatch.delenv("R2D2_VERIFY", raising=False)
+    plain = run_workload(
+        factory("BP", "tiny"), config=tiny(), jobs=1, cache=cache,
+    )
+    monkeypatch.setenv("R2D2_VERIFY", "1")
+    runs = (
+        lambda: run_workload(
+            factory("BP", "tiny"), config=tiny(), jobs=1, cache=cache,
+        ),
+        lambda: run_suite(
+            ["BP"], scale="tiny", config=tiny(), jobs=2, cache=cache,
+        )["BP"],
+    )
+    for run in runs:
+        obs.reset()
+        result = run()
+        assert obs.counter_total("cache.hit") == 0
+        assert obs.counter_total("vector.verified") > 0
+        assert result.stats == plain.stats
