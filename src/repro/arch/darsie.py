@@ -15,7 +15,7 @@ lanes), matching the paper's third comparison point.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -85,11 +85,14 @@ def skipped_rows(trace: KernelTrace) -> np.ndarray:
 
 
 class _DARSIEPolicy(IssuePolicy):
-    """Issue modes for the trace it was built for."""
+    """Issue modes for the trace it was built for.  ``skip`` (default
+    :func:`skipped_rows`) lets DARSIE+Scalar and DARSIE share one skip
+    pass."""
 
-    def __init__(self, trace: KernelTrace, with_scalar: bool) -> None:
+    def __init__(self, trace: KernelTrace, with_scalar: bool,
+                 skip: Optional[np.ndarray] = None) -> None:
         cols = trace.cols
-        self.skip = skipped_rows(trace)
+        self.skip = skipped_rows(trace) if skip is None else skip
         # DARSIE+Scalar: non-skipped uniform warp instructions run on the
         # scalar pipeline (energy benefit only: it shares the issue slot,
         # paper Section 2.2)
@@ -109,23 +112,44 @@ class _DARSIEPolicy(IssuePolicy):
         return modes, np.zeros(len(modes), dtype=np.int32)
 
 
-class DARSIEArch(Architecture):
-    """``with_scalar=True`` gives the paper's DARSIE+Scalar variant."""
+def _add_launch(stats: ArchStats, trace: KernelTrace,
+                policy: _DARSIEPolicy, timing) -> None:
+    """Count one launch replayed under ``policy`` into ``stats``."""
+    stats.launches += 1
+    simd = ~policy.skip & ~policy.inline
+    stats.warp_instructions += len(trace.cols) - int(policy.skip.sum())
+    stats.thread_instructions += int(policy.inline.sum()) + int(
+        trace.cols.active[simd].sum(dtype=np.int64)
+    )
+    stats.add_timing(timing)
 
-    def __init__(self, with_scalar: bool = False) -> None:
+
+class DARSIEArch(Architecture):
+    """``with_scalar=True`` gives the paper's DARSIE+Scalar variant.
+
+    DARSIE+Scalar given ``darsie`` stats also costs DARSIE, from the
+    same skip pass and timing replay, into them.  Its inline scalar ops
+    keep the SIMD issue slot and latency, so the two replay cycle for
+    cycle alike and differ only in energy and issue counters
+    (``TimingSimulator(ledgers=...)``); the stats come out equal to two
+    separate runs."""
+
+    def __init__(self, with_scalar: bool = False,
+                 darsie: Optional[ArchStats] = None) -> None:
         self.with_scalar = with_scalar
+        self.darsie = darsie
         self.name = "darsie+scalar" if with_scalar else "darsie"
 
     def process_trace(
         self, trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2=None
     ) -> None:
-        stats.launches += 1
         policy = _DARSIEPolicy(trace, self.with_scalar)
-        simd = ~policy.skip & ~policy.inline
-        stats.warp_instructions += len(trace.cols) - int(policy.skip.sum())
-        stats.thread_instructions += int(policy.inline.sum()) + int(
-            trace.cols.active[simd].sum(dtype=np.int64)
-        )
-
-        timing = TimingSimulator(config, trace, policy=policy, l2=l2).run()
-        stats.add_timing(timing)
+        ledgers = ()
+        if self.darsie is not None:
+            ledgers = (_DARSIEPolicy(trace, False, skip=policy.skip),)
+        timing = TimingSimulator(
+            config, trace, policy=policy, l2=l2, ledgers=ledgers,
+        ).run()
+        _add_launch(stats, trace, policy, timing)
+        if ledgers:
+            _add_launch(self.darsie, trace, ledgers[0], timing.ledgers[0])

@@ -84,6 +84,9 @@ def run_suite(
     arch_names = tuple(arch_names)
     jobs = resolve_jobs(jobs)
     tcache = resolve_cache(cache)
+    # ``False``, not ``None``, turns the cache off below: ``None`` would
+    # send run_workload back to the environment.
+    cell_cache = False if tcache is None else tcache
     suite = SuiteResults(config=config, scale=scale)
 
     with obs.span("suite"):
@@ -99,7 +102,8 @@ def run_suite(
             done.update(fan_out(
                 "suite", _suite_cell,
                 {
-                    abbr: (abbr, scale, config, arch_names, verify, tcache)
+                    abbr: (abbr, scale, config, arch_names, verify,
+                           cell_cache)
                     for abbr in abbrs if abbr not in done
                 },
                 jobs,
@@ -113,7 +117,7 @@ def run_suite(
                 res = run_workload(
                     factory(abbr, scale), config=config,
                     arch_names=arch_names, verify=verify, jobs=jobs,
-                    cache=tcache,
+                    cache=cell_cache,
                 )
             suite.results[abbr] = res
     return suite

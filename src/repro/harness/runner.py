@@ -5,7 +5,8 @@ For one workload the runner
 1. executes all launches functionally on a baseline device, verifies the
    results against the workload's numpy reference, and keeps the traces;
 2. feeds the traces to every trace-analyzing architecture (baseline,
-   ideal WP/TB/LN, DAC, DARSIE, DARSIE+Scalar), each with a fresh L2;
+   ideal WP/TB/LN, DAC, DARSIE, DARSIE+Scalar), each with a fresh L2,
+   except that DARSIE and DARSIE+Scalar share one replay per launch;
 3. executes the R2D2-transformed kernels on a second device, verifies
    them the same way, and additionally compares every output buffer
    bit-for-bit against the baseline device's;
@@ -15,7 +16,7 @@ For one workload the runner
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +54,9 @@ ALL_ARCHES = ("baseline",) + IDEAL_ARCHES + (
     "darsie+scalar",
     "r2d2",
 )
+#: Architectures one timing replay per launch serves when a run asks
+#: for both (:class:`DARSIEArch`'s ``darsie`` ledger).
+DARSIE_PAIR = ("darsie", "darsie+scalar")
 
 
 def make_architecture(name: str, **kw) -> Architecture:
@@ -210,14 +214,18 @@ def _run_workload_phases(
 
     trace_arches = [n for n in arch_names if n != "r2d2"]
     with obs.span("analyze"):
-        done = fan_out(
-            "trace-arch", _trace_arch_cell,
-            {name: (traces, config, name) for name in trace_arches}, jobs,
-        )
+        cells = {
+            ",".join(names): (traces, config, names)
+            for names in _trace_arch_cells(trace_arches)
+        }
+        done = fan_out("trace-arch", _trace_arch_cell, cells, jobs)
+        stats: Dict[str, ArchStats] = {}
+        for label, args in cells.items():
+            if label not in done:
+                done[label] = _trace_arch_cell(*args)
+            stats.update(done[label])
         for name in trace_arches:
-            if name not in done:
-                done[name] = _trace_arch_cell(traces, config, name)
-            result.stats[name] = done[name]
+            result.stats[name] = stats[name]
 
     # ------------------------------------------------------------ 3
     if "r2d2" in arch_names:
@@ -262,15 +270,31 @@ def _run_workload_phases(
     return result
 
 
-def _trace_arch_cell(traces, config: GPUConfig, name: str) -> ArchStats:
-    """One (traces, architecture) cell; module-level so process-pool
-    workers can pickle it."""
-    arch = make_architecture(name)
-    stats = arch.make_stats()
+def _trace_arch_cells(names: Sequence[str]) -> List[Tuple[str, ...]]:
+    """The analyze phase's cells: one per architecture, but one for
+    :data:`DARSIE_PAIR` when both run."""
+    if not set(DARSIE_PAIR) <= set(names):
+        return [(name,) for name in names]
+    return [(n,) for n in names if n not in DARSIE_PAIR] + [DARSIE_PAIR]
+
+
+def _trace_arch_cell(
+    traces, config: GPUConfig, names: Tuple[str, ...]
+) -> Dict[str, ArchStats]:
+    """One (traces, architectures) cell with one L2; module-level so
+    process-pool workers can pickle it."""
+    out: Dict[str, ArchStats] = {}
+    if names == DARSIE_PAIR:
+        out["darsie"] = ArchStats(name="darsie")
+        arch = DARSIEArch(with_scalar=True, darsie=out["darsie"])
+    else:
+        (name,) = names
+        arch = make_architecture(name)
+    stats = out[arch.name] = arch.make_stats()
     l2 = Cache(config.l2)
     for trace in traces:
         arch.process_trace(trace, config, stats, l2=l2)
-    return stats
+    return out
 
 
 def _outputs_match(w1: Workload, d1: Device, w2: Workload, d2: Device) -> bool:

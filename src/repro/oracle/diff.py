@@ -17,7 +17,9 @@ For one kernel spec this module runs the full soundness gauntlet:
 5. replay both traces through the production timing engine (the
    event-driven loop with SM cloning) and through the reference loop,
    requiring every field of :class:`~repro.sim.timing.TimingResult` to
-   agree, energy floats included.
+   agree, energy floats included: the transformed trace under R2D2's
+   plan, the original under the baseline's, DAC's, and DARSIE+Scalar's
+   with its DARSIE ledger (each ledger against its own reference).
 
 Any step that crashes becomes a violation too — a launch-time
 ``OverflowError`` from an unwrapped coefficient is a soundness bug, not
@@ -32,6 +34,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
+from ..arch.dac import _DACPolicy
+from ..arch.darsie import _DARSIEPolicy
 from ..arch.r2d2 import R2D2Arch, _R2D2Policy
 from ..isa.kernel import Dim3, Kernel, LaunchConfig
 from ..isa.validate import collect_errors
@@ -102,12 +106,17 @@ def _timing_engine_diffs(
     trace,
     policy=None,
     regs_per_thread: Optional[int] = None,
+    ledgers=(),
 ) -> List[Tuple[str, str]]:
     """Production timing replay (the event-driven engine with SM
     cloning) against the reference loop, each from a fresh L2, as
     ``(violation-kind, detail)`` pairs: every field, energy floats
-    included — the ``TimingSimulator.run_verify`` contract."""
-    kwargs = dict(policy=policy, regs_per_thread=regs_per_thread)
+    included, for the result and each ledger (whose reference is a
+    replay of its own plan) — the ``TimingSimulator.run_verify``
+    contract."""
+    kwargs = dict(
+        policy=policy, regs_per_thread=regs_per_thread, ledgers=ledgers
+    )
     fast = TimingSimulator(config, trace, **kwargs).run_fast()
     ref = TimingSimulator(config, trace, **kwargs).run_reference()
     return [
@@ -283,9 +292,18 @@ def _check_spec(
             )
         )
 
-    # fast-engine / reference timing equality on the original trace
-    for kind, diff in _timing_engine_diffs(config, trace_a):
-        vio.append(Violation(kind, f"baseline {diff}"))
+    # fast-engine / reference timing equality on the original trace,
+    # under the plans of every architecture that replays it
+    darsie = _DARSIEPolicy(trace_a, with_scalar=True)
+    for label, timing in (
+        ("baseline", {}),
+        ("dac", dict(policy=_DACPolicy(trace_a))),
+        ("darsie", dict(policy=darsie, ledgers=(
+            _DARSIEPolicy(trace_a, with_scalar=False, skip=darsie.skip),
+        ))),
+    ):
+        for kind, diff in _timing_engine_diffs(config, trace_a, **timing):
+            vio.append(Violation(kind, f"{label} {diff}"))
 
     return report
 

@@ -11,7 +11,7 @@ benchmark workload, multi-line records included (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional
 
 from .config import CacheConfig
 
@@ -69,26 +69,35 @@ class Cache:
             lines[line_addr] = None
         return False
 
+    def set_of(self, line_addr: int) -> int:
+        """The index of the set a line address maps to."""
+        return (line_addr // self._line_bytes) % self.num_sets
+
     # ------------------------------------------------------------------
     # Snapshot support (used by the event-driven timing engine to roll
     # back probe accesses when an SM-clone attempt turns out not to be
     # exact, and by ``TimingSimulator.run_verify`` to replay from the
     # same L2 state).
     # ------------------------------------------------------------------
-    def snapshot(self) -> tuple:
-        """Capture the full replacement state and statistics."""
+    def snapshot(self, sets: Optional[Iterable[int]] = None) -> tuple:
+        """Capture the statistics and the replacement state of every
+        set, or only of the set indices ``sets``: then only accesses to
+        those sets may happen before a :meth:`restore`."""
+        if sets is None:
+            sets = range(self.num_sets)
         return (
-            [lines.copy() for lines in self._sets],
+            {i: self._sets[i].copy() for i in sets},
             self.stats.accesses,
             self.stats.hits,
         )
 
     def restore(self, snap: tuple) -> None:
-        """Return to a previously captured :meth:`snapshot` state.  The
-        sets are copied again, so one snapshot can be restored more than
-        once."""
+        """Return the captured sets and the statistics to a previous
+        :meth:`snapshot`; other sets keep their state.  The sets are
+        copied again, so one snapshot can be restored more than once."""
         sets, accesses, hits = snap
-        self._sets = [lines.copy() for lines in sets]
+        for i, lines in sets.items():
+            self._sets[i] = lines.copy()
         self.stats.accesses = accesses
         self.stats.hits = hits
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +105,9 @@ class TimingResult:
     l2: CacheStats = field(default_factory=CacheStats)
     dram_accesses: int = 0
     sms_used: int = 0
+    #: one result per ledger policy of the replay
+    #: (``TimingSimulator(ledgers=...)``), in order
+    ledgers: List["TimingResult"] = field(default_factory=list)
 
     @property
     def issued_total(self) -> int:
@@ -128,7 +131,7 @@ def timing_differences(fast: TimingResult, ref: TimingResult) -> List[str]:
     """Field-by-field comparison of two :class:`TimingResult`\\ s under
     the event-driven engine's bit-identical contract: every integer
     field, both cache stat pairs, and the exact per-component energy
-    floats in the same key order."""
+    floats in the same key order, for the result and each ledger."""
     diffs: List[str] = []
     for name in (
         "cycles",
@@ -167,6 +170,13 @@ def timing_differences(fast: TimingResult, ref: TimingResult) -> List[str]:
             f"energy key order: fast {list(fast.energy.values)} "
             f"!= reference {list(ref.energy.values)}"
         )
+    if len(fast.ledgers) != len(ref.ledgers):
+        diffs.append(
+            f"ledgers: fast {len(fast.ledgers)} "
+            f"!= reference {len(ref.ledgers)}"
+        )
+    for k, (a, b) in enumerate(zip(fast.ledgers, ref.ledgers)):
+        diffs += [f"ledger {k} {d}" for d in timing_differences(a, b)]
     return diffs
 
 
@@ -238,7 +248,15 @@ class _Rows:
 
 
 class TimingSimulator:
-    """Replays one kernel trace on the configured GPU."""
+    """Replays one kernel trace on the configured GPU.
+
+    ``ledgers`` are further issue policies costed from the same replay,
+    each into its own result in ``TimingResult.ledgers``.  A ledger's
+    plan must be ``policy``'s with every ``SCALAR_INLINE`` row issued
+    SIMD as an ALU op (DARSIE's plan against DARSIE+Scalar's): the
+    inline op keeps the SIMD issue slot and latency, so both plans
+    replay cycle for cycle alike and differ only in energy and issue
+    counters."""
 
     def __init__(
         self,
@@ -247,10 +265,12 @@ class TimingSimulator:
         policy: Optional[IssuePolicy] = None,
         l2: Optional[Cache] = None,
         regs_per_thread: Optional[int] = None,
+        ledgers: Sequence[IssuePolicy] = (),
     ) -> None:
         self.config = config
         self.trace = trace
         self.policy = policy or IssuePolicy()
+        self.ledgers = tuple(ledgers)
         self.kernel = trace.kernel
         self.instrs = self.kernel.instructions
         self.l2 = l2 if l2 is not None else Cache(config.l2)
@@ -310,8 +330,8 @@ class TimingSimulator:
     # ------------------------------------------------------------------
     def run_verify(self) -> TimingResult:
         """Run the event-driven engine *and* the reference loop, assert
-        field-by-field equality (energy and cache stats included), and
-        return the reference result.  Raises
+        field-by-field equality (energy, cache stats and every ledger
+        included), and return the reference result.  Raises
         :class:`TimingVerifyMismatch` on any difference."""
         snap = self.l2.snapshot()
         fast = self.run_fast()
@@ -329,7 +349,20 @@ class TimingSimulator:
     # ------------------------------------------------------------------
     def run_reference(self) -> TimingResult:
         """Record-by-record reference replay (always exact; the
-        event-driven engine is validated against it)."""
+        event-driven engine is validated against it).  Each ledger
+        policy is replayed on its own, from the L2 state this call
+        started from, into the result's ``ledgers``."""
+        snap = self.l2.snapshot() if self.ledgers else None
+        result = self._replay_reference()
+        for policy in self.ledgers:
+            self.l2.restore(snap)
+            result.ledgers.append(TimingSimulator(
+                self.config, self.trace, policy, self.l2,
+                self.regs_per_thread,
+            ).run_reference())
+        return result
+
+    def _replay_reference(self) -> TimingResult:
         result = TimingResult()
         cfg = self.config
         self._rows = _Rows(self.trace, self.issue_plan())

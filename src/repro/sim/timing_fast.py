@@ -9,17 +9,18 @@ trace, scheduler, and issue policy.  Three layers:
 regular kernels those slices have identical signature sequences
 (:meth:`_Prep.sm_signature`).  The first SM of a repeated signature is
 simulated with recording on: its global-memory accesses in issue order
-with their L1/L2/DRAM outcomes, its cycles, and its energy increments.
-A later SM with the same signature only replays those accesses against
-a fresh L1 and the real shared L2.  If every load and atomic resolves
-to the representative's outcome, the SM's dynamics are provably
-identical: a store may resolve differently, because it writes no
-register and its LSU slots depend only on its line count.  The clone
-then commits the representative's cycles and energy with its own DRAM
-count, L1 statistics and ``l2``/``dram`` energy, without re-simulating;
-the L2 content evolution stays exact because the replay performs the
-very accesses a full simulation would.  On a load or atomic mismatch
-the L2 is rolled back to a snapshot and the SM is simulated in full.
+with their L1/L2/DRAM outcomes, its cycles, and its stretch of the
+issue log.  A later SM with the same signature only replays those
+accesses against a fresh L1 and the real shared L2.  If every load and
+atomic resolves to the representative's outcome, the SM's dynamics are
+provably identical: a store may resolve differently, because it writes
+no register and its LSU slots depend only on its line count.  The clone
+then commits the representative's cycles and issue log with its own
+DRAM count, L1 statistics and ``l2``/``dram`` line counts, without
+re-simulating; the L2 content evolution stays exact because the replay
+performs the very accesses a full simulation would.  On a load or
+atomic mismatch the L2 sets the replay touched are rolled back and the
+SM is simulated in full.
 
 **Record-stream precompilation.**  The signature pass (:class:`_Prep`)
 keys each warp by the bytes of its rows of seven columns — ``pc``,
@@ -27,11 +28,11 @@ keys each warp by the bytes of its rows of seven columns — ``pc``,
 issue plan's mode and extra latency — and flattens each distinct key
 into per-record tables — latency class, dense source/dest register
 slots, issue mode, extra latency, memory-line counts,
-bank-conflict-adjusted latencies, barrier flags, skip runs, and the
-exact energy additions — so the inner loop indexes integers instead of
-walking ``Instruction`` operands and calling ``source_regs()`` per
-issue.  Only global-memory records read their actual lines, from the
-trace's flat ``lines`` column.
+bank-conflict-adjusted latencies, barrier flags, skip runs, and the id
+of the precompiled row, which holds the exact energy additions — so the
+inner loop indexes integers instead of walking ``Instruction`` operands
+and calling ``source_regs()`` per issue.  Only global-memory records
+read their actual lines, from the trace's flat ``lines`` column.
 
 **Event-driven scheduling.**  Each warp caches its scoreboard ready
 time (``_EW.rt``).  The scoreboard is strictly per-warp, so a cached
@@ -52,31 +53,34 @@ burst can apply.
 Both this engine and the reference loop probe the same cache model
 (``sim/caches.py``, one LRU-ordered dict per set), one line at a time.
 
-Energy stays exact across clones because no SM adds into the running
-totals directly: each appends its increments to per-component lists in
-issue order and folds them on when it finishes (:func:`_fold`), and a
-clone folds the representative's lists the same way, with its own
-``l2`` and ``dram`` lists in place of the representative's.  The issue
-counters need no per-SM bookkeeping: every row issues or skips exactly
-once, so :func:`run_fast` reduces them from the issue plan.  This is
-the production engine of :meth:`TimingSimulator.run`; under
+Energy stays exact across clones because no issue adds into the
+running totals: each appends its row id to one issue log per replay
+(:class:`_IssueLog`), in the reference loop's order, and :func:`_fold`
+sums each component's increments from that log once the replay ends.
+A clone appends its representative's stretch of the log again, with
+its own ``l2``/``dram`` line counts.  The issue counters need no
+per-SM bookkeeping: every row issues or skips exactly once, so
+:func:`run_fast` reduces them from the issue plan.  Because energy and
+the counters come from the log and the plan, one replay can also cost
+*ledger* policies (``TimingSimulator(ledgers=…)``) whose plans issue
+the replay's ``SCALAR_INLINE`` rows as SIMD ALU ops — same slot, same
+latency — as DARSIE's plan does DARSIE+Scalar's.  This is the
+production engine of :meth:`TimingSimulator.run`; under
 ``R2D2_VERIFY=1`` every replay runs this engine *and* the reference loop
 and asserts equality field by field (:meth:`TimingSimulator.run_verify`).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
-from functools import reduce
-from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from .caches import Cache, MemoryHierarchy
-from .timing import IssueMode, TimingResult, _latency_of
+from .timing import EnergyBreakdown, IssueMode, TimingResult, _latency_of
 from .trace import BlockTrace
 
 _FAR = 1 << 60
@@ -90,6 +94,11 @@ _K_SMEM = 2
 _K_ALU = 3
 _K_SKIP = 4
 
+#: Issue-log entries :func:`_fold` gathers per numpy pass, which bounds
+#: its transient arrays whatever the launch size.
+_FOLD_SLICE = 1 << 16
+
+
 class _SigGroup:
     """Per-record static issue tables shared by all warps of one
     signature."""
@@ -101,7 +110,7 @@ class _SigGroup:
         "extra",
         "dst",
         "srcs",
-        "eadds",
+        "row",
         "lsu_slots",
         "n_lines",
         "is_store",
@@ -118,9 +127,9 @@ class _SigGroup:
         self.extra: List[int] = []
         self.dst: List[int] = []
         self.srcs: List[Tuple[int, ...]] = []
-        #: per record: ordered (component, picojoule) additions — the
-        #: exact float values the reference loop would add.
-        self.eadds: List[Tuple[Tuple[str, float], ...]] = []
+        #: per record: the id of its precompiled row (``_Prep.rows``),
+        #: which an issue appends to the issue log.
+        self.row: List[int] = []
         self.lsu_slots: List[int] = []
         self.n_lines: List[int] = []
         self.is_store: List[bool] = []
@@ -132,17 +141,15 @@ class _SigGroup:
 
 def _pc_static(instr, prep: "_Prep") -> tuple:
     """The parts of an issue row that depend only on the instruction:
-    register slots, the per-issue energy additions every SIMD issue
-    makes, the lane-energy component and rate, and the ALU latency."""
+    register slots, the energy every SIMD issue adds (see
+    :func:`_build_row`), the lane-energy component and rate, and the
+    ALU latency."""
     e = prep.cfg.energy
     dst = instr.dst
     src_regs = instr.source_regs()
-    adds = [
-        ("fetch", e.fetch_decode_pj),
-        ("rf", e.rf_read_pj * len(src_regs)),
-    ]
+    rf = (e.rf_read_pj * len(src_regs),)
     if dst is not None:
-        adds.append(("rf", e.rf_write_pj))
+        rf += (e.rf_write_pj,)
     if instr.opcode in prep.sfu_opcodes:
         lane = ("sfu", e.sfu_lane_pj)
     elif instr.dtype.is_float:
@@ -152,7 +159,7 @@ def _pc_static(instr, prep: "_Prep") -> tuple:
     return (
         prep.reg_ids[dst.name] if dst is not None else -1,
         tuple(dict.fromkeys(prep.reg_ids[r.name] for r in src_regs)),
-        tuple(adds),
+        ((("fetch", 1), ("rf", len(rf))), (e.fetch_decode_pj,) + rf),
         lane,
         _latency_of(instr, prep.cfg.latency),
     )
@@ -160,35 +167,41 @@ def _pc_static(instr, prep: "_Prep") -> tuple:
 
 def _build_row(key: tuple, prep: "_Prep") -> tuple:
     """Static issue row for one record key ``(pc, active, shared,
-    bank_conflict, n_lines, mode, extra)``.
+    bank_conflict, n_lines, mode, extra)``: its timing fields, with the
+    energy the reference loop adds when it issues at index 5 as
+    ``(shape, values)``: ``shape`` names each component in first-use
+    order with its number of additions, and ``values`` holds those
+    additions in order.  A global access's ``l2`` and ``dram`` shapes
+    are empty: their values come from its outcome (:func:`_fold`).
 
     A row depends only on the 7-tuple record key (never on the
-    surrounding signature), so it is memoized in ``prep.row_cache``:
-    divergent kernels produce thousands of distinct *signatures* built
-    from a few dozen distinct *record keys*, and rebuilding rows per
-    group used to dominate the precompilation pass.
+    surrounding signature), so it is built once per key and numbered
+    (``prep.row_ids``): divergent kernels produce thousands of distinct
+    *signatures* built from a few dozen distinct *record keys*, and
+    rebuilding rows per group used to dominate the precompilation pass.
     """
     cfg = prep.cfg
     e = cfg.energy
     pc, active, shared, bank_conflict, n_lines, mode, extra = key
     instr = prep.instrs[pc]
-    dst_id, src_ids, adds, (lane_key, lane_pj), alu_lat = prep.pc_static[pc]
+    dst_id, src_ids, (shape, vals), (lane_key, lane_pj), alu_lat = (
+        prep.pc_static[pc]
+    )
     next_scalar = mode == IssueMode.SCALAR
 
     if mode == IssueMode.SKIP:
         return (
-            _K_SKIP, 0, extra, dst_id, src_ids, (),
+            _K_SKIP, 0, extra, dst_id, src_ids, ((), ()),
             0, n_lines, instr.is_store, next_scalar, False,
         )
     if mode in (IssueMode.SCALAR, IssueMode.SCALAR_INLINE):
-        eadds = (
-            ("fetch", e.fetch_decode_pj),
-            ("scalar", e.scalar_op_pj),
-            ("rf", e.rf_read_pj + e.rf_write_pj),
+        energy = (
+            (("fetch", 1), ("scalar", 1), ("rf", 1)),
+            (e.fetch_decode_pj, e.scalar_op_pj, e.rf_read_pj + e.rf_write_pj),
         )
         return (
             _K_ALU, alu_lat, extra, dst_id,
-            src_ids, eadds, 0, n_lines, instr.is_store, next_scalar,
+            src_ids, energy, 0, n_lines, instr.is_store, next_scalar,
             mode == IssueMode.SCALAR,
         )
 
@@ -198,16 +211,19 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
     elif instr.is_global_memory and n_lines:
         kind, latv = _K_GMEM, 0
         lsu = max(1, n_lines // cfg.mem_ports_per_sm)
-        adds += (("l1", e.l1_access_pj * n_lines),)
+        shape += (("l1", 1), ("l2", 0), ("dram", 0))
+        vals += (e.l1_access_pj * n_lines,)
     elif instr.is_shared_memory or shared:
         kind = _K_SMEM
         latv = cfg.latency.shared_mem + max(0, bank_conflict - 1)
-        adds += (("shared", e.shared_access_pj * active),)
+        shape += (("shared", 1),)
+        vals += (e.shared_access_pj * active,)
     else:
         kind, latv = _K_ALU, alu_lat
-        adds += ((lane_key, lane_pj * active),)
+        shape += ((lane_key, 1),)
+        vals += (lane_pj * active,)
     return (
-        kind, latv, extra, dst_id, src_ids, adds,
+        kind, latv, extra, dst_id, src_ids, (shape, vals),
         lsu, n_lines, instr.is_store, next_scalar, False,
     )
 
@@ -215,21 +231,22 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
 def _build_group(keys: np.ndarray, prep: "_Prep") -> _SigGroup:
     """Tables for one signature, from its ``(n, 7)`` key rows."""
     grp = _SigGroup(len(keys))
-    cache = prep.row_cache
+    row_ids, all_rows = prep.row_ids, prep.rows
     rows = []
     for key in map(tuple, keys.tolist()):
-        row = cache.get(key)
-        if row is None:
-            row = _build_row(key, prep)
-            cache[key] = row
-        rows.append(row)
+        rid = row_ids.get(key)
+        if rid is None:
+            rid = row_ids[key] = len(all_rows)
+            all_rows.append(_build_row(key, prep))
+        grp.row.append(rid)
+        rows.append(all_rows[rid])
     (
         grp.kind,
         grp.lat,
         grp.extra,
         grp.dst,
         grp.srcs,
-        grp.eadds,
+        _,
         grp.lsu_slots,
         grp.n_lines,
         grp.is_store,
@@ -271,8 +288,10 @@ class _Prep:
         self.cfg = sim.config
         self.instrs = sim.instrs
         self.sfu_opcodes = SFU_OPCODES
-        #: record key -> static issue row, shared across groups.
-        self.row_cache: Dict[tuple, tuple] = {}
+        #: record key -> row id, and row id -> static issue row; rows
+        #: are shared across groups.
+        self.row_ids: Dict[tuple, int] = {}
+        self.rows: List[tuple] = []
         # Register-name -> dense slot id (reference uses a name-keyed
         # dict with default 0; dense arrays start at 0 likewise).
         self.reg_ids: Dict[str, int] = {}
@@ -451,41 +470,172 @@ def _refresh(w: _EW) -> None:
 
 
 class _SMRecord:
-    """Everything needed to clone an SM without re-simulating it."""
+    """Everything needed to clone an SM without re-simulating it:
+    ``rows[lo:hi]`` of the issue log are its issues."""
 
-    __slots__ = ("cycles", "d_prologue", "energy", "memlog")
+    __slots__ = ("cycles", "d_prologue", "lo", "hi", "memlog")
 
 
-def _fold(evals: Dict[str, float], energy) -> None:
-    """Add ``(component, increments)`` pairs onto the running energy
-    totals: each component's increments in issue order, components in
-    first-use order — the reference loop's exact float-addition
-    sequence and dict key order."""
-    for key, seq in energy:
-        evals[key] = reduce(add, seq, evals.get(key, 0.0))
+class _IssueLog:
+    """One replay's issues in the reference loop's order (SM by SM, in
+    issue order within an SM): each issue's row id, and per global
+    access the L2 and DRAM line counts its ``l2``/``dram`` energy
+    comes from."""
+
+    __slots__ = ("rows", "l2", "dram")
+
+    def __init__(self) -> None:
+        self.rows: List[int] = []
+        self.l2: List[int] = []
+        self.dram: List[int] = []
+
+
+def _slots(energy: Sequence[tuple]) -> tuple:
+    """One ledger's per-row energy (``(shape, values)`` pairs, see
+    :func:`_build_row`) as a table: ``index[component]`` lists the table
+    rows of its addition slots, and ``table[slot, r]`` is row ``r``'s
+    increment there (0.0 where the row makes fewer)."""
+    n = len(energy)
+    by_shape: Dict[tuple, List[int]] = {}
+    for r, (shape, _) in enumerate(energy):
+        by_shape.setdefault(shape, []).append(r)
+    index: Dict[str, List[int]] = {}
+    table: List[np.ndarray] = []
+    for shape, rows in by_shape.items():
+        vals = np.array([energy[r][1] for r in rows]).reshape(len(rows), -1)
+        col = 0
+        for key, count in shape:
+            slots = index.setdefault(key, [])
+            for j in range(count):
+                if j == len(slots):
+                    slots.append(len(table))
+                    table.append(np.zeros(n))
+                table[slots[j]][rows] = vals[:, col]
+                col += 1
+    return index, np.array(table).reshape(len(table), n)
+
+
+def _fold(ledgers: Sequence[Sequence[tuple]], gmem: Sequence[bool],
+          log: _IssueLog, e) -> List[Dict[str, float]]:
+    """Each ledger's energy totals from one issue log.
+
+    ``ledgers[k][r]`` holds row ``r``'s energy under ledger ``k`` (see
+    :func:`_build_row`), and a ``gmem[r]`` row adds ``l2`` and ``dram``
+    energy from the log's line counts.  Each component's increments are
+    gathered in log order, a slice at a time, and summed by
+    ``np.add.accumulate`` from the running total: it adds strictly left
+    to right, the reference loop's exact float sequence, where
+    ``np.sum`` would add pairwise.  A row without an addition to a
+    component pads with zeros, which leave every partial sum
+    unchanged."""
+    tables = [_slots(energy) for energy in ledgers]
+    # Components enter each dict in the order the log first uses them,
+    # as in the reference's dict: walk the log's rows in first-issue
+    # order until every ledger has met all its components (every row
+    # of the replay issues, usually all within the first warps).
+    order: List[Dict[str, None]] = [{} for _ in ledgers]
+    left = sum(len(index) for index, _ in tables)
+    met = set()
+    for r in log.rows:
+        if r in met:
+            continue
+        met.add(r)
+        for energy, keys in zip(ledgers, order):
+            for key, _ in energy[r][0]:
+                if key not in keys:
+                    keys[key] = None
+                    left -= 1
+        if not left:
+            break
+
+    is_mem = np.array(gmem, dtype=bool)
+    totals: List[Dict[str, float]] = [dict.fromkeys(k, 0.0) for k in order]
+    m = 0
+    for a in range(0, len(log.rows), _FOLD_SLICE):
+        chunk = log.rows[a:a + _FOLD_SLICE]
+        ids = np.fromiter(chunk, dtype=np.intp, count=len(chunk))
+        n_mem = int(np.count_nonzero(is_mem[ids]))
+        per_access = {
+            key: pj * np.array(counts[m:m + n_mem], dtype=np.float64)
+            for key, pj, counts in (("l2", e.l2_access_pj, log.l2),
+                                    ("dram", e.dram_access_pj, log.dram))
+        }
+        m += n_mem
+        for (index, table), tot in zip(tables, totals):
+            for key in tot:
+                slots = index[key]
+                if key in per_access:
+                    vals = per_access[key].copy()
+                elif len(slots) == 1:
+                    vals = table[slots[0]][ids]
+                else:
+                    vals = table[slots][:, ids].T.ravel()
+                if len(vals):
+                    vals[0] += tot[key]
+                    tot[key] = float(np.add.accumulate(vals)[-1])
+    return totals
+
+
+def _ledger(sim, prep: _Prep, policy) -> Tuple[np.ndarray, List[tuple]]:
+    """A ledger policy's issue modes and per-row energy additions.
+
+    The ledger's plan must be the replay's with every ``SCALAR_INLINE``
+    row issued SIMD, and each such row must then be an ALU op of the
+    same timing (``_build_row`` twins equal but for their energy):
+    every issue takes the same slot and latency under both plans, so the
+    replay serves the ledger and only energy and the issue counters
+    differ.  Anything else raises ``ValueError``."""
+    modes, extra = policy.plan(sim.trace)
+    rmodes, rextra = sim.issue_plan()
+    inline = rmodes == IssueMode.SCALAR_INLINE
+    if not (
+        np.array_equal(extra, rextra)
+        and np.array_equal(modes, np.where(inline, IssueMode.SIMD, rmodes))
+    ):
+        raise ValueError(
+            f"ledger {type(policy).__name__} differs from the replayed "
+            "plan in more than SCALAR_INLINE -> SIMD"
+        )
+    energy = []
+    for key, row in zip(prep.row_ids, prep.rows):
+        if key[5] == IssueMode.SCALAR_INLINE:
+            twin = _build_row(key[:5] + (IssueMode.SIMD,) + key[6:], prep)
+            if twin[0] != _K_ALU or twin[:5] + twin[6:] != row[:5] + row[6:]:
+                raise ValueError(
+                    f"ledger {type(policy).__name__}: pc {key[0]} issued "
+                    "SIMD is not an ALU op of the inline timing"
+                )
+            row = twin
+        energy.append(row[5])
+    return modes, energy
 
 
 def _try_clone(sim, prep: _Prep, rec: _SMRecord,
-               blocks: List[BlockTrace], result: TimingResult) -> bool:
+               blocks: List[BlockTrace], result: TimingResult,
+               log: _IssueLog) -> bool:
     """Replay the representative's memory accesses for a candidate clone.
     Every load and atomic must resolve to the representative's L1/L2/DRAM
-    outcome, else the L2 is rolled back and the clone fails.  A store may
-    resolve differently: it writes no register and its LSU slots depend
-    only on its line count, so the schedule, the cycles and every energy
-    list but ``l2``/``dram`` are the representative's.  The clone commits
-    those with its own DRAM count, L1 stats and per-access ``l2``/``dram``
-    increments, which in memlog order are its issue order."""
+    outcome, else the L2 sets the replay touched are rolled back and the
+    clone fails.  A store may resolve differently: it writes no register
+    and its LSU slots depend only on its line count, so the schedule,
+    the cycles and every issue are the representative's.  The clone
+    commits those with its own DRAM count, L1 stats and per-access
+    ``l2``/``dram`` line counts, which in memlog order are its issue
+    order."""
     cfg = sim.config
-    e = cfg.energy
     l2 = sim.l2
-    snap = l2.snapshot() if rec.memlog else None
+    off, lines = prep.line_off, prep.lines
+    rows = [blocks[b].warps[w].start + i for b, w, i, *_ in rec.memlog]
+    snap = l2.snapshot(
+        {l2.set_of(a) for r in rows for a in lines[off[r]:off[r + 1]]}
+    )
     l1 = Cache(cfg.l1)
     hierarchy = MemoryHierarchy(l1, l2, cfg.latency)
-    off, lines = prep.line_off, prep.lines
-    own: Dict[str, List[float]] = {"l2": [], "dram": []}
-    dram = 0
-    for bseq, wpos, ridx, want_l1, want_l2, want_dram, is_store in rec.memlog:
-        r = blocks[bseq].warps[wpos].start + ridx
+    own_l2: List[int] = []
+    own_dram: List[int] = []
+    for r, (_, _, _, want_l1, want_l2, want_dram, is_store) in zip(
+        rows, rec.memlog
+    ):
         acc = hierarchy.access(lines[off[r]:off[r + 1]], is_store=is_store)
         if not is_store and (
             acc.l1_hits != want_l1
@@ -494,22 +644,26 @@ def _try_clone(sim, prep: _Prep, rec: _SMRecord,
         ):
             l2.restore(snap)
             return False
-        dram += acc.dram_accesses
         n_l2 = off[r + 1] - off[r] - acc.l1_hits
-        own["l2"].append(e.l2_access_pj * (n_l2 if n_l2 > 0 else 0))
-        own["dram"].append(e.dram_access_pj * acc.dram_accesses)
+        own_l2.append(n_l2 if n_l2 > 0 else 0)
+        own_dram.append(acc.dram_accesses)
     result.prologue_cycles += rec.d_prologue
-    result.dram_accesses += dram
+    result.dram_accesses += sum(own_dram)
     result.l1.merge(l1.stats)
-    _fold(result.energy.values,
-          ((key, own.get(key, seq)) for key, seq in rec.energy))
+    log.rows += log.rows[rec.lo:rec.hi]
+    log.l2 += own_l2
+    log.dram += own_dram
     return True
 
 
 def run_fast(sim) -> TimingResult:
     """Event-driven equivalent of :meth:`TimingSimulator.run_reference`,
-    with SMs of a repeated signature cloned where exact."""
+    with SMs of a repeated signature cloned where exact.  Each of
+    ``sim.ledgers`` gets its result, costed from the same replay, in
+    the returned result's ``ledgers``."""
     prep = prep_for(sim)
+    ledgers = [(sim.issue_plan()[0], [row[5] for row in prep.rows])]
+    ledgers += [_ledger(sim, prep, policy) for policy in sim.ledgers]
     result = TimingResult()
     cfg = sim.config
     blocks = sim.trace.blocks
@@ -525,18 +679,20 @@ def run_fast(sim) -> TimingResult:
     sig_counts = Counter(sm_sigs)
     seen: Dict[tuple, _SMRecord] = {}
     sm_cycles: List[int] = []
+    log = _IssueLog()
     n_cloned = n_rejected = 0
     for sm_id in range(n_sms):
         sig = sm_sigs[sm_id]
         rec = seen.get(sig)
         if rec is not None:
-            if _try_clone(sim, prep, rec, per_sm[sm_id], result):
+            if _try_clone(sim, prep, rec, per_sm[sm_id], result, log):
                 n_cloned += 1
                 sm_cycles.append(rec.cycles)
                 continue
             n_rejected += 1
         cycles, smrec = _run_sm(
-            sim, prep, sm_id, per_sm[sm_id], result, sig_counts[sig] > 1
+            sim, prep, sm_id, per_sm[sm_id], result, log,
+            sig_counts[sig] > 1,
         )
         if smrec is not None:
             seen[sig] = smrec
@@ -550,23 +706,33 @@ def run_fast(sim) -> TimingResult:
         obs.inc("dedup.clone_rejects", n_rejected, kernel=kname)
     obs.inc("dedup.signatures", len(sig_counts), kernel=kname)
 
-    # Every row issues or skips exactly once, on whichever SM, so the
-    # issue counters are reductions of the plan.
-    modes = sim.issue_plan()[0]
-    n_mode = np.bincount(modes, minlength=len(IssueMode)).tolist()
-    result.issued_simd = n_mode[IssueMode.SIMD]
-    result.issued_scalar = (
-        n_mode[IssueMode.SCALAR] + n_mode[IssueMode.SCALAR_INLINE]
-    )
-    result.skipped = n_mode[IssueMode.SKIP]
-    result.thread_ops = result.issued_scalar + int(
-        sim.trace.cols.active[modes == IssueMode.SIMD].sum(dtype=np.int64)
-    )
     result.cycles = max(sm_cycles) if sm_cycles else 0
     result.l2 = replace(sim.l2.stats)
     static = cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms
-    result.energy.add("static", static)
-    return result
+    gmem = [row[0] == _K_GMEM for row in prep.rows]
+    energies = _fold([energy for _, energy in ledgers], gmem, log,
+                     cfg.energy)
+    active = sim.trace.cols.active
+    out = []
+    for (modes, _), energy in zip(ledgers, energies):
+        res = replace(result, l1=replace(result.l1), l2=replace(result.l2),
+                      ledgers=[])
+        # Every row issues or skips exactly once, on whichever SM, so
+        # the issue counters are reductions of the plan.
+        n_mode = np.bincount(modes, minlength=len(IssueMode)).tolist()
+        res.issued_simd = n_mode[IssueMode.SIMD]
+        res.issued_scalar = (
+            n_mode[IssueMode.SCALAR] + n_mode[IssueMode.SCALAR_INLINE]
+        )
+        res.skipped = n_mode[IssueMode.SKIP]
+        res.thread_ops = res.issued_scalar + int(
+            active[modes == IssueMode.SIMD].sum(dtype=np.int64)
+        )
+        res.energy = EnergyBreakdown(energy)
+        res.energy.add("static", static)
+        out.append(res)
+    out[0].ledgers = out[1:]
+    return out[0]
 
 
 def _run_sm(
@@ -575,10 +741,12 @@ def _run_sm(
     sm_id: int,
     blocks: List[BlockTrace],
     result: TimingResult,
+    log: _IssueLog,
     record: bool,
 ) -> Tuple[int, Optional[_SMRecord]]:
-    """Simulate one SM.  With ``record`` set, also return the
-    :class:`_SMRecord` that later SMs of the same signature clone."""
+    """Simulate one SM, appending its issues to ``log``.  With
+    ``record`` set, also return the :class:`_SMRecord` that later SMs
+    of the same signature clone."""
     if not blocks:
         return 0, None
     cfg = sim.config
@@ -590,11 +758,11 @@ def _run_sm(
     n_regs = prep.n_regs
     do_scalar_pass = prep.any_scalar
     use_gto = cfg.scheduler_policy == "gto"
-    e_l2_pj = cfg.energy.l2_access_pj
-    e_dram_pj = cfg.energy.dram_access_pj
     line_off, lines = prep.line_off, prep.lines
-    # component -> this SM's increments in issue order (see _fold)
-    energy: Dict[str, List[float]] = defaultdict(list)
+    log_row = log.rows.append
+    log_l2 = log.l2.append
+    log_dram = log.dram.append
+    log_lo = len(log.rows)
 
     pre_prologue = result.prologue_cycles
     memlog: Optional[list] = [] if record else None
@@ -672,8 +840,7 @@ def _run_sm(
         nonlocal lsu_free
         grp = w.grp
         i = w.idx
-        for key, pj in grp.eadds[i]:
-            energy[key].append(pj)
+        log_row(grp.row[i])
         kind = grp.kind[i]
         if kind == _K_BARRIER:
             fb = w.fb
@@ -702,8 +869,8 @@ def _run_sm(
             completion = start + acc.latency + grp.extra[i]
             result.dram_accesses += acc.dram_accesses
             n_l2 = grp.n_lines[i] - acc.l1_hits
-            energy["l2"].append(e_l2_pj * (n_l2 if n_l2 > 0 else 0))
-            energy["dram"].append(e_dram_pj * acc.dram_accesses)
+            log_l2(n_l2 if n_l2 > 0 else 0)
+            log_dram(acc.dram_accesses)
             if memlog is not None:
                 memlog.append((
                     w.bseq, w.wpos, i, acc.l1_hits, acc.l2_hits,
@@ -721,8 +888,7 @@ def _run_sm(
         the caller not to complete the warp (so no block bookkeeping)."""
         grp = w.grp
         i = w.idx
-        for key, pj in grp.eadds[i]:
-            energy[key].append(pj)
+        log_row(grp.row[i])
         reg = w.reg
         dst = grp.dst[i]
         if dst >= 0:
@@ -894,12 +1060,12 @@ def _run_sm(
                         nxt = rt
             t = nxt if nxt < _FAR else t + 1
     result.l1.merge(l1.stats)
-    _fold(result.energy.values, energy.items())
     if not record:
         return t, None
     smrec = _SMRecord()
     smrec.cycles = t
     smrec.d_prologue = result.prologue_cycles - pre_prologue
-    smrec.energy = tuple(energy.items())
+    smrec.lo = log_lo
+    smrec.hi = len(log.rows)
     smrec.memlog = memlog
     return t, smrec

@@ -26,6 +26,7 @@ from repro.perf.trace_cache import (
     UnhashableKeyPart,
     digest,
 )
+from repro.sim import tiny
 from repro.workloads import factory
 
 
@@ -310,6 +311,22 @@ class TestRunWorkloadCache:
         version = tmp_path / f"v{SCHEMA_VERSION}"
         assert list((version / "result").glob("??/*.pkl"))
         assert not list((version / "trace").glob("??/*.pkl"))
+
+
+class TestRunSuiteCache:
+    def test_cache_false_overrides_env(self, monkeypatch, tmp_path):
+        """``cache=False`` keeps the cache off even under
+        ``R2D2_CACHE=1``: nothing is written, nothing is read."""
+        root = tmp_path / "env-cache"
+        monkeypatch.setenv("R2D2_CACHE", "1")
+        monkeypatch.setenv("R2D2_CACHE_DIR", str(root))
+        obs.reset()
+        for _ in range(2):
+            run_suite(["BP"], scale="tiny", config=tiny(), jobs=1,
+                      cache=False)
+        assert obs.counter_total("cache.put") == 0
+        assert obs.counter_total("cache.hit") == 0
+        assert not root.exists() or not any(root.iterdir())
 
 
 class TestParallelRunners:

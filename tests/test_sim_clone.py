@@ -7,9 +7,12 @@ may resolve differently, and the clone then commits its own DRAM count,
 L1 statistics and ``l2``/``dram`` energy.  Every field of the result —
 integers, cache statistics, and the energy floats with their dict key
 order — must equal :meth:`TimingSimulator.run_reference` started from
-the same L2 state, whether or not a clone commits or is rolled back.
-See docs/PERFORMANCE.md §4.
+the same L2 state, whether or not a clone commits or is rolled back;
+so must every ledger a replay costs, against the reference of its own
+plan.  See docs/PERFORMANCE.md §4.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,16 +34,23 @@ _RUN = TimingSimulator.run
 
 
 def _check(sim):
-    """Run ``sim`` in production, then the reference loop from the same
-    L2 snapshot; return the production result and the differences
-    (energy key order included).  The L2 is left as production left
-    it."""
+    """Run ``sim`` in production, then the reference loop of its plan
+    and of each ledger's plan alone, each from the same L2 snapshot;
+    return the production result and the differences (energy key order
+    included).  The L2 is left as production left it."""
     snap = sim.l2.snapshot()
     res = _RUN(sim)
     after = sim.l2.snapshot()
-    sim.l2.restore(snap)
-    ref = sim.run_reference()
-    diffs = timing_differences(res, ref)
+    diffs = []
+    if len(res.ledgers) != len(sim.ledgers):
+        diffs.append(f"{len(res.ledgers)} ledgers for {len(sim.ledgers)}")
+    for policy, got in zip((sim.policy,) + sim.ledgers, [res] + res.ledgers):
+        sim.l2.restore(snap)
+        ref = TimingSimulator(
+            sim.config, sim.trace, policy=policy, l2=sim.l2,
+            regs_per_thread=sim.regs_per_thread,
+        ).run_reference()
+        diffs += timing_differences(replace(got, ledgers=[]), ref)
     sim.l2.restore(after)
     return res, diffs
 
@@ -76,14 +86,15 @@ def _traces_for(abbr, config):
 
 @pytest.mark.parametrize("abbr", WORKLOADS)
 def test_run_workload_exact(abbr, monkeypatch):
-    """Every timing replay of every architecture on real workloads
-    equals the reference from the same L2 state."""
+    """Every timing replay of every architecture on real workloads, and
+    every ledger it costs, equals the reference from the same L2
+    state."""
     arches = ("baseline", "dac", "darsie", "darsie+scalar", "r2d2")
     checks = []
 
     def checked(sim):
         res, diffs = _check(sim)
-        checks.append((sim.kernel.name, diffs))
+        checks.append((sim.kernel.name, diffs, len(sim.ledgers)))
         return res
 
     monkeypatch.setattr(TimingSimulator, "run", checked)
@@ -94,6 +105,7 @@ def test_run_workload_exact(abbr, monkeypatch):
     )
     assert set(result.stats) == set(arches)
     assert checks
+    assert any(c[2] for c in checks)
     assert [c for c in checks if c[1]] == []
 
 

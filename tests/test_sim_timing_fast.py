@@ -421,6 +421,37 @@ class TestCacheModel:
             assert replay == baseline
             assert (cache.stats.accesses, cache.stats.hits) == stats_after
 
+    def test_partial_snapshot_restores_touched_sets_only(self):
+        """A snapshot of the sets some lines map to restores their LRU
+        order and the stats exactly, and leaves every other set as it
+        is, even one changed since the snapshot."""
+        cache = Cache(tiny().l2)
+        lb = cache.config.line_bytes
+        rng = np.random.default_rng(6)
+        for addr in rng.integers(0, 4096, 3000):
+            cache.access(int(addr) * lb)
+        touched = [int(a) * lb for a in rng.integers(0, 4096, 40)]
+        sets = {cache.set_of(a) for a in touched}
+        assert 0 < len(sets) < cache.num_sets
+        other = min(set(range(cache.num_sets)) - sets)
+        fresh = (other + 1000 * cache.num_sets) * lb
+        order = [list(lines) for lines in cache._sets]
+        stats = (cache.stats.accesses, cache.stats.hits)
+        snap = cache.snapshot(sorted(sets))
+        for _ in range(2):  # one snapshot restores more than once
+            for a in touched[::-1]:
+                cache.access(a)
+            assert any(list(cache._sets[i]) != order[i] for i in sets)
+            cache.access(fresh)
+            kept = cache._sets[other]
+            cache.restore(snap)
+            assert (cache.stats.accesses, cache.stats.hits) == stats
+            for i in sets:
+                assert list(cache._sets[i]) == order[i]
+            assert cache._sets[other] is kept and fresh in kept
+            for i in set(range(cache.num_sets)) - sets - {other}:
+                assert list(cache._sets[i]) == order[i]
+
     def test_hierarchy_matches_lru_models(self):
         lat = tiny().latency
         hier = MemoryHierarchy(
