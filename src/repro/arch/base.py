@@ -8,11 +8,14 @@ Every comparison point in the paper's evaluation is an ``Architecture``:
   counts only, no timing);
 - ``dac`` / ``darsie`` / ``darsie+scalar`` — prior work, modeled
   optimistically exactly as the paper does (Section 5);
-- ``r2d2`` — the proposed design, executing transformed kernels.
+- ``r2d2`` — the proposed design, running transformed kernels.
 
-Trace-analyzing variants consume the baseline's traces; R2D2 executes its
-own transformed kernels (produced by :func:`repro.transform.r2d2_transform`)
-and must reproduce the baseline's memory outputs bit-for-bit.
+Every variant consumes the baseline's traces.  R2D2 replays each one
+derived to its transformed kernel (produced by
+:func:`repro.transform.r2d2_transform`), which a translation check and
+an operand witness prove equal to executing it — bit-identical memory
+outputs included; it executes the transformed kernels only when that
+proof fails.
 """
 
 from __future__ import annotations

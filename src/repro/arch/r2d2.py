@@ -1,12 +1,19 @@
 """The R2D2 GPU architecture (paper Sections 3–4).
 
-Execution flow per launch:
+Per launch:
 
 1. the kernel is transformed once (cached) by the R2D2 software pipeline;
 2. the register-pressure check (Section 4.4) decides between the
    transformed stream and the original binary (the fallback);
-3. the transformed stream executes functionally with %lr/%cr operands
-   resolved by :class:`~repro.transform.values.R2D2Values`;
+3. the transformed stream's trace is the baseline trace with the removed
+   pcs' rows left out (:meth:`KernelTrace.derive`).  That holds because
+   the transformed kernel passed the translation check
+   (:mod:`repro.transform.translation`) and the baseline launch passed
+   the operand witness: every ``%lr``/``%cr`` operand, resolved by
+   :class:`~repro.transform.values.R2D2Values`, equals the original
+   operand on every active lane.  :meth:`R2D2Arch.execute_launch` runs
+   the transformed stream itself, for runs where that proof fails and
+   under ``R2D2_VERIFY=1``;
 4. timing replays the trace with the R2D2 issue policy: an SM prologue
    models warp 0 computing coefficients on the scalar pipeline and the
    first block computing thread-index parts (round-robin issue, Section
@@ -24,9 +31,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..isa.kernel import Dim3, Kernel, LaunchConfig
+from ..isa.kernel import Kernel, LaunchConfig
 from ..isa.operands import LinearRef, LinearRegOperand
 from ..sim.config import GPUConfig
+from ..sim.executor import Witness
 from ..sim.gpu import Device, as_dim3
 from ..sim.timing import IssueMode, IssuePolicy, TimingSimulator
 from ..sim.trace import BlockTrace, KernelTrace
@@ -140,8 +148,11 @@ class _R2D2Policy(IssuePolicy):
 
 
 class R2D2Arch(Architecture):
-    """The proposed design.  Not a trace-analyzing variant: it executes
-    its own transformed kernels via :meth:`execute_launch`."""
+    """The proposed design.  A trace-analyzing architecture: it replays
+    each baseline trace derived to the transformed kernel
+    (:meth:`process_trace`), which is valid when the launch passed its
+    operand witness (:meth:`witness`); :meth:`execute_launch` executes a
+    transformed launch instead."""
 
     def __init__(
         self,
@@ -153,6 +164,14 @@ class R2D2Arch(Architecture):
         self.max_entries = max_entries
         self.group_shared_parts = group_shared_parts
         self._transform_cache: Dict[int, R2D2Kernel] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # The cache is keyed by kernel identity, which an unpickled copy
+        # (a ``--jobs`` worker's) must key anew.
+        self.__dict__.update(state)
+        self._transform_cache = {
+            id(rk.original): rk for rk in self._transform_cache.values()
+        }
 
     # ------------------------------------------------------------------
     def transform(self, kernel: Kernel) -> R2D2Kernel:
@@ -166,6 +185,36 @@ class R2D2Arch(Architecture):
             )
             self._transform_cache[key] = cached
         return cached
+
+    def launch_kernel(
+        self, kernel: Kernel, launch: LaunchConfig, config: GPUConfig
+    ) -> Optional[R2D2Kernel]:
+        """The transformed kernel ``launch`` runs, or ``None`` when it
+        runs the original binary: an empty plan, or the
+        register-pressure fallback."""
+        rkernel = self.transform(kernel)
+        if rkernel.plan.is_empty() or not rkernel.fits(
+            config, launch.threads_per_block
+        ):
+            return None
+        return rkernel
+
+    def witness(
+        self, kernel: Kernel, grid, block, args, config: GPUConfig
+    ) -> Optional[Witness]:
+        """The operand witness the baseline launch of ``kernel`` must
+        pass for :meth:`process_trace` to derive its trace, or ``None``
+        for a fallback launch (its trace is the baseline's own).  Raises
+        :class:`~repro.transform.translation.TranslationError` when the
+        transformed kernel fails the translation check."""
+        launch = LaunchConfig(
+            grid=as_dim3(grid), block=as_dim3(block), args=tuple(args)
+        )
+        rkernel = self.launch_kernel(kernel, launch, config)
+        if rkernel is None:
+            return None
+        sites = rkernel.translation().sites
+        return Witness(R2D2Values(rkernel.plan, launch), sites)
 
     # ------------------------------------------------------------------
     def linear_phase_counts(
@@ -190,6 +239,43 @@ class R2D2Arch(Architecture):
         )
 
     # ------------------------------------------------------------------
+    def process_trace(
+        self,
+        trace: KernelTrace,
+        config: GPUConfig,
+        stats: ArchStats,
+        l2=None,
+    ) -> None:
+        """Replay one baseline launch as R2D2 runs it: its trace derived
+        to the transformed kernel, or the trace itself on a fallback.
+        A trace whose witness failed raises ``ValueError``: its launch
+        must execute (:meth:`execute_launch`)."""
+        if trace.witness is not None and not trace.witness.ok:
+            raise ValueError(
+                f"{trace.kernel.name}: operand witness failed "
+                f"({trace.witness.failure}); execute the transformed "
+                "launch instead"
+            )
+        stats.launches += 1
+        rkernel, derived = self.derive(trace, config)
+        if rkernel is None:
+            self._replay_original(trace, config, stats, l2)
+        else:
+            self._replay_transformed(rkernel, derived, config, stats, l2)
+
+    def derive(
+        self, trace: KernelTrace, config: GPUConfig
+    ) -> Tuple[Optional[R2D2Kernel], KernelTrace]:
+        """The transformed kernel R2D2 runs for baseline ``trace``'s
+        launch and the trace that leaves: ``trace`` with the removed
+        pcs' rows left out, or ``(None, trace)`` on a fallback."""
+        rkernel = self.launch_kernel(trace.kernel, trace.launch, config)
+        if rkernel is None:
+            return None, trace
+        return rkernel, trace.derive(
+            rkernel.transformed, rkernel.translation().new_pc
+        )
+
     def execute_launch(
         self,
         device: Device,
@@ -201,30 +287,44 @@ class R2D2Arch(Architecture):
         stats: ArchStats,
         l2=None,
     ) -> KernelTrace:
+        """Execute one launch as R2D2 runs it — the transformed kernel,
+        or the original on a fallback — on ``device``, and replay its
+        trace."""
         stats.launches += 1
-        rkernel = self.transform(kernel)
         launch = LaunchConfig(
             grid=as_dim3(grid), block=as_dim3(block), args=tuple(args)
         )
-
-        use_fallback = (
-            rkernel.plan.is_empty()
-            or not rkernel.fits(config, launch.threads_per_block)
-        )
-        if use_fallback:
-            stats.fallback_launches += 1
+        rkernel = self.launch_kernel(kernel, launch, config)
+        if rkernel is None:
             trace = device.launch(kernel, grid, block, args)
-            stats.warp_instructions += trace.warp_instruction_count()
-            stats.thread_instructions += trace.thread_instruction_count()
-            timing = TimingSimulator(config, trace, l2=l2).run()
-            stats.add_timing(timing)
+            self._replay_original(trace, config, stats, l2)
             return trace
-
         values = R2D2Values(rkernel.plan, launch)
         trace = device.launch(
             rkernel.transformed, grid, block, args, linear_values=values
         )
-        counts = self.linear_phase_counts(rkernel, launch, config)
+        self._replay_transformed(rkernel, trace, config, stats, l2)
+        return trace
+
+    @staticmethod
+    def _replay_original(
+        trace: KernelTrace, config: GPUConfig, stats: ArchStats, l2
+    ) -> None:
+        stats.fallback_launches += 1
+        stats.warp_instructions += trace.warp_instruction_count()
+        stats.thread_instructions += trace.thread_instruction_count()
+        timing = TimingSimulator(config, trace, l2=l2).run()
+        stats.add_timing(timing)
+
+    def _replay_transformed(
+        self,
+        rkernel: R2D2Kernel,
+        trace: KernelTrace,
+        config: GPUConfig,
+        stats: ArchStats,
+        l2,
+    ) -> None:
+        counts = self.linear_phase_counts(rkernel, trace.launch, config)
         policy = _R2D2Policy(rkernel, counts, config)
         timing = TimingSimulator(
             config,
@@ -256,7 +356,6 @@ class R2D2Arch(Architecture):
         stats.linear_block_instructions += counts.block_total
         stats.add_timing(timing)
         self._charge_linear_energy(counts, config, stats)
-        return trace
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -14,6 +14,13 @@ For one kernel spec this module runs the full soundness gauntlet:
    both kernels also run on the megawarp engine (``run_verify``, then
    the committing ``run_fast``) and must match their serial runs
    exactly;
+4b. check the proof that lets R2D2 skip that second run: the
+   transformed kernel must pass the translation check
+   (``r2d2-translation``), the original's megawarp runs must pass the
+   operand witness, with both engines agreeing on its verdict
+   (``r2d2-witness``), and the original trace derived to the
+   transformed kernel must equal the transformed run's trace in every
+   column but ``src_hash`` (``r2d2-derivation-mismatch``);
 5. replay both traces through the production timing engine (the
    event-driven loop with SM cloning) and through the reference loop,
    requiring every field of :class:`~repro.sim.timing.TimingResult` to
@@ -41,11 +48,13 @@ from ..isa.kernel import Dim3, Kernel, LaunchConfig
 from ..isa.validate import collect_errors
 from ..linear.analyzer import analyze_kernel
 from ..sim.config import GPUConfig, tiny
-from ..sim.executor import FunctionalExecutor
+from ..sim.executor import FunctionalExecutor, Witness
 from ..sim.vector import VectorMismatch
 from ..sim.gpu import Device
 from ..sim.timing import TimingSimulator, timing_differences
+from ..sim.trace import trace_differences
 from ..transform.decouple import R2D2Kernel, r2d2_transform
+from ..transform.translation import DERIVED_FIELDS, TranslationError
 from ..transform.values import R2D2Values
 from .invariants import (
     ProbeExecutor,
@@ -198,18 +207,32 @@ def _check_spec(
         )
     )
 
-    # --- megawarp vectorization ---------------------------------------
-    vio.extend(
-        _megawarp_violations(spec, config, kernel, launch_geom, dev_a)
-    )
-
-    # --- transform + differential run ---------------------------------
+    # --- transform + the proof's static half --------------------------
+    rkernel = translation = witness = None
     try:
         rkernel = r2d2_transform(kernel)
     except Exception as exc:  # noqa: BLE001
         vio.append(
             Violation("transform-crash", f"{type(exc).__name__}: {exc}")
         )
+    if rkernel is not None and not rkernel.plan.is_empty():
+        try:
+            translation = rkernel.translation()
+            witness = Witness(
+                R2D2Values(rkernel.plan, launch_a), translation.sites
+            )
+        except TranslationError as exc:
+            vio.append(Violation("r2d2-translation", str(exc)))
+        except Exception:  # noqa: BLE001 - reported below
+            pass
+
+    # --- megawarp vectorization (the witness on both engines) ---------
+    vio.extend(
+        _megawarp_violations(
+            spec, config, kernel, launch_geom, dev_a, witness=witness,
+        )
+    )
+    if rkernel is None:
         return report
     report.plan_empty = rkernel.plan.is_empty()
 
@@ -275,6 +298,18 @@ def _check_spec(
                     )
                 )
 
+        # the original trace derived to the transformed kernel is the
+        # transformed run's trace
+        if translation is not None:
+            derived = trace_a.derive(
+                rkernel.transformed, translation.new_pc
+            )
+            for diff in trace_differences(
+                derived.blocks, derived.cols, trace_b.blocks, trace_b.cols,
+                DERIVED_FIELDS,
+            )[:max_violations]:
+                vio.append(Violation("r2d2-derivation-mismatch", diff))
+
         # fast-engine / reference timing equality on the transformed
         # trace (SM cloning and R2D2 issue plans included)
         counts = R2D2Arch().linear_phase_counts(rkernel, launch_b, config)
@@ -315,14 +350,17 @@ def _megawarp_violations(
     launch_geom: Dict[str, Dim3],
     serial: Device,
     rkernel: Optional[R2D2Kernel] = None,
+    witness: Optional[Witness] = None,
 ) -> List[Violation]:
     """Megawarp equivalence on one kernel, divergent ones included:
     ``run_verify`` must find it bit-identical to serial (trace records +
-    memory); then the committing path (``run_fast``) must leave the same
-    memory as the ``serial`` run, and its trace must replay identically
-    through every timing engine.  With ``rkernel`` the transformed
-    kernel runs instead, with launch-time :class:`R2D2Values` and the
-    R2D2 issue policy, and every detail carries an ``r2d2`` prefix."""
+    memory, and the ``witness`` verdict when one is given); then the
+    committing path (``run_fast``) must leave the same memory as the
+    ``serial`` run, its trace must replay identically through every
+    timing engine, and it must pass the ``witness``.  With ``rkernel``
+    the transformed kernel runs instead, with launch-time
+    :class:`R2D2Values` and the R2D2 issue policy, and every detail
+    carries an ``r2d2`` prefix."""
     label = "" if rkernel is None else "r2d2 "
 
     def fresh():
@@ -330,7 +368,9 @@ def _megawarp_violations(
         dev, args, _ = _prepare_device(spec, config)
         launch = LaunchConfig(args=args, **launch_geom)
         if rkernel is None:
-            ex = FunctionalExecutor(kernel, launch, dev.memory)
+            ex = FunctionalExecutor(
+                kernel, launch, dev.memory, witness=witness
+            )
         else:
             ex = FunctionalExecutor(
                 rkernel.transformed, launch, dev.memory,
@@ -355,6 +395,8 @@ def _megawarp_violations(
             "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
         )]
     vio: List[Violation] = []
+    if trace.witness is not None and not trace.witness.ok:
+        vio.append(Violation("r2d2-witness", trace.witness.failure))
     if not np.array_equal(dev.memory.buf, serial.memory.buf):
         bad = np.flatnonzero(dev.memory.buf != serial.memory.buf)
         vio.append(Violation(

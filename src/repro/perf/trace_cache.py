@@ -11,7 +11,9 @@ The harness memoizes two kinds of objects on disk:
   a pure function of the abbr), the architecture list, the R2D2 kwargs,
   and the verify flag;
 - ``trace`` — the functional :class:`KernelTrace` list of a workload,
-  keyed the same way minus the architecture-dependent parts.  Only
+  keyed the same way minus the architecture list and the verify flag
+  (the R2D2 kwargs stay: the traces carry the verdicts of the R2D2
+  transform's operand witness).  Only
   ``verify=False`` runs write or read it: a verified run needs the
   device's output state, so it always executes, and the harness's
   figure runs (all verified) store only ``result`` entries.
@@ -49,7 +51,7 @@ from .. import obs
 from ..sim.config import verify_enabled
 
 #: Bump whenever the pickled payloads or the key recipe change shape.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _DEFAULT_MAX_MB = 512.0
 
@@ -176,8 +178,13 @@ def workload_result_key(
     )
 
 
-def functional_trace_key(workload, launches: Sequence, config) -> str:
-    """Key for the functional trace list (architecture-independent)."""
+def functional_trace_key(
+    workload, launches: Sequence, config,
+    r2d2_kwargs: Optional[dict] = None,
+) -> str:
+    """Key for the functional trace list.  ``r2d2_kwargs`` (``None``
+    when the run has no R2D2) selects the transform whose operand
+    witness verdicts the traces carry."""
     return digest(
         "trace",
         workload.abbr,
@@ -185,6 +192,7 @@ def functional_trace_key(workload, launches: Sequence, config) -> str:
         dict(workload.params),
         _launch_parts(launches),
         config,
+        None if r2d2_kwargs is None else dict(r2d2_kwargs),
     )
 
 

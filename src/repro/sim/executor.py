@@ -16,7 +16,7 @@ tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .trace import (
     BlockTrace,
     KernelTrace,
     WarpTrace,
+    WitnessVerdict,
     bank_conflict_degree,
     coalesce,
 )
@@ -72,6 +73,43 @@ class LinearValueProvider(Protocol):
         ``(len(blocks),)`` block part over block coordinates, such that
         ``thread[w] + block[b]`` equals :meth:`lr_lane_values` of warp
         ``w`` in block ``b`` bit for bit."""
+
+
+class WitnessSite(NamedTuple):
+    """One pc of an original kernel whose transformed instruction differs
+    from it: ``operands`` pairs source slots with the transformed
+    operand read there (``%lr``/``%cr``/immediate for a register,
+    :class:`LinearRef` for a memory base), and ``move`` is the operand a
+    linear definition became a move of (``None`` otherwise)."""
+
+    operands: Tuple[Tuple[int, object], ...] = ()
+    move: Optional[object] = None
+
+
+class Witness(NamedTuple):
+    """The operand witness of one launch of an original kernel: at every
+    site, each engine evaluates the transformed operands exactly as it
+    would in the transformed launch (through ``values``) on the original
+    warp state, and compares them with the original operands on every
+    active lane — a move with the value the original definition writes,
+    and with the ``uniform`` flag its row gets.  The verdict lands on the
+    trace (:class:`~repro.sim.trace.WitnessVerdict`)."""
+
+    values: LinearValueProvider
+    sites: Dict[int, WitnessSite]
+
+
+def lanes_agree(a, b, active: np.ndarray) -> bool:
+    """``a`` and ``b`` (scalars, lane vectors or matrices broadcastable
+    to ``active``) hold values of one kind that are equal on every
+    active lane."""
+    try:
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype.kind != b.dtype.kind:
+            return False
+        return not ((a != b) & active).any()
+    except (OverflowError, TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -210,11 +248,26 @@ class FunctionalExecutor:
         memory: GlobalMemory,
         linear_values: Optional[LinearValueProvider] = None,
         max_warp_instructions: int = 20_000_000,
+        witness: Optional[Witness] = None,
+        bailed: Optional[Dict[Kernel, str]] = None,
     ) -> None:
         self.kernel = kernel
         self.launch = launch
         self.memory = memory
+        self.witness = witness
+        # A witnessed launch resolves the transformed operands through
+        # the witness's values (the original kernel reads none itself).
+        if linear_values is None and witness is not None:
+            linear_values = witness.values
         self.linear_values = linear_values
+        self._sites: Dict[int, WitnessSite] = (
+            witness.sites if witness is not None else {}
+        )
+        self._verdict: Optional[WitnessVerdict] = None
+        #: Kernel -> reason of its first megawarp memory-conflict bail on
+        #: this device (``Device``'s memo); ``run_fast`` sends a memoized
+        #: kernel straight to the serial interpreter.
+        self.bailed = bailed
         self.max_warp_instructions = max_warp_instructions
         self.cfg = ControlFlowGraph(kernel)
         self._executed = 0
@@ -288,6 +341,8 @@ class FunctionalExecutor:
         block has run."""
         grid = self.launch.grid
         warp_rows: List[list] = []
+        if self.witness is not None:
+            self._verdict = trace.witness = WitnessVerdict()
         # Inactive lanes compute on zero-filled registers, which can
         # overflow or divide by zero without affecting any visible state.
         with np.errstate(over="ignore", invalid="ignore",
@@ -552,6 +607,8 @@ class FunctionalExecutor:
             )
             warp.write(instr.dst, values, active)
             self._record(wrows, pc, active, instr, values, [value])
+            if pc in self._sites:
+                self._witness(warp, pc, instr, active, [value], values)
             return
 
         srcs = [self._fetch(warp, s) for s in instr.srcs]
@@ -561,6 +618,49 @@ class FunctionalExecutor:
                 np.asarray(result), (WARP_SIZE,)
             ).copy() if np.ndim(result) == 0 else result, active)
         self._record(wrows, pc, active, instr, result, srcs)
+        if pc in self._sites:
+            self._witness(warp, pc, instr, active, srcs, result)
+
+    def _witness(self, warp: WarpContext, pc: int, instr: Instruction,
+                 active: np.ndarray, srcs: list, result) -> None:
+        """Check the transformed operands at witness site ``pc`` against
+        this warp instruction's ``srcs`` (a memory access's address slot
+        holds its active-compressed addresses) and ``result``."""
+        verdict = self._verdict
+        if verdict.failure:
+            return
+        verdict.rows += 1
+        site = self._sites[pc]
+        if site.move is not None:
+            value = self._fetch(warp, site.move)
+            ok = lanes_agree(
+                result, self._coerce_result(value, instr.dtype), active
+            ) and self._is_uniform([value], active) == self._is_uniform(
+                srcs, active
+            )
+        else:
+            tsrcs = list(srcs)
+            ok = True
+            for slot, op in site.operands:
+                if isinstance(op, LinearRef):
+                    tsrcs[slot] = self._address(warp, op, active)
+                    ok = ok and np.array_equal(tsrcs[slot], srcs[slot])
+                else:
+                    tsrcs[slot] = self._fetch(warp, op)
+                    ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
+            if ok and result is not None and not any(
+                np.ndim(s) for s in tsrcs
+            ):
+                # All-scalar sources compute in python ints, which do
+                # not wrap like the original's int64 lanes.
+                ok = lanes_agree(
+                    result, self._compute(instr, tsrcs, warp), active
+                )
+        if not ok:
+            verdict.failure = (
+                f"pc {pc} ({instr.opcode.value}), block "
+                f"{warp.block_xyz} warp {warp.warp_in_block}"
+            )
 
     def _compute(self, instr: Instruction, srcs: list, warp: WarpContext):
         op = instr.opcode
@@ -731,6 +831,8 @@ class FunctionalExecutor:
             lines=lines, shared=instr.is_shared_memory,
             bank_conflict=conflict,
         )
+        if pc in self._sites:
+            self._witness(warp, pc, instr, active, [addrs], None)
 
     def _execute_store(
         self, warp, wrows, pc, instr, active, shared: SharedMemory
@@ -751,6 +853,8 @@ class FunctionalExecutor:
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             bank_conflict=conflict,
         )
+        if pc in self._sites:
+            self._witness(warp, pc, instr, active, [addrs, value], None)
 
     def _execute_atomic(
         self, warp, wrows, pc, instr, active, shared: SharedMemory
@@ -771,6 +875,8 @@ class FunctionalExecutor:
             wrows, pc, active, instr, None, [addrs, value],
             lines=lines, shared=instr.is_shared_memory, skippable=False,
         )
+        if pc in self._sites:
+            self._witness(warp, pc, instr, active, [addrs, value], None)
 
     # ------------------------------------------------------------------
     # Trace recording

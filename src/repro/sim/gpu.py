@@ -10,13 +10,13 @@ This is the CUDA-runtime-shaped API the examples and workloads use::
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..isa.kernel import Dim3, Kernel, LaunchConfig
 from .config import GPUConfig, tiny
-from .executor import FunctionalExecutor, LinearValueProvider
+from .executor import FunctionalExecutor, LinearValueProvider, Witness
 from .memory import GlobalMemory
 from .trace import KernelTrace
 
@@ -41,6 +41,10 @@ class Device:
     ) -> None:
         self.config = config or tiny()
         self.memory = GlobalMemory(memory_bytes)
+        #: Kernels whose megawarp attempt bailed on a memory conflict on
+        #: this device, with that first reason: their later launches go
+        #: straight to the serial interpreter (``run_fast`` only).
+        self.bailed: Dict[Kernel, str] = {}
 
     # ------------------------------------------------------------------
     # Memory management
@@ -69,11 +73,16 @@ class Device:
         block: DimLike,
         args: Sequence[object] = (),
         linear_values: Optional[LinearValueProvider] = None,
+        witness: Optional[Witness] = None,
     ) -> KernelTrace:
+        """Execute one launch; ``witness`` checks a transformed kernel's
+        rewritten operands on this (original) launch, its verdict on the
+        returned trace."""
         launch = LaunchConfig(
             grid=as_dim3(grid), block=as_dim3(block), args=tuple(args)
         )
         executor = FunctionalExecutor(
-            kernel, launch, self.memory, linear_values=linear_values
+            kernel, launch, self.memory, linear_values=linear_values,
+            witness=witness, bailed=self.bailed,
         )
         return executor.run()

@@ -139,11 +139,19 @@ class _SigGroup:
         self.has_scalar = False
 
 
+#: Energy shape of a scalar-pipeline issue (see :func:`_build_row`).
+_SCALAR_SHAPE = (("fetch", 1), ("scalar", 1), ("rf", 1))
+
+#: Energy shapes by value, so that equal shapes are one object.
+_SHAPES: Dict[tuple, tuple] = {}
+
+
 def _pc_static(instr, prep: "_Prep") -> tuple:
     """The parts of an issue row that depend only on the instruction:
     register slots, the energy every SIMD issue adds (see
-    :func:`_build_row`), the lane-energy component and rate, and the
-    ALU latency."""
+    :func:`_build_row`) with the energy shapes of its barrier, global,
+    shared and ALU rows (one object per distinct shape, whatever the
+    pc), the lane-energy rate, and the ALU latency."""
     e = prep.cfg.energy
     dst = instr.dst
     src_regs = instr.source_regs()
@@ -156,11 +164,18 @@ def _pc_static(instr, prep: "_Prep") -> tuple:
         lane = ("alu", e.float_lane_pj)
     else:
         lane = ("alu", e.int_lane_pj)
+    base = (("fetch", 1), ("rf", len(rf)))
+    shapes = tuple(_SHAPES.setdefault(shape, shape) for shape in (
+        base,
+        base + (("l1", 1), ("l2", 0), ("dram", 0)),
+        base + (("shared", 1),),
+        base + ((lane[0], 1),),
+    ))
     return (
         prep.reg_ids[dst.name] if dst is not None else -1,
         tuple(dict.fromkeys(prep.reg_ids[r.name] for r in src_regs)),
-        ((("fetch", 1), ("rf", len(rf))), (e.fetch_decode_pj,) + rf),
-        lane,
+        (shapes, (e.fetch_decode_pj,) + rf),
+        lane[1],
         _latency_of(instr, prep.cfg.latency),
     )
 
@@ -184,9 +199,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
     e = cfg.energy
     pc, active, shared, bank_conflict, n_lines, mode, extra = key
     instr = prep.instrs[pc]
-    dst_id, src_ids, (shape, vals), (lane_key, lane_pj), alu_lat = (
-        prep.pc_static[pc]
-    )
+    dst_id, src_ids, (shapes, vals), lane_pj, alu_lat = prep.pc_static[pc]
     next_scalar = mode == IssueMode.SCALAR
 
     if mode == IssueMode.SKIP:
@@ -196,7 +209,7 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
         )
     if mode in (IssueMode.SCALAR, IssueMode.SCALAR_INLINE):
         energy = (
-            (("fetch", 1), ("scalar", 1), ("rf", 1)),
+            _SCALAR_SHAPE,
             (e.fetch_decode_pj, e.scalar_op_pj, e.rf_read_pj + e.rf_write_pj),
         )
         return (
@@ -208,19 +221,20 @@ def _build_row(key: tuple, prep: "_Prep") -> tuple:
     lsu = 0
     if instr.is_barrier:
         kind, latv = _K_BARRIER, 0
+        shape = shapes[0]
     elif instr.is_global_memory and n_lines:
         kind, latv = _K_GMEM, 0
         lsu = max(1, n_lines // cfg.mem_ports_per_sm)
-        shape += (("l1", 1), ("l2", 0), ("dram", 0))
+        shape = shapes[1]
         vals += (e.l1_access_pj * n_lines,)
     elif instr.is_shared_memory or shared:
         kind = _K_SMEM
         latv = cfg.latency.shared_mem + max(0, bank_conflict - 1)
-        shape += (("shared", 1),)
+        shape = shapes[2]
         vals += (e.shared_access_pj * active,)
     else:
         kind, latv = _K_ALU, alu_lat
-        shape += ((lane_key, 1),)
+        shape = shapes[3]
         vals += (lane_pj * active,)
     return (
         kind, latv, extra, dst_id, src_ids, (shape, vals),
@@ -494,25 +508,31 @@ def _slots(energy: Sequence[tuple]) -> tuple:
     """One ledger's per-row energy (``(shape, values)`` pairs, see
     :func:`_build_row`) as a table: ``index[component]`` lists the table
     rows of its addition slots, and ``table[slot, r]`` is row ``r``'s
-    increment there (0.0 where the row makes fewer)."""
-    n = len(energy)
-    by_shape: Dict[tuple, List[int]] = {}
-    for r, (shape, _) in enumerate(energy):
-        by_shape.setdefault(shape, []).append(r)
+    increment there (0.0 where the row makes fewer).  Rows sharing one
+    shape object (:data:`_SHAPES`) share one slot layout, so set-up
+    costs a few list appends per row and one numpy scatter."""
     index: Dict[str, List[int]] = {}
-    table: List[np.ndarray] = []
-    for shape, rows in by_shape.items():
-        vals = np.array([energy[r][1] for r in rows]).reshape(len(rows), -1)
-        col = 0
-        for key, count in shape:
-            slots = index.setdefault(key, [])
-            for j in range(count):
-                if j == len(slots):
-                    slots.append(len(table))
-                    table.append(np.zeros(n))
-                table[slots[j]][rows] = vals[:, col]
-                col += 1
-    return index, np.array(table).reshape(len(table), n)
+    layouts: Dict[int, List[int]] = {}
+    slot_of: List[int] = []
+    widths: List[int] = []
+    vals: List[float] = []
+    n_slots = 0
+    for shape, values in energy:
+        cols = layouts.get(id(shape))
+        if cols is None:
+            cols = layouts[id(shape)] = []
+            for key, count in shape:
+                slots = index.setdefault(key, [])
+                while len(slots) < count:
+                    slots.append(n_slots)
+                    n_slots += 1
+                cols += slots[:count]
+        slot_of += cols
+        widths.append(len(cols))
+        vals += values
+    table = np.zeros((n_slots, len(energy)))
+    table[slot_of, np.repeat(np.arange(len(energy)), widths)] = vals
+    return index, table
 
 
 def _fold(ledgers: Sequence[Sequence[tuple]], gmem: Sequence[bool],

@@ -174,6 +174,22 @@ class BlockTrace:
 
 
 @dataclass
+class WitnessVerdict:
+    """Outcome of the operand witness on one launch of an original
+    kernel (see :class:`~repro.sim.executor.Witness`): ``rows`` warp
+    instructions at rewritten pcs were checked, and ``failure`` names
+    the first lane disagreement (empty when every lane agreed; checking
+    stops there)."""
+
+    rows: int = 0
+    failure: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.failure
+
+
+@dataclass
 class KernelTrace:
     """The full trace of one kernel launch."""
 
@@ -189,6 +205,10 @@ class KernelTrace:
     #: alone (``run_reference``, or an executor subclass, which never
     #: attempts the megawarp).
     vector: Optional[object] = None
+    #: The operand witness's :class:`WitnessVerdict` when the launch ran
+    #: with one (the baseline launches R2D2 derives its traces from);
+    #: ``None`` otherwise.
+    witness: Optional[WitnessVerdict] = None
 
     # ------------------------------------------------------------------
     def warp_instruction_count(self) -> int:
@@ -212,12 +232,99 @@ class KernelTrace:
             [r for rows in warp_rows for r in rows]
         )
 
+    def derive(self, kernel: Kernel, new_pc: np.ndarray) -> "KernelTrace":
+        """The trace of this launch run as ``kernel``, a copy of this
+        trace's kernel with some pcs removed: ``new_pc[pc]`` is a kept
+        pc's index in ``kernel``, -1 a removed one's.  Rows at removed
+        pcs are dropped, every other column is kept as is (``src_hash``
+        still hashes the original pc and operands), and each warp's row
+        range is re-cut."""
+        mapped = new_pc[self.cols.pc]
+        keep = mapped >= 0
+        rows = np.flatnonzero(keep)
+        cols = self.cols.take(rows)
+        cols.pc = mapped[rows].astype(np.int32)
+        pos = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=pos[1:])
+        pos = pos.tolist()
+        blocks = [
+            BlockTrace(b.block_linear_id, b.block_xyz, [
+                WarpTrace(w.block_linear_id, w.warp_in_block,
+                          pos[w.start], pos[w.stop])
+                for w in b.warps
+            ])
+            for b in self.blocks
+        ]
+        return KernelTrace(kernel, self.launch, blocks, cols)
+
     def row_blocks(self) -> np.ndarray:
         """Per row: the index into ``self.blocks`` of its block."""
         sizes = [b.warp_instruction_count() for b in self.blocks]
         return np.repeat(
             np.arange(len(sizes), dtype=np.int64), sizes
         )
+
+
+#: Record columns :func:`trace_differences` compares; ``lines`` is
+#: compared per row.
+RECORD_FIELDS = (
+    "pc", "active", "uniform", "affine", "hashed", "src_hash", "shared",
+    "bank_conflict",
+)
+
+
+def trace_differences(xblocks: List[BlockTrace], xcols: TraceColumns,
+                      sblocks: List[BlockTrace], scols: TraceColumns,
+                      fields: Sequence[str] = RECORD_FIELDS) -> List[str]:
+    """Up to a few dozen human-readable differences between two traces
+    of one launch: block identities, warp row ranges, and every
+    ``fields`` column plus ``lines``, row by row (``s`` is the
+    reference side)."""
+    if len(xblocks) != len(sblocks):
+        return [f"block count {len(xblocks)} != {len(sblocks)}"]
+    diffs: List[str] = []
+    for xb, sb in zip(xblocks, sblocks):
+        where = f"block {sb.block_linear_id}"
+        if (xb.block_linear_id, xb.block_xyz) != (
+            sb.block_linear_id, sb.block_xyz
+        ):
+            diffs.append(f"{where}: identity mismatch")
+        elif [(w.warp_in_block, w.start, w.stop) for w in xb.warps] != [
+            (w.warp_in_block, w.start, w.stop) for w in sb.warps
+        ]:
+            diffs.append(
+                f"{where}: warp row ranges "
+                f"{[len(w) for w in xb.warps]} != "
+                f"{[len(w) for w in sb.warps]} records"
+            )
+        if len(diffs) > 8:
+            return diffs
+    if diffs or len(xcols) != len(scols):
+        return diffs or [f"{len(xcols)} records != {len(scols)}"]
+    # Rows line up: find every differing (row, column).
+    bad = np.zeros(len(scols), dtype=bool)
+    for f in fields:
+        bad |= getattr(xcols, f) != getattr(scols, f)
+    bad |= xcols.n_lines != scols.n_lines
+    if not bad.any():
+        # Equal line counts: the flat lines align position by position.
+        pos = np.flatnonzero(xcols.lines != scols.lines)
+        bad[np.searchsorted(scols.line_off, pos, side="right") - 1] = True
+    warps = [w for b in sblocks for w in b.warps]
+    for i in np.flatnonzero(bad)[:8].tolist():
+        warp = next(w for w in warps if w.start <= i < w.stop)
+        head = (
+            f"block {warp.block_linear_id} warp {warp.warp_in_block} "
+            f"record {i - warp.start}"
+        )
+        for f in fields + ("lines",):
+            if f == "lines":
+                a, b = xcols.row_lines(i), scols.row_lines(i)
+            else:
+                a, b = getattr(xcols, f)[i], getattr(scols, f)[i]
+            if a != b:
+                diffs.append(f"{head} ({f}): {a!r} != {b!r}")
+    return diffs
 
 
 def bank_conflict_degree(addrs, n_banks: int = 32,

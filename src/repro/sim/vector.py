@@ -79,6 +79,7 @@ from .executor import (
     FunctionalExecutor,
     WARP_SIZE,
     hash_source_rows,
+    lanes_agree,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
 from .trace import (
@@ -87,6 +88,8 @@ from .trace import (
     KernelTrace,
     TraceColumns,
     WarpTrace,
+    WitnessVerdict,
+    trace_differences,
 )
 
 #: Below this many warps the megawarp set-up outweighs the win.
@@ -126,8 +129,10 @@ class VectorReport:
 
     kernel: str
     engaged: bool
-    #: Skip/bail slug ("launch-too-small",
-    #: "cross-warp-memory-conflict", "cross-block-memory-conflict",
+    #: Skip/bail slug ("launch-too-small", "bailed-before" — the kernel
+    #: bailed on a memory conflict earlier on this device, the detail
+    #: names that reason —, "cross-warp-memory-conflict",
+    #: "cross-block-memory-conflict",
     #: "memory-error", "deadlock", "hazard-log-overflow",
     #: "register-dtype-promotion", ...); empty when the launch
     #: vectorized cleanly.
@@ -340,13 +345,16 @@ class _MegaWarpEngine(FunctionalExecutor):
     """
 
     def __init__(self, host: FunctionalExecutor, lo: int, hi: int,
-                 memory: ByteSpace, executed0: int) -> None:
+                 memory: ByteSpace, executed0: int,
+                 verdict: Optional[WitnessVerdict] = None) -> None:
         # Deliberately no super().__init__: the parsed host state (CFG,
         # validated args) is shared; only memory differs.
         self.kernel = host.kernel
         self.launch = host.launch
         self.memory = memory
         self.linear_values = host.linear_values
+        self._sites = host._sites
+        self._verdict = verdict
         self.max_warp_instructions = host.max_warp_instructions
         self.cfg = host.cfg
         self._executed = executed0
@@ -628,12 +636,17 @@ class _MegaWarpEngine(FunctionalExecutor):
             self._record_group(
                 pc, instr, rows, active, values, [value]
             )
+            if pc in self._sites:
+                self._witness_rows(pc, instr, rows, active, [value],
+                                   values)
         else:
             srcs = [self._fetch_rows(s, rows) for s in instr.srcs]
             result = self._compute(instr, srcs, None)
             if instr.dst is not None:
                 self._write(instr.dst, rows, active, result)
             self._record_group(pc, instr, rows, active, result, srcs)
+            if pc in self._sites:
+                self._witness_rows(pc, instr, rows, active, srcs, result)
 
         for e in entries:
             e.pc += 1
@@ -852,6 +865,8 @@ class _MegaWarpEngine(FunctionalExecutor):
             lines=lines, shared=instr.is_shared_memory, bank=bank,
             n_act=n_act,
         )
+        if pc in self._sites:
+            self._witness_rows(pc, instr, rows, active, [addrs], None)
 
     def _exec_store(self, pc: int, instr: Instruction, rows: np.ndarray,
                     active: np.ndarray) -> None:
@@ -881,6 +896,9 @@ class _MegaWarpEngine(FunctionalExecutor):
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             bank=bank, n_act=n_act,
         )
+        if pc in self._sites:
+            self._witness_rows(pc, instr, rows, active, [addrs, value],
+                               None)
 
     def _exec_atomic(self, pc: int, instr: Instruction, rows: np.ndarray,
                      active: np.ndarray) -> None:
@@ -924,6 +942,50 @@ class _MegaWarpEngine(FunctionalExecutor):
             lines=lines, shared=instr.is_shared_memory, skippable=False,
             n_act=n_act,
         )
+        if pc in self._sites:
+            self._witness_rows(pc, instr, rows, active, [addrs, value],
+                               None)
+
+    def _witness_rows(self, pc: int, instr: Instruction, rows: np.ndarray,
+                      active: np.ndarray, srcs: list, result) -> None:
+        """:meth:`FunctionalExecutor._witness` over a PC group: the
+        transformed operands in this engine's own operand order, against
+        ``srcs`` (a memory access's full-lane address matrix in its
+        address slot) and ``result`` on every active lane of every
+        row."""
+        verdict = self._verdict
+        if verdict.failure:
+            return
+        verdict.rows += len(rows)
+        site = self._sites[pc]
+        if site.move is not None:
+            value = self._fetch_rows(site.move, rows)
+            shape = active.shape
+            idx0 = active.argmax(axis=1)
+            every = np.arange(shape[0])
+            ok = lanes_agree(
+                result, self._coerce_result(value, instr.dtype), active
+            ) and np.array_equal(
+                _uniform_cols([value], active, shape, idx0, every),
+                _uniform_cols(srcs, active, shape, idx0, every),
+            )
+        else:
+            tsrcs = list(srcs)
+            ok = True
+            for slot, op in site.operands:
+                if isinstance(op, LinearRef):
+                    tsrcs[slot] = self._addr_matrix(op, rows)
+                else:
+                    tsrcs[slot] = self._fetch_rows(op, rows)
+                ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
+            if ok and result is not None and not any(
+                np.ndim(s) for s in tsrcs
+            ):
+                ok = lanes_agree(
+                    result, self._compute(instr, tsrcs, None), active
+                )
+        if not ok:
+            verdict.failure = f"pc {pc} ({instr.opcode.value})"
 
     # -- trace recording -----------------------------------------------
     def _record_group(self, pc: int, instr: Instruction,
@@ -1097,11 +1159,16 @@ class _MegaWarpEngine(FunctionalExecutor):
 # Orchestration
 # ----------------------------------------------------------------------
 def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
-              min_warps: int) -> Optional[tuple]:
+              min_warps: int,
+              bailed: Optional[Dict[object, str]] = None
+              ) -> Optional[tuple]:
     """Run the launch on the megawarp against a fork of device memory,
     committing nothing.  Attaches the launch's :class:`VectorReport` to
-    ``trace`` and returns ``(fork, blocks, cols)``, or ``None`` when the
-    launch has fewer than ``min_warps`` warps or the megawarp bails."""
+    ``trace`` and returns ``(fork, blocks, cols, verdict)`` (the
+    operand witness's verdict, ``None`` without a witness), or ``None``
+    when the launch has fewer than ``min_warps`` warps, its kernel is in
+    the ``bailed`` memo, or the megawarp bails — a memory-conflict bail
+    then enters the memo."""
     grid = host.launch.grid
     wpb = (host.launch.threads_per_block + WARP_SIZE - 1) // WARP_SIZE
     total_warps = grid.count * wpb
@@ -1111,15 +1178,20 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
     trace.vector = report
     obs.inc("vector.launches", kernel=host.kernel.name)
     obs.inc("vector.warps_total", total_warps, kernel=host.kernel.name)
+    skip = None
     if total_warps < min_warps:
-        report.reason = "launch-too-small"
-        report.detail = f"{total_warps} < {min_warps} warps"
+        skip = ("launch-too-small", f"{total_warps} < {min_warps} warps")
+    elif bailed is not None and host.kernel in bailed:
+        skip = ("bailed-before", bailed[host.kernel])
+    if skip is not None:
+        report.reason, report.detail = skip
         obs.engine_fallback(
             "vector", report.kernel, report.reason,
             detail=report.detail, bailed=False,
         )
         return None
     obs.inc("vector.engaged", kernel=host.kernel.name)
+    verdict = WitnessVerdict() if host.witness is not None else None
 
     shared_stride = (max(host.kernel.shared_mem_bytes, 16) + 127) \
         // 128 * 128
@@ -1141,7 +1213,9 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
             # blocks observe earlier blocks' stores serially.
             for lo in range(0, grid.count, blocks_per_chunk):
                 hi = min(lo + blocks_per_chunk, grid.count)
-                engine = _MegaWarpEngine(host, lo, hi, fork, executed)
+                engine = _MegaWarpEngine(
+                    host, lo, hi, fork, executed, verdict
+                )
                 try:
                     engine.run_megawarp()
                     engine.check_hazards()
@@ -1160,6 +1234,10 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
             else "execution-error"
         )
         report.detail = str(exc)
+        if bailed is not None and report.reason.endswith(
+            "memory-conflict"
+        ):
+            bailed.setdefault(host.kernel, report.reason)
         _emit_counters(host.kernel.name, counters)
         obs.engine_fallback(
             "vector", report.kernel, report.reason,
@@ -1169,18 +1247,18 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
 
     _emit_counters(host.kernel.name, counters)
     report.engaged = True
-    return fork, blocks, TraceColumns.concat(parts)
+    return fork, blocks, TraceColumns.concat(parts), verdict
 
 
 def attempt_vectorization(host: FunctionalExecutor,
                           trace: KernelTrace) -> bool:
     """Called from ``FunctionalExecutor.run_fast``.  Returns True when
     the megawarp committed the whole launch, False on skip or bail (the
-    serial loop then covers everything)."""
-    run = _megawarp(host, trace, MIN_WARPS)
+    serial loop then covers everything, witness included)."""
+    run = _megawarp(host, trace, MIN_WARPS, host.bailed)
     if run is None:
         return False
-    fork, blocks, cols = run
+    fork, blocks, cols, trace.witness = run
     # Commit the forked prefix in place, so existing dtype views over
     # the buffer stay valid, then adopt the megawarp traces.
     host.memory.buf[:fork.size] = fork.buf
@@ -1207,17 +1285,22 @@ def _emit_counters(kernel: str, counters: Dict[str, int]) -> None:
 
 def verify_vectorization(host: FunctionalExecutor) -> KernelTrace:
     """Called from ``FunctionalExecutor.run_verify``: the megawarp
-    against a fork (from a single warp up, so no launch is too small),
-    then the serial interpreter on the device itself; any difference in
-    memory or trace columns raises :class:`VectorMismatch`.  Returns the
-    serial trace."""
+    against a fork (from a single warp up, so no launch is too small,
+    and whatever the device's bail memo holds), then the serial
+    interpreter on the device itself; any difference in memory, trace
+    columns or the witness verdict raises :class:`VectorMismatch`.
+    Returns the serial trace."""
     trace = KernelTrace(host.kernel, host.launch)
     run = _megawarp(host, trace, 1)
     host._run_serial(trace)
     if run is None:
         return trace
-    fork, blocks, cols = run
-    diffs = _trace_diffs(blocks, cols, trace.blocks, trace.cols)
+    fork, blocks, cols, verdict = run
+    diffs = trace_differences(blocks, cols, trace.blocks, trace.cols)
+    if _verdict_key(verdict) != _verdict_key(trace.witness):
+        diffs.append(
+            f"witness verdict {verdict} != serial {trace.witness}"
+        )
     serial = host.memory.buf[:fork.size]
     if not np.array_equal(fork.buf, serial):
         bad = np.flatnonzero(fork.buf != serial)
@@ -1241,59 +1324,10 @@ def verify_vectorization(host: FunctionalExecutor) -> KernelTrace:
     return trace
 
 
-#: Record columns :func:`verify_vectorization` compares; ``lines`` is
-#: compared per row.
-_RECORD_FIELDS = (
-    "pc", "active", "uniform", "affine", "hashed", "src_hash", "shared",
-    "bank_conflict",
-)
-
-
-def _trace_diffs(xblocks: List[BlockTrace], xcols: TraceColumns,
-                 sblocks: List[BlockTrace],
-                 scols: TraceColumns) -> List[str]:
-    if len(xblocks) != len(sblocks):
-        return [f"block count {len(xblocks)} != {len(sblocks)}"]
-    diffs: List[str] = []
-    for xb, sb in zip(xblocks, sblocks):
-        where = f"block {sb.block_linear_id}"
-        if (xb.block_linear_id, xb.block_xyz) != (
-            sb.block_linear_id, sb.block_xyz
-        ):
-            diffs.append(f"{where}: identity mismatch")
-        elif [(w.warp_in_block, w.start, w.stop) for w in xb.warps] != [
-            (w.warp_in_block, w.start, w.stop) for w in sb.warps
-        ]:
-            diffs.append(
-                f"{where}: warp row ranges "
-                f"{[len(w) for w in xb.warps]} != "
-                f"{[len(w) for w in sb.warps]} records"
-            )
-        if len(diffs) > 8:
-            return diffs
-    if diffs or len(xcols) != len(scols):
-        return diffs or [f"{len(xcols)} records != {len(scols)}"]
-    # Rows line up: find every differing (row, column).
-    bad = np.zeros(len(scols), dtype=bool)
-    for f in _RECORD_FIELDS:
-        bad |= getattr(xcols, f) != getattr(scols, f)
-    bad |= xcols.n_lines != scols.n_lines
-    if not bad.any():
-        # Equal line counts: the flat lines align position by position.
-        pos = np.flatnonzero(xcols.lines != scols.lines)
-        bad[np.searchsorted(scols.line_off, pos, side="right") - 1] = True
-    warps = [w for b in sblocks for w in b.warps]
-    for i in np.flatnonzero(bad)[:8].tolist():
-        warp = next(w for w in warps if w.start <= i < w.stop)
-        head = (
-            f"block {warp.block_linear_id} warp {warp.warp_in_block} "
-            f"record {i - warp.start}"
-        )
-        for f in _RECORD_FIELDS + ("lines",):
-            if f == "lines":
-                a, b = xcols.row_lines(i), scols.row_lines(i)
-            else:
-                a, b = getattr(xcols, f)[i], getattr(scols, f)[i]
-            if a != b:
-                diffs.append(f"{head} ({f}): {a!r} != {b!r}")
-    return diffs
+def _verdict_key(verdict: Optional[WitnessVerdict]) -> tuple:
+    """What two engines' witness verdicts must agree on: the outcome,
+    and the rows checked when it passed (a failure stops the count at
+    an engine-specific point)."""
+    if verdict is None:
+        return ()
+    return (verdict.ok, verdict.rows if verdict.ok else None)

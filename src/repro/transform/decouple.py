@@ -38,6 +38,7 @@ from ..linear.tables import (
 )
 from .generator import LinearBlocks, generate_linear_blocks
 from .registers import RegisterUsage, compute_register_usage
+from .translation import TranslationError, check_translation, has_side_effect
 
 
 @dataclass
@@ -59,6 +60,8 @@ class R2D2Kernel:
     #: PCs (in the *original* kernel) of the removed instructions —
     #: the per-instruction attribution behind ``repro explain``.
     removed_pcs: Tuple[int, ...] = ()
+    #: :meth:`translation`'s outcome once computed.
+    _translation: object = field(default=None, repr=False, compare=False)
 
     @property
     def static_reduction(self) -> float:
@@ -68,6 +71,20 @@ class R2D2Kernel:
     def fits(self, config, threads_per_block: int) -> bool:
         """Register-pressure check; False → run the original binary."""
         return self.register_usage.fits(config, threads_per_block)
+
+    def translation(self):
+        """:func:`~repro.transform.translation.check_translation` of this
+        kernel, checked once: its
+        :class:`~repro.transform.translation.Translation`, or its
+        ``TranslationError`` raised again on every call."""
+        if self._translation is None:
+            try:
+                self._translation = check_translation(self)
+            except TranslationError as exc:
+                self._translation = exc
+        if isinstance(self._translation, TranslationError):
+            raise self._translation
+        return self._translation
 
 
 def r2d2_transform(
@@ -231,20 +248,6 @@ def _dead_code_eliminate(
 
     def effective(pc: int) -> Instruction:
         return rewritten[pc] or kernel.instructions[pc]
-
-    def has_side_effect(instr: Instruction) -> bool:
-        return (
-            instr.is_store
-            or instr.opcode
-            in (
-                Opcode.ATOM_GLOBAL,
-                Opcode.ATOM_SHARED,
-                Opcode.BRA,
-                Opcode.BAR,
-                Opcode.EXIT,
-            )
-            or instr.dst is None
-        )
 
     changed = True
     while changed:

@@ -23,6 +23,7 @@ from repro.sim import (
 from repro.sim.gpu import as_dim3
 from repro.sim import vector as vector_engine
 from repro.sim.timing_fast import prep_for
+from repro.sim.trace import trace_differences
 from repro.sim.memory import MemoryError_
 from repro.workloads import factory as workload_factory
 import random
@@ -424,7 +425,7 @@ class TestVerifyMode:
         hashes.src_hash[warp.start] ^= 1
         for bad, field, idx in ((lines, "lines", row - warp.start),
                                 (hashes, "src_hash", 0)):
-            diffs = vector_engine._trace_diffs(
+            diffs = trace_differences(
                 trace.blocks, bad, trace.blocks, cols
             )
             assert len(diffs) == 1
@@ -432,7 +433,7 @@ class TestVerifyMode:
                 f"block {warp.block_linear_id} warp {warp.warp_in_block} "
                 f"record {idx} ({field})"
             )
-        assert vector_engine._trace_diffs(
+        assert trace_differences(
             trace.blocks, cols, trace.blocks, cols
         ) == []
 
@@ -575,6 +576,61 @@ def test_r2d2_launch_records_vector_engage(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Per-device bail memo
+# ----------------------------------------------------------------------
+class TestBailMemo:
+    @staticmethod
+    def _twice(kernel, engine):
+        """Two launches of ``kernel`` on one device, through
+        ``Device.launch`` (``fast``) or the serial interpreter
+        (``reference``); returns the traces, the memory and the memo."""
+        dev = Device(tiny())
+        data = np.random.default_rng(7).integers(1, 60, 1024)
+        args = (dev.upload(data.astype(np.int32)), dev.alloc(4 * 1032),
+                1000)[:len(kernel.params)]
+        launch = _launch(8, 128, args)
+        if engine == "fast":
+            traces = [dev.launch(kernel, 8, 128, args) for _ in range(2)]
+        else:
+            traces = [_execute(kernel, launch, dev.memory, engine)
+                      for _ in range(2)]
+        return traces, dev.memory.buf.copy(), dev.bailed
+
+    def test_conflicting_kernel_skips_after_its_bail(self, monkeypatch):
+        monkeypatch.delenv("R2D2_VERIFY", raising=False)
+        kernel = _rw_conflict_kernel()
+        (first, second), mem, memo = self._twice(kernel, "fast")
+        (r1, r2), ref_mem, _ = self._twice(kernel, "reference")
+        assert first.vector.bailed
+        assert memo == {kernel: first.vector.reason}
+        assert first.vector.reason.endswith("memory-conflict")
+        report = second.vector
+        assert not report.engaged and not report.bailed
+        assert (report.reason, report.detail) == (
+            "bailed-before", first.vector.reason
+        )
+        assert second.vector.to_decision().decision == "skip"
+        assert np.array_equal(mem, ref_mem)
+        for got, want in ((first, r1), (second, r2)):
+            assert trace_differences(
+                got.blocks, got.cols, want.blocks, want.cols
+            ) == []
+
+    def test_engaging_kernel_is_unaffected(self, monkeypatch):
+        monkeypatch.delenv("R2D2_VERIFY", raising=False)
+        traces, _, memo = self._twice(_vadd_kernel(), "fast")
+        assert not memo
+        assert all(t.vector.engaged and not t.vector.bailed
+                   for t in traces)
+
+    def test_verify_ignores_the_memo(self, monkeypatch):
+        monkeypatch.setenv("R2D2_VERIFY", "1")
+        traces, _, memo = self._twice(_rw_conflict_kernel(), "fast")
+        assert not memo
+        assert all(t.vector.bailed for t in traces)
+
+
+# ----------------------------------------------------------------------
 # Irregular workloads (bfs / btree / mummer)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("abbr", ["BFS", "BTR", "MUM"])
@@ -610,26 +666,31 @@ def test_run_workload_reports_vector_decisions():
             assert entry["reason"]
 
 
-def test_run_workload_reports_r2d2_vector_decisions():
+def test_run_workload_reports_r2d2_vector_decisions(monkeypatch):
+    """R2D2 derives its traces from the baseline launches, so a default
+    run reports only those; under ``R2D2_VERIFY=1`` the transformed
+    launches also execute and report their megawarp outcomes."""
     from repro.harness.experiments import _engine_summary
     from repro.harness.runner import run_workload
 
     launches = workload_factory("RED0", "tiny")().prepare(Device(tiny()))
-    result = run_workload(
-        workload_factory("RED0", "tiny"), config=tiny(),
-        arch_names=("baseline", "r2d2"), jobs=1, cache=False,
-    )
     n = len(launches)
-    decisions = result.engine_decisions
-    assert len(decisions) == 2 * n
-    baseline, r2d2 = decisions[:n], decisions[n:]
-    assert not any(d["kernel"].endswith(".r2d2") for d in baseline)
-    assert any(
-        d["decision"] == "engage" and d["kernel"].endswith(".r2d2")
-        for d in r2d2
-    )
-    # the reduction ladder's engine cell still reads the baseline launch
-    assert _engine_summary(decisions) == _engine_summary(baseline)
+    for verify, expected in (("0", n), ("1", 2 * n)):
+        monkeypatch.setenv("R2D2_VERIFY", verify)
+        result = run_workload(
+            workload_factory("RED0", "tiny"), config=tiny(),
+            arch_names=("baseline", "r2d2"), jobs=1, cache=False,
+        )
+        decisions = result.engine_decisions
+        assert len(decisions) == expected
+        baseline, r2d2 = decisions[:n], decisions[n:]
+        assert not any(d["kernel"].endswith(".r2d2") for d in baseline)
+        assert all(
+            d["decision"] == "engage" and d["kernel"].endswith(".r2d2")
+            for d in r2d2
+        )
+        # the reduction ladder's engine cell reads the baseline launch
+        assert _engine_summary(decisions) == _engine_summary(baseline)
 
 
 # ----------------------------------------------------------------------
