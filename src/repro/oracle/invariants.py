@@ -124,14 +124,14 @@ class ProbeExecutor(FunctionalExecutor):
             self.probes[key] = probe
         return probe
 
-    def _execute_instruction(self, warp, wrows, pc, instr, active,
+    def _execute_instruction(self, warp, wid, pc, instr, active,
                              shared) -> None:
         probe = self._probe_for(warp)
         if (instr.is_global_memory or instr.is_shared_memory) and (
             instr.is_store
             or instr.opcode in (Opcode.ATOM_GLOBAL, Opcode.ATOM_SHARED)
         ):
-            addrs = self._address(warp, instr.srcs[0], active)
+            addrs = self._address(warp, instr.srcs[0])[active]
             probe.stream.append(
                 (
                     instr.opcode.value,
@@ -139,7 +139,7 @@ class ProbeExecutor(FunctionalExecutor):
                     tuple(int(a) for a in addrs),
                 )
             )
-        super()._execute_instruction(warp, wrows, pc, instr, active,
+        super()._execute_instruction(warp, wid, pc, instr, active,
                                      shared)
         dst = instr.dst
         if (

@@ -34,8 +34,6 @@ from .trace import (
     KernelTrace,
     TraceColumns,
     WarpTrace,
-    bank_conflict_degree,
-    coalesce,
 )
 
 __all__ = [
@@ -69,8 +67,6 @@ __all__ = [
     "WarpTrace",
     "WARP_SIZE",
     "as_dim3",
-    "bank_conflict_degree",
-    "coalesce",
     "timing_differences",
     "small",
     "tiny",

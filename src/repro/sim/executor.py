@@ -6,6 +6,12 @@ width 32.  Warps of a block execute round-robin between barriers, so
 shared-memory producer/consumer patterns with ``bar.sync`` behave as on
 real hardware.
 
+This serial interpreter records each executed warp instruction as a raw
+row (warp, pc, active mask, result, sources) in a bounded buffer, and
+classifies the buffer per pc with the megawarp's row functions
+(:func:`~repro.sim.trace.classify_rows`) when it is full and when the
+launch ends; the launch's columns are assembled like the megawarp's.
+
 The executor is shared by every architecture variant: the baseline runs
 original kernels, R2D2 runs transformed kernels whose ``%lr``/``%cr``
 operands are resolved through a :class:`LinearValueProvider`.
@@ -37,16 +43,21 @@ from ..isa.operands import (
 from .config import verify_enabled
 from .memory import GlobalMemory, SharedMemory
 from .trace import (
-    BlockTrace,
+    WARP_SIZE,
     KernelTrace,
-    WarpTrace,
     WitnessVerdict,
-    bank_conflict_degree,
-    coalesce,
+    _scalar_bits,
+    classify_rows,
+    step_columns,
+    uniform_cols,
+    warp_blocks,
 )
 
-WARP_SIZE = 32
 _LANES = np.arange(WARP_SIZE, dtype=np.int64)
+
+#: Raw rows the serial interpreter buffers before classifying them: it
+#: bounds the lane vectors a long launch holds at once.
+ROW_CAP = 1024
 
 
 class ExecutionError(RuntimeError):
@@ -293,6 +304,18 @@ class FunctionalExecutor:
         ):
             arr.setflags(write=False)
             self._zero_pool[key] = arr
+        self._reset_rows()
+
+    def _reset_rows(self) -> None:
+        #: Raw rows ``(warp, pc, mask, result, sources)`` not classified
+        #: yet; a memory access's first source is its full-lane address
+        #: vector.
+        self._raw: List[tuple] = []
+        #: Classified steps (:func:`~repro.sim.trace.classify_rows`) and
+        #: each step's rows' positions in execution order.
+        self._steps: List[tuple] = []
+        self._seqs: List[np.ndarray] = []
+        self._n_classified = 0
 
     # ------------------------------------------------------------------
     def run(self) -> KernelTrace:
@@ -336,11 +359,12 @@ class FunctionalExecutor:
 
     def _run_serial(self, trace: KernelTrace) -> None:
         """Run every block of the launch, in order, into ``trace``.
-        Records are appended per warp (warps of a block interleave
-        between barriers) and become the launch's columns once every
-        block has run."""
+        Raw rows are buffered as warps execute (warps of a block
+        interleave between barriers) and become the launch's columns,
+        in warp and program order, once every block has run."""
         grid = self.launch.grid
-        warp_rows: List[list] = []
+        wpb = (self.launch.threads_per_block + WARP_SIZE - 1) // WARP_SIZE
+        self._reset_rows()
         if self.witness is not None:
             self._verdict = trace.witness = WitnessVerdict()
         # Inactive lanes compute on zero-filled registers, which can
@@ -348,11 +372,14 @@ class FunctionalExecutor:
         with np.errstate(over="ignore", invalid="ignore",
                          divide="ignore"):
             for block_id in range(grid.count):
-                block_xyz = grid.linear_to_xyz(block_id)
-                trace.blocks.append(
-                    self._run_block(block_id, block_xyz, warp_rows)
-                )
-        trace.set_rows(warp_rows)
+                self._run_block(block_id, grid.linear_to_xyz(block_id))
+            self._flush_rows()
+        trace.cols, counts = step_columns(
+            self._steps, grid.count * wpb,
+            np.concatenate(self._seqs) if self._seqs else None,
+        )
+        trace.blocks.extend(warp_blocks(grid, 0, wpb, counts, 0))
+        self._reset_rows()
 
     # ------------------------------------------------------------------
     def _make_warp(
@@ -379,9 +406,8 @@ class FunctionalExecutor:
 
     # ------------------------------------------------------------------
     def _run_block(
-        self, block_id: int, block_xyz: Tuple[int, int, int],
-        warp_rows: List[list],
-    ) -> BlockTrace:
+        self, block_id: int, block_xyz: Tuple[int, int, int]
+    ) -> None:
         n_threads = self.launch.threads_per_block
         n_warps = (n_threads + WARP_SIZE - 1) // WARP_SIZE
         shared = SharedMemory(self.kernel.shared_mem_bytes)
@@ -389,15 +415,14 @@ class FunctionalExecutor:
         warps = [
             self._make_warp(w, block_xyz) for w in range(n_warps)
         ]
-        rows: List[list] = [[] for _ in range(n_warps)]
-        warp_rows.extend(rows)
+        wid0 = block_id * n_warps
 
         while True:
             progressed = False
-            for warp, wrows in zip(warps, rows):
+            for w, warp in enumerate(warps):
                 if warp.done or warp.at_barrier:
                     continue
-                self._run_warp_until_break(warp, wrows, shared)
+                self._run_warp_until_break(warp, wid0 + w, shared)
                 progressed = True
             live = [w for w in warps if not w.done]
             if not live:
@@ -410,17 +435,12 @@ class FunctionalExecutor:
                     f"deadlock in block {block_id} of {self.kernel.name}"
                 )
 
-        return BlockTrace(
-            block_id, block_xyz,
-            [WarpTrace(block_id, w) for w in range(n_warps)],
-        )
-
     # ------------------------------------------------------------------
     def _run_warp_until_break(
-        self, warp: WarpContext, wrows: list, shared: SharedMemory
+        self, warp: WarpContext, wid: int, shared: SharedMemory
     ) -> None:
-        """Run until the warp hits a barrier or finishes, appending its
-        records to ``wrows``."""
+        """Run until the warp hits a barrier or finishes, recording its
+        rows as launch warp ``wid``."""
         instrs = self.kernel.instructions
         while warp.stack:
             entry = warp.stack[-1]
@@ -442,7 +462,7 @@ class FunctionalExecutor:
                 )
 
             if instr.opcode is Opcode.BRA:
-                self._record(wrows, entry.pc, mask, instr, None, [])
+                self._record(wid, entry.pc, mask, None, [])
                 self._execute_branch(warp, entry, instr, mask)
                 continue
             if instr.opcode is Opcode.EXIT:
@@ -451,7 +471,7 @@ class FunctionalExecutor:
                 entry.pc += 1
                 continue
             if instr.opcode is Opcode.BAR:
-                self._record(wrows, entry.pc, mask, instr, None, [])
+                self._record(wid, entry.pc, mask, None, [])
                 entry.pc += 1
                 warp.at_barrier = True
                 return
@@ -459,7 +479,7 @@ class FunctionalExecutor:
             active = self._guard_mask(warp, instr, mask)
             if active.any():
                 self._execute_instruction(
-                    warp, wrows, entry.pc, instr, active, shared
+                    warp, wid, entry.pc, instr, active, shared
                 )
             entry.pc += 1
 
@@ -558,20 +578,18 @@ class FunctionalExecutor:
         }
         return mapping[sreg]
 
-    def _address(
-        self, warp: WarpContext, op: object, active: np.ndarray
-    ) -> np.ndarray:
+    def _address(self, warp: WarpContext, op: object) -> np.ndarray:
+        """Full-lane addresses of memory operand ``op`` (callers select
+        the active lanes)."""
         if isinstance(op, MemRef):
-            base = warp.read(op.base)
-            return (base + op.disp)[active]
+            return warp.read(op.base) + op.disp
         if isinstance(op, LinearRef):
             disp = op.disp
             if op.cr_id is not None:
                 disp = disp + self._provider().cr_value(op.cr_id)
             if op.lr_id is None:
-                return np.full(int(active.sum()), disp, dtype=np.int64)
-            values = self._provider().lr_lane_values(op.lr_id, warp)
-            return (values + disp)[active]
+                return np.full(WARP_SIZE, disp, dtype=np.int64)
+            return self._provider().lr_lane_values(op.lr_id, warp) + disp
         raise ExecutionError(f"not a memory operand: {op!r}")
 
     # ------------------------------------------------------------------
@@ -580,7 +598,7 @@ class FunctionalExecutor:
     def _execute_instruction(
         self,
         warp: WarpContext,
-        wrows: list,
+        wid: int,
         pc: int,
         instr: Instruction,
         active: np.ndarray,
@@ -588,13 +606,13 @@ class FunctionalExecutor:
     ) -> None:
         op = instr.opcode
         if op in (Opcode.LD_GLOBAL, Opcode.LD_SHARED):
-            self._execute_load(warp, wrows, pc, instr, active, shared)
+            self._execute_load(warp, wid, pc, instr, active, shared)
             return
         if op in (Opcode.ST_GLOBAL, Opcode.ST_SHARED):
-            self._execute_store(warp, wrows, pc, instr, active, shared)
+            self._execute_store(warp, wid, pc, instr, active, shared)
             return
         if op in (Opcode.ATOM_GLOBAL, Opcode.ATOM_SHARED):
-            self._execute_atomic(warp, wrows, pc, instr, active, shared)
+            self._execute_atomic(warp, wid, pc, instr, active, shared)
             return
         if op is Opcode.LD_PARAM:
             ref = instr.srcs[0]
@@ -606,7 +624,7 @@ class FunctionalExecutor:
                 dtype=np.float64 if instr.dtype.is_float else np.int64,
             )
             warp.write(instr.dst, values, active)
-            self._record(wrows, pc, active, instr, values, [value])
+            self._record(wid, pc, active, values, [value])
             if pc in self._sites:
                 self._witness(warp, pc, instr, active, [value], values)
             return
@@ -617,7 +635,7 @@ class FunctionalExecutor:
             warp.write(instr.dst, np.broadcast_to(
                 np.asarray(result), (WARP_SIZE,)
             ).copy() if np.ndim(result) == 0 else result, active)
-        self._record(wrows, pc, active, instr, result, srcs)
+        self._record(wid, pc, active, result, srcs)
         if pc in self._sites:
             self._witness(warp, pc, instr, active, srcs, result)
 
@@ -625,7 +643,7 @@ class FunctionalExecutor:
                  active: np.ndarray, srcs: list, result) -> None:
         """Check the transformed operands at witness site ``pc`` against
         this warp instruction's ``srcs`` (a memory access's address slot
-        holds its active-compressed addresses) and ``result``."""
+        holds its full-lane addresses) and ``result``."""
         verdict = self._verdict
         if verdict.failure:
             return
@@ -633,21 +651,19 @@ class FunctionalExecutor:
         site = self._sites[pc]
         if site.move is not None:
             value = self._fetch(warp, site.move)
+            row = active[None]
             ok = lanes_agree(
                 result, self._coerce_result(value, instr.dtype), active
-            ) and self._is_uniform([value], active) == self._is_uniform(
-                srcs, active
-            )
+            ) and uniform_cols([value], row)[0] == uniform_cols(srcs, row)[0]
         else:
             tsrcs = list(srcs)
             ok = True
             for slot, op in site.operands:
                 if isinstance(op, LinearRef):
-                    tsrcs[slot] = self._address(warp, op, active)
-                    ok = ok and np.array_equal(tsrcs[slot], srcs[slot])
+                    tsrcs[slot] = self._address(warp, op)
                 else:
                     tsrcs[slot] = self._fetch(warp, op)
-                    ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
+                ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
             if ok and result is not None and not any(
                 np.ndim(s) for s in tsrcs
             ):
@@ -812,279 +828,108 @@ class FunctionalExecutor:
     # Memory instructions
     # ------------------------------------------------------------------
     def _execute_load(
-        self, warp, wrows, pc, instr, active, shared: SharedMemory
+        self, warp, wid, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
-        addrs = self._address(warp, instr.srcs[0], active)
-        values_active = space.gather(addrs, instr.dtype)
+        addrs = self._address(warp, instr.srcs[0])
+        values_active = space.gather(addrs[active], instr.dtype)
         full = warp.read(instr.dst).copy()
         full[active] = values_active
         warp.regs[instr.dst.name] = full
-        lines = None
-        conflict = 1
-        if instr.is_global_memory:
-            lines = coalesce(addrs)
-        else:
-            conflict = bank_conflict_degree(addrs)
-        self._record(
-            wrows, pc, active, instr, full, [addrs],
-            lines=lines, shared=instr.is_shared_memory,
-            bank_conflict=conflict,
-        )
+        self._record(wid, pc, active, full, [addrs])
         if pc in self._sites:
             self._witness(warp, pc, instr, active, [addrs], None)
 
     def _execute_store(
-        self, warp, wrows, pc, instr, active, shared: SharedMemory
+        self, warp, wid, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
-        addrs = self._address(warp, instr.srcs[0], active)
+        addrs = self._address(warp, instr.srcs[0])
         value = self._fetch(warp, instr.srcs[1])
         values = np.broadcast_to(np.asarray(value), (WARP_SIZE,))[active]
-        space.scatter(addrs, values, instr.dtype)
-        lines = None
-        conflict = 1
-        if instr.is_global_memory:
-            lines = coalesce(addrs)
-        else:
-            conflict = bank_conflict_degree(addrs)
-        self._record(
-            wrows, pc, active, instr, None, [addrs, value],
-            lines=lines, shared=instr.is_shared_memory, skippable=False,
-            bank_conflict=conflict,
-        )
+        space.scatter(addrs[active], values, instr.dtype)
+        self._record(wid, pc, active, None, [addrs, value])
         if pc in self._sites:
             self._witness(warp, pc, instr, active, [addrs, value], None)
 
     def _execute_atomic(
-        self, warp, wrows, pc, instr, active, shared: SharedMemory
+        self, warp, wid, pc, instr, active, shared: SharedMemory
     ) -> None:
         space = shared if instr.is_shared_memory else self.memory
-        addrs = self._address(warp, instr.srcs[0], active)
+        addrs = self._address(warp, instr.srcs[0])
         value = self._fetch(warp, instr.srcs[1])
         values = np.broadcast_to(np.asarray(value), (WARP_SIZE,))[active]
-        old = space.atomic(instr.atom, addrs, values, instr.dtype)
+        old = space.atomic(instr.atom, addrs[active], values, instr.dtype)
         if instr.dst is not None:
             full = warp.read(instr.dst).copy()
             full[active] = old
             warp.regs[instr.dst.name] = full
-        lines = None
-        if instr.is_global_memory:
-            lines = coalesce(addrs)
-        self._record(
-            wrows, pc, active, instr, None, [addrs, value],
-            lines=lines, shared=instr.is_shared_memory, skippable=False,
-        )
+        self._record(wid, pc, active, None, [addrs, value])
         if pc in self._sites:
             self._witness(warp, pc, instr, active, [addrs, value], None)
 
     # ------------------------------------------------------------------
     # Trace recording
     # ------------------------------------------------------------------
-    def _record(
-        self,
-        wrows: list,
-        pc: int,
-        active: np.ndarray,
-        instr: Instruction,
-        result,
-        srcs,
-        lines=None,
-        shared: bool = False,
-        skippable: bool = True,
-        bank_conflict: int = 1,
-    ) -> None:
-        """Append one record tuple in the :meth:`TraceColumns.from_rows`
-        layout."""
-        src_hash = None
-        if skippable and not instr.is_control:
-            src_hash = self._hash_sources(pc, active, srcs)
-        wrows.append((
-            pc,
-            int(active.sum()),
-            self._is_uniform(srcs, active),
-            self._is_affine(result, active, instr),
-            src_hash,
-            shared,
-            bank_conflict,
-            lines,
-        ))
+    def _record(self, wid: int, pc: int, active: np.ndarray, result,
+                srcs: list) -> None:
+        """Buffer one executed warp instruction's raw row; a full buffer
+        is classified."""
+        raw = self._raw
+        raw.append((wid, pc, active, result, srcs))
+        if len(raw) >= ROW_CAP:
+            self._flush_rows()
 
-    @staticmethod
-    def _is_uniform(srcs, active: np.ndarray) -> bool:
-        for s in srcs:
-            if np.ndim(s) == 0:
-                continue
-            vals = np.asarray(s)
-            if vals.shape[0] == WARP_SIZE:
-                sub = vals[active]
-            else:
-                sub = vals  # already active-compressed (addresses)
-            if sub.size > 1 and not (sub == sub.flat[0]).all():
-                return False
-        return True
-
-    @staticmethod
-    def _is_affine(result, active: np.ndarray, instr: Instruction) -> bool:
-        """Destination values form an affine sequence across active lanes.
-
-        Requires at least three active lanes: one- or two-lane results are
-        vacuously "affine" but carry no exploitable structure, and letting
-        them through would let the DAC model lift arbitrary divergent
-        computation.
-        """
-        if result is None or not instr.dtype.is_integer:
-            return False
-        vals = np.asarray(result)
-        if vals.ndim == 0:
-            return bool(active.sum() >= 3)
-        sub = vals[active] if vals.shape[0] == WARP_SIZE else vals
-        if sub.size < 3:
-            return False
-        diffs = np.diff(sub)
-        return bool((diffs == diffs[0]).all())
-
-    @staticmethod
-    def _hash_sources(pc: int, active: np.ndarray, srcs) -> int:
-        return hash_sources(pc, active, srcs)
-
-
-# ----------------------------------------------------------------------
-# Source hashing
-# ----------------------------------------------------------------------
-# DARSIE's value-based skip detection keys records on a hash of
-# (pc, active mask, source values).  The scheme is a deterministic
-# multiply-sum digest over uint64 lane bits: unlike ``hash(bytes)`` it
-# is stable across processes, and — crucially for the megawarp engine —
-# it vectorizes over the row axis, where a bytes-join forces a python
-# loop per warp.  The two implementations must stay bit-identical:
-# serial is `hash_sources`, the megawarp uses `hash_source_rows`.
-
-_MASK64 = (1 << 64) - 1
-_H_PC = 0x9E3779B97F4A7C15
-_H_ACT = 0xC2B2AE3D27D4EB4F
-_H_SRC = 0x165667B19E3779F9    # per-source chain multiplier
-_H_LEN = 0x27D4EB2F165667C5
-_H_SCALAR = 0x85EBCA77C2B2AE63
-_H_BOOL = 0xD6E8FEB86659FD93
-
-
-def _make_hash_weights() -> np.ndarray:
-    # splitmix64 finalizer over the lane index; |1 keeps weights odd.
-    x = np.arange(1, WARP_SIZE + 1, dtype=np.uint64)
-    x = x * np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x | np.uint64(1)
-
-
-_H_W = _make_hash_weights()
-
-
-def _scalar_bits(s) -> int:
-    if isinstance(s, float):
-        return int(np.float64(s).view(np.uint64))
-    return int(s) & _MASK64
-
-
-def _digest_vector(vals: np.ndarray) -> int:
-    """Digest of one 1-D lane vector or active-compressed address
-    array."""
-    if vals.dtype == np.bool_:
-        packed = int.from_bytes(
-            np.packbits(vals, bitorder="little").tobytes(), "little"
-        )
-        return (packed * _H_BOOL + (vals.size + 64) * _H_LEN) & _MASK64
-    if not vals.flags.c_contiguous:
-        vals = np.ascontiguousarray(vals)
-    u = (
-        vals.view(np.uint64)
-        if vals.dtype.itemsize == 8
-        else vals.astype(np.uint64)
-    )
-    k = u.size
-    acc = int((u * _H_W[:k]).sum(dtype=np.uint64))
-    return (acc + (k + 1) * _H_LEN) & _MASK64
-
-
-def hash_sources(pc: int, active: np.ndarray, srcs) -> int:
-    """Hash of one record's (pc, active mask, source values)."""
-    packed = int.from_bytes(
-        np.packbits(active, bitorder="little").tobytes(), "little"
-    )
-    h = ((_H_PC * (pc + 1)) ^ (packed * _H_ACT)) & _MASK64
-    for s in srcs:
-        if np.ndim(s) == 0:
-            d = (_scalar_bits(s) * _H_SCALAR) & _MASK64
-        else:
-            d = _digest_vector(np.asarray(s))
-        h = (h * _H_SRC + d) & _MASK64
-    return h
-
-
-def _rows_u64(mat: np.ndarray) -> np.ndarray:
-    if not mat.flags.c_contiguous:
-        mat = np.ascontiguousarray(mat)
-    if mat.dtype.itemsize == 8:
-        return mat.view(np.uint64)
-    return mat.astype(np.uint64)
-
-
-def hash_source_rows(pc: int, active: np.ndarray, srcs) -> np.ndarray:
-    """Vectorized :func:`hash_sources` over the row axis.
-
-    ``active`` is ``(R, 32)``; ``srcs`` is a list of ``(kind, value)``
-    pairs where kind ``"addrs"`` marks an ``(R, 32)`` address matrix
-    hashed per row over its active-compressed lanes, and ``"src"`` is
-    any other source: a python scalar or ``(32,)`` vector (shared by
-    every row), an ``(R, 1)`` per-row scalar column, or an ``(R, 32)``
-    per-row lane matrix.  Row ``i`` of the uint64 result equals
-    ``hash_sources(pc, active[i], row_i_sources)`` bit for bit.
-    """
-    active = np.ascontiguousarray(active)
-    R = active.shape[0]
-    packed = (
-        np.packbits(active, axis=1, bitorder="little")
-        .view(np.uint32)[:, 0]
-        .astype(np.uint64)
-    )
-    h = np.full(R, (_H_PC * (pc + 1)) & _MASK64, dtype=np.uint64)
-    h ^= packed * np.uint64(_H_ACT)
-    chain = np.uint64(_H_SRC)
-    counts = None
-    for kind, s in srcs:
-        if kind == "addrs":
-            if counts is None:
-                counts = active.sum(axis=1, dtype=np.uint64)
-            ranks = np.cumsum(active, axis=1) - 1
-            w = _H_W[ranks] * active
-            d = (_rows_u64(s) * w).sum(axis=1, dtype=np.uint64)
-            d += (counts + np.uint64(1)) * np.uint64(_H_LEN)
-        elif np.ndim(s) == 0:
-            d = np.uint64((_scalar_bits(s) * _H_SCALAR) & _MASK64)
-        else:
-            vals = np.asarray(s)
-            if vals.ndim == 1:
-                d = np.uint64(_digest_vector(vals))
-            elif vals.shape[1] == 1:
-                d = _rows_u64(vals)[:, 0] * np.uint64(_H_SCALAR)
-            elif vals.dtype == np.bool_:
-                pk = (
-                    np.packbits(
-                        np.ascontiguousarray(vals), axis=1,
-                        bitorder="little",
-                    )
-                    .view(np.uint32)[:, 0]
-                    .astype(np.uint64)
+    def _flush_rows(self) -> None:
+        """Classify the buffered rows with the row functions, one group
+        per pc and value kinds (a register's dtype may differ between
+        warps), and empty the buffer."""
+        raw = self._raw
+        groups: Dict[tuple, List[int]] = {}
+        for i, (_, pc, _, result, srcs) in enumerate(raw):
+            groups.setdefault(
+                (pc, _kind(result), *map(_kind, srcs)), []
+            ).append(i)
+        instrs = self.kernel.instructions
+        for (pc, result_kind, *kinds), idx in groups.items():
+            rows = [raw[i] for i in idx]
+            result = rows[0][3]
+            if result is not None:
+                # A scalar result's value never matters: it is affine on
+                # three active lanes or more.
+                result = 0 if result_kind is None else np.array(
+                    [r[3] for r in rows]
                 )
-                d = pk * np.uint64(_H_BOOL) + np.uint64(
-                    ((vals.shape[1] + 64) * _H_LEN) & _MASK64
-                )
-            else:
-                d = (_rows_u64(vals) * _H_W).sum(axis=1, dtype=np.uint64)
-                d += np.uint64(((WARP_SIZE + 1) * _H_LEN) & _MASK64)
-        h = h * chain + d
-    return h
+            self._steps.append(classify_rows(
+                np.array([r[0] for r in rows], dtype=np.int64), pc,
+                instrs[pc], np.array([r[2] for r in rows]), result,
+                [_stack([r[4][k] for r in rows], kind)
+                 for k, kind in enumerate(kinds)],
+            ))
+            self._seqs.append(
+                np.array(idx, dtype=np.int64) + self._n_classified
+            )
+        self._n_classified += len(raw)
+        raw.clear()
+
+
+def _kind(value):
+    """Grouping key of one raw value: a lane vector's dtype, or ``None``
+    for a scalar (or no value)."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value.dtype
+    return None
+
+
+def _stack(values: list, kind):
+    """One source slot of a group's raw rows as the row functions take
+    it: lane vectors as an ``(R, 32)`` matrix; a scalar every row shares
+    as itself, or else the rows' scalar bits as an ``(R, 1)`` column."""
+    if kind is not None:
+        return np.array(values)
+    first = values[0]
+    if all(v is first for v in values):
+        return first
+    return np.fromiter(
+        map(_scalar_bits, values), dtype=np.uint64, count=len(values)
+    )[:, None]

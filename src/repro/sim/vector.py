@@ -39,15 +39,19 @@ columns, for arbitrary control flow:
    allocator's high-water mark faults there and bails too.
 
 3. **Bit-identity.**  Committed launches produce byte-identical memory
-   and column-identical :class:`KernelTrace` records — same ``active``
-   counts, ``uniform``/``affine`` flags, source hashes, coalesced
-   lines, and bank conflicts as the serial interpreter.  Each PC-group
-   step appends its rows as arrays; ``emit`` reorders a chunk's rows
-   into block/warp order once.
+   and the same rows as the serial interpreter: the same pcs, masks and
+   operand values per warp instruction.  Both engines derive the
+   ``uniform``/``affine`` flags, source hashes, coalesced lines and bank
+   conflicts from those with one set of row functions
+   (:func:`~repro.sim.trace.classify_rows`); each PC-group step appends
+   its classified rows, and ``emit`` reorders a chunk's rows into
+   block/warp order once (:func:`~repro.sim.trace.step_columns`).
    :meth:`FunctionalExecutor.run_verify` (every launch under
    ``R2D2_VERIFY=1``) runs *both* engines and raises
    :class:`VectorMismatch` on any divergence; the differential oracle
-   runs it on every spec.
+   runs it on every spec.  It does not cross-check the row functions
+   themselves: ``tests/test_trace_rows.py`` compares them with
+   per-record references.
 
 Engine selection is vector → serial: the megawarp takes every launch it
 can, and the serial interpreter remains the reference implementation
@@ -78,18 +82,19 @@ from .executor import (
     ExecutionError,
     FunctionalExecutor,
     WARP_SIZE,
-    hash_source_rows,
     lanes_agree,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
 from .trace import (
-    LINE_BYTES,
     BlockTrace,
     KernelTrace,
     TraceColumns,
-    WarpTrace,
     WitnessVerdict,
+    classify_rows,
+    step_columns,
     trace_differences,
+    uniform_cols,
+    warp_blocks,
 )
 
 #: Below this many warps the megawarp set-up outweighs the win.
@@ -172,98 +177,6 @@ class VectorReport:
 
 
 # ----------------------------------------------------------------------
-# Per-row trace classification
-# ----------------------------------------------------------------------
-def _uniform_cols(srcs, act: np.ndarray, shape, idx0, rows) -> np.ndarray:
-    """Vectorized ``FunctionalExecutor._is_uniform`` over the row axis:
-    per row, all active lanes of every vector source agree."""
-    out = np.ones(shape[0], dtype=bool)
-    for s in srcs:
-        if np.ndim(s) == 0:
-            continue
-        vals = np.asarray(s)
-        if vals.ndim == 2 and vals.shape[1] == 1:
-            continue  # per-row scalar: the serial source is a scalar
-        mat = np.broadcast_to(vals, shape)
-        first = mat[rows, idx0]
-        out &= ((mat == first[:, None]) | ~act).all(axis=1)
-    return out
-
-
-def _affine_cols(result, instr, act: np.ndarray, n_act: np.ndarray,
-                 shape) -> np.ndarray:
-    """Vectorized ``FunctionalExecutor._is_affine`` over the row axis."""
-    R = shape[0]
-    if result is None or not instr.dtype.is_integer:
-        return np.zeros(R, dtype=bool)
-    vals = np.asarray(result)
-    if vals.ndim == 0 or (vals.ndim == 2 and vals.shape[1] == 1):
-        return n_act >= 3
-    mat = np.broadcast_to(vals, shape)
-    out = np.zeros(R, dtype=bool)
-    # Fast path: all rows share one active pattern (full warps, or a
-    # group-uniform boundary guard).
-    if bool((act == act[0]).all()):
-        cols = np.flatnonzero(act[0])
-        if cols.size < 3:
-            return out
-        sub = mat[:, cols]
-        diffs = np.diff(sub, axis=1)
-        return (diffs == diffs[:, :1]).all(axis=1)
-    # Varying masks: compress each row's active lanes to the front with
-    # a stable argsort (False sorts before True on ~act), then a single
-    # vectorized diff; positions past a row's active count are padded
-    # as matching.
-    order = np.argsort(~act, axis=1, kind="stable")
-    sub = np.take_along_axis(mat, order, axis=1)
-    diffs = np.diff(sub, axis=1)
-    pos = np.arange(diffs.shape[1])
-    pad = pos[None, :] >= (n_act[:, None] - 1)
-    return ((diffs == diffs[:, :1]) | pad).all(axis=1) & (n_act >= 3)
-
-
-#: Sort key of inactive lanes: past every real line or word.
-_NO_ADDR = np.iinfo(np.int64).max
-
-
-def _distinct_rows(keys: np.ndarray,
-                   active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row's active ``keys`` sorted ascending (inactive lanes
-    last), plus a mask of the first lane of every distinct value."""
-    keys = np.where(active, keys, _NO_ADDR)
-    keys.sort(axis=1)
-    first = np.ones(keys.shape, dtype=bool)
-    first[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    first &= keys != _NO_ADDR
-    return keys, first
-
-
-def _coalesce_rows(addrs: np.ndarray,
-                   active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`~repro.sim.trace.coalesce` over the row axis:
-    per-row line counts and every row's ascending distinct lines,
-    flattened in row order."""
-    keys, first = _distinct_rows(addrs // LINE_BYTES, active)
-    return first.sum(axis=1), keys[first] * LINE_BYTES
-
-
-def _bank_conflict_rows(addrs: np.ndarray, active: np.ndarray,
-                        n_banks: int = 32,
-                        bank_bytes: int = 4) -> np.ndarray:
-    """Vectorized :func:`~repro.sim.trace.bank_conflict_degree`: per
-    row, the most distinct words any one bank serves (at least 1)."""
-    words, first = _distinct_rows(addrs // bank_bytes, active)
-    R = words.shape[0]
-    row = np.broadcast_to(
-        np.arange(R, dtype=np.int64)[:, None], words.shape
-    )[first]
-    per_bank = np.bincount(
-        row * n_banks + words[first] % n_banks, minlength=R * n_banks
-    ).reshape(R, n_banks)
-    return np.maximum(per_bank.max(axis=1), 1)
-
-
-# ----------------------------------------------------------------------
 # Hazard-log grouping
 # ----------------------------------------------------------------------
 def _new_run(keys: np.ndarray) -> np.ndarray:
@@ -323,17 +236,6 @@ class _WarpState:
         self.exit_gen = 0
         self.done = False
         self.at_barrier = False
-
-
-class _Addrs:
-    """Marker: an address matrix whose source hash uses the
-    active-compressed row (the serial executor hashes compressed
-    addresses, not full lane vectors)."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: np.ndarray) -> None:
-        self.mat = mat
 
 
 class _MegaWarpEngine(FunctionalExecutor):
@@ -460,9 +362,8 @@ class _MegaWarpEngine(FunctionalExecutor):
         self._log_elems = 0
         self._step_pcs: List[int] = []
         self._sid = 0
-        #: per recorded PC-group step: (rows, pc, active counts,
-        #: uniform, affine, hashes or None, shared, banks or None,
-        #: (line counts, flat lines) or None) — see :meth:`emit`.
+        #: classified PC-group steps
+        #: (:func:`~repro.sim.trace.classify_rows`), in step order
         self._steps: List[tuple] = []
         self.counters = {
             "steps": 0, "pc_groups": 0, "pc_group_rows": 0,
@@ -583,7 +484,9 @@ class _MegaWarpEngine(FunctionalExecutor):
 
         op = instr.opcode
         if op is Opcode.BRA:
-            self._record_group(pc, instr, rows, mask, None, [])
+            self._steps.append(
+                classify_rows(rows, pc, instr, mask, None, [])
+            )
             with obs.span("vector.reconverge"):
                 self._exec_branch(pc, instr, rows, ws_list, entries, mask)
             return
@@ -598,7 +501,9 @@ class _MegaWarpEngine(FunctionalExecutor):
                 e.pc += 1
             return
         if op is Opcode.BAR:
-            self._record_group(pc, instr, rows, mask, None, [])
+            self._steps.append(
+                classify_rows(rows, pc, instr, mask, None, [])
+            )
             for ws, e in zip(ws_list, entries):
                 e.pc += 1
                 ws.at_barrier = True
@@ -633,8 +538,8 @@ class _MegaWarpEngine(FunctionalExecutor):
                 dtype=np.float64 if instr.dtype.is_float else np.int64,
             )
             self._write(instr.dst, rows, active, values)
-            self._record_group(
-                pc, instr, rows, active, values, [value]
+            self._steps.append(
+                classify_rows(rows, pc, instr, active, values, [value])
             )
             if pc in self._sites:
                 self._witness_rows(pc, instr, rows, active, [value],
@@ -644,7 +549,9 @@ class _MegaWarpEngine(FunctionalExecutor):
             result = self._compute(instr, srcs, None)
             if instr.dst is not None:
                 self._write(instr.dst, rows, active, result)
-            self._record_group(pc, instr, rows, active, result, srcs)
+            self._steps.append(
+                classify_rows(rows, pc, instr, active, result, srcs)
+            )
             if pc in self._sites:
                 self._witness_rows(pc, instr, rows, active, srcs, result)
 
@@ -804,14 +711,6 @@ class _MegaWarpEngine(FunctionalExecutor):
             )
         return (addrs + self._shared_off[rows])[active]
 
-    def _mem_rows(self, addrs: np.ndarray, active: np.ndarray,
-                  instr: Instruction):
-        """Per-row ``(line counts, flat lines)`` of a global access, or
-        bank-conflict degrees of a shared one."""
-        if instr.is_global_memory:
-            return _coalesce_rows(addrs, active), None
-        return None, _bank_conflict_rows(addrs, active)
-
     def _log_access(self, shared: bool, addrs_act: np.ndarray,
                     rows: np.ndarray, n_act: np.ndarray, itemsize: int,
                     write: bool) -> None:
@@ -859,12 +758,9 @@ class _MegaWarpEngine(FunctionalExecutor):
                 f"{instr.dst.name}: {mat.dtype} -> {full.dtype}",
             )
         mat[rows] = full
-        lines, bank = self._mem_rows(addrs, active, instr)
-        self._record_group(
-            pc, instr, rows, active, full, [_Addrs(addrs)],
-            lines=lines, shared=instr.is_shared_memory, bank=bank,
-            n_act=n_act,
-        )
+        self._steps.append(classify_rows(
+            rows, pc, instr, active, full, [addrs], n_act
+        ))
         if pc in self._sites:
             self._witness_rows(pc, instr, rows, active, [addrs], None)
 
@@ -890,12 +786,9 @@ class _MegaWarpEngine(FunctionalExecutor):
         self._log_access(
             instr.is_shared_memory, flat, rows, n_act, itemsize, True,
         )
-        lines, bank = self._mem_rows(addrs, active, instr)
-        self._record_group(
-            pc, instr, rows, active, None, [_Addrs(addrs), value],
-            lines=lines, shared=instr.is_shared_memory, skippable=False,
-            bank=bank, n_act=n_act,
-        )
+        self._steps.append(classify_rows(
+            rows, pc, instr, active, None, [addrs, value], n_act
+        ))
         if pc in self._sites:
             self._witness_rows(pc, instr, rows, active, [addrs, value],
                                None)
@@ -934,14 +827,9 @@ class _MegaWarpEngine(FunctionalExecutor):
                     f"{instr.dst.name}: {mat.dtype} -> {full.dtype}",
                 )
             mat[rows] = full
-        lines = None
-        if instr.is_global_memory:
-            lines, _ = self._mem_rows(addrs, active, instr)
-        self._record_group(
-            pc, instr, rows, active, None, [_Addrs(addrs), value],
-            lines=lines, shared=instr.is_shared_memory, skippable=False,
-            n_act=n_act,
-        )
+        self._steps.append(classify_rows(
+            rows, pc, instr, active, None, [addrs, value], n_act
+        ))
         if pc in self._sites:
             self._witness_rows(pc, instr, rows, active, [addrs, value],
                                None)
@@ -960,14 +848,10 @@ class _MegaWarpEngine(FunctionalExecutor):
         site = self._sites[pc]
         if site.move is not None:
             value = self._fetch_rows(site.move, rows)
-            shape = active.shape
-            idx0 = active.argmax(axis=1)
-            every = np.arange(shape[0])
             ok = lanes_agree(
                 result, self._coerce_result(value, instr.dtype), active
             ) and np.array_equal(
-                _uniform_cols([value], active, shape, idx0, every),
-                _uniform_cols(srcs, active, shape, idx0, every),
+                uniform_cols([value], active), uniform_cols(srcs, active)
             )
         else:
             tsrcs = list(srcs)
@@ -986,41 +870,6 @@ class _MegaWarpEngine(FunctionalExecutor):
                 )
         if not ok:
             verdict.failure = f"pc {pc} ({instr.opcode.value})"
-
-    # -- trace recording -----------------------------------------------
-    def _record_group(self, pc: int, instr: Instruction,
-                      rows: np.ndarray, active: np.ndarray,
-                      result, srcs, lines=None, shared: bool = False,
-                      skippable: bool = True, bank=None,
-                      n_act: Optional[np.ndarray] = None) -> None:
-        R = active.shape[0]
-        if n_act is None:
-            n_act = active.sum(axis=1)
-        idx0 = active.argmax(axis=1)
-        plain = [s.mat if isinstance(s, _Addrs) else s for s in srcs]
-        uniform = _uniform_cols(
-            plain, active, active.shape, idx0, np.arange(R)
-        )
-        affine = _affine_cols(result, instr, active, n_act, active.shape)
-        hashes = None
-        if skippable and not instr.is_control:
-            hashes = self._hash_rows(pc, active, srcs)
-        self._steps.append(
-            (rows, pc, n_act, uniform, affine, hashes, shared, bank, lines)
-        )
-
-    def _hash_rows(self, pc: int, active: np.ndarray,
-                   srcs) -> np.ndarray:
-        """Per-row source hashes matching
-        :func:`repro.sim.executor.hash_sources` bit for bit — one
-        vectorized multiply-sum digest pass over the whole group."""
-        return hash_source_rows(
-            pc, active,
-            [
-                ("addrs", s.mat) if isinstance(s, _Addrs) else ("src", s)
-                for s in srcs
-            ],
-        )
 
     # -- hazard check ----------------------------------------------------
     def check_hazards(self) -> None:
@@ -1093,65 +942,14 @@ class _MegaWarpEngine(FunctionalExecutor):
         )
 
     # -- trace assembly --------------------------------------------------
-    def _columns(self) -> Tuple[TraceColumns, np.ndarray]:
-        """The chunk's records in block/warp order (each warp's rows in
-        step order), plus each warp row's record count."""
-        steps = self._steps
-        if not steps:
-            return TraceColumns.empty(), np.zeros(self.W, dtype=np.int64)
-        sizes = [len(st[0]) for st in steps]
-
-        def per_row(i: int) -> np.ndarray:
-            return np.repeat([st[i] for st in steps], sizes)
-
-        def cat(i: int, fill, dtype) -> np.ndarray:
-            return np.concatenate([
-                st[i] if st[i] is not None else np.full(n, fill, dtype)
-                for st, n in zip(steps, sizes)
-            ])
-
-        rows = np.concatenate([st[0] for st in steps])
-        lines = [st[8] for st in steps if st[8] is not None]
-        cols = TraceColumns.from_arrays(
-            pc=per_row(1),
-            active=np.concatenate([st[2] for st in steps]),
-            uniform=np.concatenate([st[3] for st in steps]),
-            affine=np.concatenate([st[4] for st in steps]),
-            hashed=np.repeat([st[5] is not None for st in steps], sizes),
-            src_hash=cat(5, 0, np.uint64),
-            shared=per_row(6),
-            bank_conflict=cat(7, 1, np.int64),
-            n_lines=np.concatenate([
-                st[8][0] if st[8] is not None
-                else np.zeros(n, dtype=np.int64)
-                for st, n in zip(steps, sizes)
-            ]),
-            lines=np.concatenate(
-                [ln[1] for ln in lines] or [np.zeros(0, np.int64)]
-            ),
-        )
-        # Stable: a warp's rows keep their step (= program) order.
-        cols = cols.take(np.argsort(rows, kind="stable"))
-        return cols, np.bincount(rows, minlength=self.W)
-
     def emit(self, out_blocks: List[BlockTrace],
              base: int) -> TraceColumns:
         """Append the chunk's blocks, their warps' row ranges starting
         at ``base``, and return the chunk's columns."""
-        grid = self.launch.grid
-        cols, counts = self._columns()
-        stops = (base + np.cumsum(counts)).tolist()
-        starts = [base] + stops[:-1]
-        wpb = self.wpb
-        for b in range(self.nblocks):
-            block_id = self.lo + b
-            out_blocks.append(BlockTrace(
-                block_id, grid.linear_to_xyz(block_id),
-                [
-                    WarpTrace(block_id, w, starts[r], stops[r])
-                    for w, r in enumerate(range(b * wpb, (b + 1) * wpb))
-                ],
-            ))
+        cols, counts = step_columns(self._steps, self.W)
+        out_blocks.extend(
+            warp_blocks(self.launch.grid, self.lo, self.wpb, counts, base)
+        )
         return cols
 
 

@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from repro.isa import DType, KernelBuilder, Param
-from repro.sim import Device, TimingSimulator, bank_conflict_degree, tiny
+from repro.sim import Device, TimingSimulator, tiny
+from repro.sim.trace import bank_conflict_rows
 
+from . import trace_oracles as oracle
 from .trace_oracles import records
+
+
+def bank_conflict_degree(addrs):
+    """The per-record reference's degree for one access, after checking
+    that the row function finds the same for those lanes (inactive
+    lanes all hit bank 0, which it must ignore)."""
+    addrs = np.asarray(addrs, dtype=np.int64)
+    degree = oracle.bank_conflict_degree(addrs)
+    full = 128 * np.arange(32, dtype=np.int64)[None, :] + (1 << 20)
+    full[0, :addrs.size] = addrs
+    active = np.arange(32)[None, :] < addrs.size
+    assert bank_conflict_rows(full, active).tolist() == [degree]
+    return degree
 
 
 class TestConflictDegree:

@@ -120,22 +120,13 @@ def test_coefficient_vectors_predict_register_values(program):
         args=(d_out, PARAM_VALUES[0], PARAM_VALUES[2]),
     )
 
-    captured = {}
-
-    class CapturingExecutor(FunctionalExecutor):
-        def _run_block(self, block_id, block_xyz, warp_rows):
-            trace = super()._run_block(block_id, block_xyz, warp_rows)
-            return trace
-
-    # simpler: re-run one block manually through WarpContext inspection
+    # Run one warp of one block and inspect its registers.
     ex = FunctionalExecutor(kernel, launch, dev.memory)
     block_xyz = (1, 1, 0)
     n_instr = len(kernel.instructions)
     warp = WarpContext(0, block_xyz, BLOCK, n_instr)
-    wtrace_holder = []
-    wrows = []  # the warp's record tuples
     from repro.sim.memory import SharedMemory
-    ex._run_warp_until_break(warp, wrows, SharedMemory(16))
+    ex._run_warp_until_break(warp, 0, SharedMemory(16))
 
     # Compare analyzer predictions against actual register contents.
     vec_by_reg = {}

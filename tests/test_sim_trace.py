@@ -5,7 +5,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa import Dim3, Kernel, LaunchConfig
-from repro.sim import BlockTrace, KernelTrace, WarpTrace, coalesce
+from repro.sim import BlockTrace, KernelTrace, WarpTrace
+from repro.sim.trace import coalesce_rows
+
+from . import trace_oracles as oracle
+
+
+def coalesce(addrs):
+    """The per-record reference's lines for one access, after checking
+    that the row function finds the same ones for those lanes (inactive
+    lanes hold a far-away address it must ignore)."""
+    addrs = np.asarray(addrs, dtype=np.int64)
+    lines = oracle.coalesce(addrs)
+    full = np.full((1, 32), 1 << 40, dtype=np.int64)
+    full[0, :addrs.size] = addrs
+    active = np.arange(32)[None, :] < addrs.size
+    n_lines, flat = coalesce_rows(full, active)
+    assert n_lines.tolist() == [len(lines)]
+    assert tuple(flat.tolist()) == lines
+    return lines
 
 
 class TestCoalesce:
@@ -52,7 +70,7 @@ class TestTraceContainers:
                 block.warps.append(WarpTrace(blk, w))
             trace.blocks.append(block)
         # (pc, active, uniform, affine, src_hash, shared, bank, lines)
-        trace.set_rows([
+        oracle.set_rows(trace, [
             [
                 (0, 32, False, False, None, False, 1, None),
                 (1, 16, True, False, 7, False, 1, (128, 256)),

@@ -106,7 +106,7 @@ def _trace(n_blocks, wpb, warp_rows):
         trace.blocks.append(BlockTrace(
             b, (b, 0, 0), [WarpTrace(b, w) for w in range(wpb)]
         ))
-    trace.set_rows(warp_rows)
+    oracle.set_rows(trace, warp_rows)
     return trace
 
 

@@ -1,18 +1,32 @@
-"""Per-record reference implementations of the columnar trace analyses.
+"""Per-record reference implementations of the columnar trace code.
 
-Each function walks a trace one record at a time, the way the
-architecture models did before records became numpy columns.  Tests
-compare the production array code against these loops on real and
-random traces; nothing under ``src/`` imports this module.
+Each function walks one record at a time, the way the serial interpreter
+classified its records and the architecture models analyzed them before
+records became numpy columns.  Tests compare the production array code
+against these loops on real and random traces; nothing under ``src/``
+imports this module.
 """
 
+from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.isa.opcodes import Opcode
 from repro.linear.analyzer import LinearKind
+from repro.sim.trace import (
+    _H_ACT,
+    _H_PC,
+    _H_SCALAR,
+    _H_SRC,
+    _MASK64,
+    LINE_BYTES,
+    WARP_SIZE,
+    TraceColumns,
+    _digest_vector,
+    _scalar_bits,
+)
 
 _AFFINE_UNIT_OPS = frozenset(
     {
@@ -28,6 +42,145 @@ _AFFINE_UNIT_OPS = frozenset(
 )
 
 
+# ----------------------------------------------------------------------
+# One record's derived columns (the row functions' references)
+# ----------------------------------------------------------------------
+# A record's sources are python scalars or 32-lane vectors; a memory
+# access's address slot holds its active-compressed addresses.
+
+def is_uniform(srcs, active: np.ndarray) -> bool:
+    """All active lanes of every vector source hold one value."""
+    for s in srcs:
+        if np.ndim(s) == 0:
+            continue
+        vals = np.asarray(s)
+        if vals.shape[0] == WARP_SIZE:
+            sub = vals[active]
+        else:
+            sub = vals  # already active-compressed (addresses)
+        if sub.size > 1 and not (sub == sub.flat[0]).all():
+            return False
+    return True
+
+
+def is_affine(result, active: np.ndarray, instr) -> bool:
+    """An integer instruction's destination values form an affine
+    sequence across at least three active lanes."""
+    if result is None or not instr.dtype.is_integer:
+        return False
+    vals = np.asarray(result)
+    if vals.ndim == 0:
+        return bool(active.sum() >= 3)
+    sub = vals[active] if vals.shape[0] == WARP_SIZE else vals
+    if sub.size < 3:
+        return False
+    diffs = np.diff(sub)
+    return bool((diffs == diffs[0]).all())
+
+
+def hash_sources(pc: int, active: np.ndarray, srcs) -> int:
+    """Hash of one record's (pc, active mask, source values)."""
+    packed = int.from_bytes(
+        np.packbits(active, bitorder="little").tobytes(), "little"
+    )
+    h = ((_H_PC * (pc + 1)) ^ (packed * _H_ACT)) & _MASK64
+    for s in srcs:
+        if np.ndim(s) == 0:
+            d = (_scalar_bits(s) * _H_SCALAR) & _MASK64
+        else:
+            d = _digest_vector(np.asarray(s))
+        h = (h * _H_SRC + d) & _MASK64
+    return h
+
+
+def coalesce(addrs) -> Tuple[int, ...]:
+    """Unique memory-line addresses touched by the active lanes, in
+    ascending order: the global-memory transactions of this access."""
+    if len(addrs) == 0:
+        return ()
+    lines = np.unique(np.asarray(addrs) // LINE_BYTES)
+    return tuple(int(x) * LINE_BYTES for x in lines)
+
+
+def bank_conflict_degree(addrs, n_banks: int = 32,
+                         bank_bytes: int = 4) -> int:
+    """Worst-case lanes mapping to one shared-memory bank (broadcast of
+    the exact same word does not conflict, as on real hardware)."""
+    if len(addrs) == 0:
+        return 1
+    words = np.asarray(addrs) // bank_bytes
+    banks = words % n_banks
+    worst = 1
+    for bank in np.unique(banks):
+        distinct_words = np.unique(words[banks == bank])
+        worst = max(worst, len(distinct_words))
+    return int(worst)
+
+
+def record(pc: int, instr, active: np.ndarray, result, srcs) -> tuple:
+    """One executed warp instruction's record tuple (the
+    :func:`columns_from_rows` layout), classified as the serial
+    interpreter once did: a memory access's ``srcs[0]`` holds its
+    full-lane addresses, of which the record keeps the active ones;
+    stores, atomics and control carry no source hash."""
+    addressed = instr.is_global_memory or instr.is_shared_memory
+    lines, bank = None, 1
+    if addressed:
+        addrs = np.asarray(srcs[0])[active]
+        srcs = [addrs, *srcs[1:]]
+        if instr.is_global_memory:
+            lines = coalesce(addrs)
+        elif instr.opcode is not Opcode.ATOM_SHARED:
+            bank = bank_conflict_degree(addrs)
+    src_hash = None
+    if not instr.is_control and (instr.is_load or not addressed):
+        src_hash = hash_sources(pc, active, srcs)
+    return (
+        pc, int(active.sum()), is_uniform(srcs, active),
+        is_affine(result, active, instr), src_hash,
+        instr.is_shared_memory, bank, lines,
+    )
+
+
+# ----------------------------------------------------------------------
+# Traces from per-record tuples
+# ----------------------------------------------------------------------
+def columns_from_rows(rows: Sequence[tuple]) -> TraceColumns:
+    """Columns from per-record tuples ``(pc, active, uniform, affine,
+    src_hash, shared, bank_conflict, lines)``, where ``src_hash`` is
+    ``None`` for unhashed rows and ``lines`` a tuple or ``None``."""
+    if not rows:
+        return TraceColumns.empty()
+    pc, act, uni, aff, hsh, sh, bank, lns = zip(*rows)
+    return TraceColumns.from_arrays(
+        pc, act, uni, aff,
+        [h is not None for h in hsh],
+        np.fromiter((h or 0 for h in hsh), dtype=np.uint64,
+                    count=len(hsh)),
+        sh, bank,
+        [len(x) if x else 0 for x in lns],
+        np.fromiter(chain.from_iterable(x for x in lns if x),
+                    dtype=np.int64),
+    )
+
+
+def set_rows(trace, warp_rows: Sequence[Sequence[tuple]]) -> None:
+    """Give ``trace`` per-warp record tuples (see
+    :func:`columns_from_rows`), one list per warp of ``trace.blocks`` in
+    block/warp order."""
+    pos = 0
+    for warp, rows in zip(
+        (w for b in trace.blocks for w in b.warps), warp_rows
+    ):
+        warp.start = pos
+        pos += len(rows)
+        warp.stop = pos
+    trace.cols = columns_from_rows([r for rows in warp_rows for r in rows])
+
+
+# ----------------------------------------------------------------------
+# Records of a trace
+# ----------------------------------------------------------------------
 def warp_records(trace, warp) -> List[SimpleNamespace]:
     """One warp's rows as per-record objects (``src_hash`` is ``None``
     for unhashed rows, ``lines`` a tuple or ``None``)."""
