@@ -8,7 +8,7 @@ Usage::
     python benchmarks/compare.py BENCH_sim.json \
         benchmarks/baseline/BENCH_sim.json [--threshold 0.25]
 
-Three independent checks, all of which must pass:
+Two independent checks, both of which must pass:
 
 1. **Baseline regression** — every benchmark present in both files must
    not be more than ``threshold`` (fraction, default 0.25) slower than
@@ -16,13 +16,7 @@ Three independent checks, all of which must pass:
    so CI sets a looser threshold via ``--threshold`` / the
    ``BENCH_COMPARE_THRESHOLD`` env var; the committed baseline gates
    like-for-like reruns on a developer machine.
-2. **Decision-provenance overhead** — when the current run contains
-   the ``test_workload_provenance_on`` / ``_off`` pair, collecting the
-   decision trace must cost at most ``--max-provenance-overhead``
-   (fraction, default 0.05 = 5%%,
-   ``$BENCH_MAX_PROVENANCE_OVERHEAD`` overrides) over the same
-   workload with ``R2D2_PROVENANCE=0``.  Same-run, same-machine ratio.
-3. **Engine speedup pairs** — for each family ``f`` of
+2. **Engine speedup pairs** — for each family ``f`` of
    :data:`SPEEDUP_PAIRS`, every ``test_<stem>_<f>_on`` / ``_off`` pair
    in the current run must show at least ``--min-<f>-speedup``
    (``$BENCH_MIN_<F>_SPEEDUP`` overrides the table default), and must
@@ -49,8 +43,6 @@ import os
 import sys
 from typing import Dict, Optional
 
-PROVENANCE_ON_BENCH = "test_workload_provenance_on"
-PROVENANCE_OFF_BENCH = "test_workload_provenance_off"
 #: Fraction of the committed speedup the current run must retain.
 SPEEDUP_RETAIN = 0.85
 
@@ -184,16 +176,6 @@ def main(argv: Optional[list] = None) -> int:
                  "speedups from the current run",
         )
     parser.add_argument(
-        "--max-provenance-overhead",
-        type=float,
-        default=float(
-            os.environ.get("BENCH_MAX_PROVENANCE_OVERHEAD", "0.05")
-        ),
-        help="max fractional cost of decision-provenance collection "
-             "over the R2D2_PROVENANCE=0 run (default: 0.05; "
-             "$BENCH_MAX_PROVENANCE_OVERHEAD overrides)",
-    )
-    parser.add_argument(
         "--allow-missing-baseline", action="store_true",
         help="pass the baseline check when the baseline file is absent",
     )
@@ -241,21 +223,7 @@ def main(argv: Optional[list] = None) -> int:
     for name in sorted(set(current) - set(baseline)):
         print(f"{'new':>10}  {name}: {current[name] * 1e3:.3f} ms")
 
-    # -- check 2: decision-provenance overhead (same machine, same run) -
-    if PROVENANCE_ON_BENCH in current and PROVENANCE_OFF_BENCH in current:
-        overhead = (
-            current[PROVENANCE_ON_BENCH] / current[PROVENANCE_OFF_BENCH]
-            - 1.0
-        )
-        ok = overhead <= args.max_provenance_overhead
-        print(
-            f"{'ok' if ok else 'REGRESSION':>10}  provenance overhead:"
-            f" {overhead * 100:+.1f}%"
-            f" (required <= {args.max_provenance_overhead * 100:.1f}%)"
-        )
-        failed = failed or not ok
-
-    # -- check 3: engine speedup pairs (ratio + committed retain gate) --
+    # -- check 2: engine speedup pairs (ratio + committed retain gate) --
     opts = vars(args)
     for family, off_key, on_key, _ in SPEEDUP_PAIRS:
         failed |= _gate_pairs(

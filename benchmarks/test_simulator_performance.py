@@ -297,9 +297,9 @@ def test_dyntrip_vector_off(benchmark):
 # trace, event-driven (``run_fast``) vs reference loop.
 # ``compare.py`` pairs ``test_dyntrip_timing_on/_off`` and enforces
 # BENCH_MIN_TIMING_SPEEDUP (default 5x).  The trace and config are
-# shared across rounds, so the precompiled record streams stay cached
-# (the production shape: precompile once per kernel, replay many
-# times); the reference loop has no precompilation to amortize.
+# shared across rounds, but each replay precompiles its record streams
+# (``_Prep``) itself, as every production replay does; the reference
+# loop has no precompilation.
 # ---------------------------------------------------------------------------
 
 _TIMING_CFG = tiny()
@@ -345,47 +345,6 @@ def test_timing_fast_engine_agrees():
     trace = _dyntrip_timing_trace()
     result = TimingSimulator(_TIMING_CFG, trace).run_verify()
     assert result.cycles > 0
-
-
-# ---------------------------------------------------------------------------
-# Decision-provenance overhead (R2D2_PROVENANCE): the full workload
-# pipeline with the decision trace on (default) vs off.  ``compare.py``
-# pairs ``test_workload_provenance_on/_off`` and enforces that
-# collection stays within BENCH_MAX_PROVENANCE_OVERHEAD (default 5%).
-# ---------------------------------------------------------------------------
-
-
-def _provenance_bench(benchmark, enabled):
-    import os
-
-    from repro import obs
-    from repro.harness.runner import run_workload
-    from repro.workloads import factory
-
-    saved = os.environ.get("R2D2_PROVENANCE")
-    os.environ["R2D2_PROVENANCE"] = "1" if enabled else "0"
-    try:
-        def run():
-            obs.reset()
-            return run_workload(
-                factory("BP", "tiny"), config=tiny(), cache=False,
-            )
-
-        result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
-        assert result.stats
-    finally:
-        if saved is None:
-            os.environ.pop("R2D2_PROVENANCE", None)
-        else:
-            os.environ["R2D2_PROVENANCE"] = saved
-
-
-def test_workload_provenance_on(benchmark):
-    _provenance_bench(benchmark, True)
-
-
-def test_workload_provenance_off(benchmark):
-    _provenance_bench(benchmark, False)
 
 
 def test_vector_engines_agree():

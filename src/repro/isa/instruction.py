@@ -18,8 +18,6 @@ from .opcodes import (
 )
 from .operands import (
     Imm,
-    LinearRef,
-    LinearRegOperand,
     MemRef,
     Operand,
     ParamRef,
@@ -100,10 +98,6 @@ class Instruction:
     def is_barrier(self) -> bool:
         return self.opcode is Opcode.BAR
 
-    @property
-    def is_exit(self) -> bool:
-        return self.opcode is Opcode.EXIT
-
     # ------------------------------------------------------------------
     # Register accessors
     # ------------------------------------------------------------------
@@ -123,13 +117,6 @@ class Instruction:
     def dest_regs(self) -> List[Reg]:
         """Registers written by this instruction."""
         return [self.dst] if self.dst is not None else []
-
-    def linear_refs(self) -> List[LinearRef]:
-        """Linear memory references used by this instruction."""
-        return [op for op in self.srcs if isinstance(op, LinearRef)]
-
-    def linear_reg_operands(self) -> List[LinearRegOperand]:
-        return [op for op in self.srcs if isinstance(op, LinearRegOperand)]
 
     def with_srcs(self, srcs: Iterable[Operand]) -> "Instruction":
         """Copy of this instruction with replaced source operands."""

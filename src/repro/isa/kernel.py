@@ -87,9 +87,6 @@ class Kernel:
                 counts[instr.dst.name] = counts.get(instr.dst.name, 0) + 1
         return counts
 
-    def static_count(self) -> int:
-        return len(self.instructions)
-
     def disassemble(self) -> str:
         """Human-readable listing with labels interleaved."""
         by_pc: Dict[int, List[str]] = {}
@@ -155,7 +152,3 @@ class LaunchConfig:
     @property
     def num_blocks(self) -> int:
         return self.grid.count
-
-    @property
-    def total_threads(self) -> int:
-        return self.grid.count * self.block.count

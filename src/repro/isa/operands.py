@@ -49,11 +49,6 @@ class SpecialReg(enum.Enum):
             SpecialReg.CTAID_Z,
         )
 
-    @property
-    def is_dimension(self) -> bool:
-        """True for launch-time constants (block and grid dimensions)."""
-        return not (self.is_thread_index or self.is_block_index)
-
 
 #: Thread-index specials in coefficient-vector order (x, y, z).
 THREAD_INDEX_REGS = (SpecialReg.TID_X, SpecialReg.TID_Y, SpecialReg.TID_Z)
@@ -193,8 +188,3 @@ Operand = Union[
     CoeffRegOperand,
     LinearRegOperand,
 ]
-
-
-def operand_str(op: Operand) -> str:
-    """Printable form of any operand."""
-    return str(op)

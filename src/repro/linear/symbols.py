@@ -80,9 +80,6 @@ class LinExpr:
                     seen.add(sym)
                     yield sym
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def degree(self) -> int:
         return max((len(m) for m in self._terms), default=0)
 

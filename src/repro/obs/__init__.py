@@ -33,12 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .decisions import (
-    ENV_PROVENANCE,
-    DecisionEvent,
-    DecisionTrace,
-    provenance_enabled,
-)
+from .decisions import DecisionEvent, DecisionTrace
 from .export import (
     ENV_TRACE_LOG,
     EXPORT_SCHEMA,
@@ -77,10 +72,7 @@ def decision(
     units_total: int = 0,
     units_taken: int = 0,
 ) -> None:
-    """Record one :class:`DecisionEvent` in the run's decision trace
-    (no-op when ``R2D2_PROVENANCE`` is off)."""
-    if not provenance_enabled():
-        return
+    """Record one :class:`DecisionEvent` in the run's decision trace."""
     DECISIONS.record(DecisionEvent(
         engine=engine, decision=what, kernel=kernel, reason=reason,
         detail=detail, pc=pc, cause_pc=cause_pc,
@@ -164,7 +156,6 @@ __all__ = [
     "DECISIONS",
     "DecisionEvent",
     "DecisionTrace",
-    "ENV_PROVENANCE",
     "ENV_TRACE_LOG",
     "EXPORT_SCHEMA",
     "METRICS",
@@ -183,7 +174,6 @@ __all__ = [
     "load_metrics",
     "merge",
     "parse_key",
-    "provenance_enabled",
     "read_events",
     "reset",
     "snapshot",

@@ -12,21 +12,16 @@ as the counter registry, appears as a ``"decisions"`` section in
 Events deduplicate by identity key (engine, decision, kernel, reason,
 pc, cause_pc): repeats bump a ``count`` and accumulate the unit totals
 instead of growing the trace, so a thousand-launch run stays a few
-dozen entries.  Collection is gated by ``R2D2_PROVENANCE`` (default
-on); disabling it turns :func:`repro.obs.decision` into a no-op for
-overhead-sensitive sweeps (the ``compare.py`` provenance-overhead gate
-keeps the default under 5%).
+dozen entries.  Collection is always on: its cost stays inside every
+end-to-end metric of the suite benchmark.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-ENV_PROVENANCE = "R2D2_PROVENANCE"
 
 #: Distinct decision keys kept before the trace starts dropping (a
 #: run-away guard; real runs stay orders of magnitude below this).
@@ -34,12 +29,6 @@ MAX_DECISION_KEYS = 10000
 
 #: Reserved key that counts events dropped past the cap.
 _OVERFLOW_KEY = ("obs", "decision-overflow", None, "trace-full", None, None)
-
-
-def provenance_enabled() -> bool:
-    """The ``R2D2_PROVENANCE`` knob (default on)."""
-    raw = os.environ.get(ENV_PROVENANCE, "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 @dataclass(frozen=True)

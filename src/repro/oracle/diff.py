@@ -11,9 +11,9 @@ For one kernel spec this module runs the full soundness gauntlet:
    launch-time values, probe-execute the *transformed* kernel on an
    identically prepared second device, and require bit-identical memory
    outputs and per-warp data-address streams;
-   both kernels also run on the megawarp engine (``run_verify``, then
-   the committing ``run_fast``) and must match their serial runs
-   exactly;
+   the original also runs on the megawarp engine (``run_verify``, then
+   the committing ``run_fast``) and must match its serial run exactly
+   (a transformed kernel runs only on the serial interpreter);
 4b. check the proof that lets R2D2 skip that second run: the
    transformed kernel must pass the translation check
    (``r2d2-translation``), the original's megawarp runs must pass the
@@ -53,7 +53,7 @@ from ..sim.vector import VectorMismatch
 from ..sim.gpu import Device
 from ..sim.timing import TimingSimulator, timing_differences
 from ..sim.trace import trace_differences
-from ..transform.decouple import R2D2Kernel, r2d2_transform
+from ..transform.decouple import r2d2_transform
 from ..transform.translation import DERIVED_FIELDS, TranslationError
 from ..transform.values import R2D2Values
 from .invariants import (
@@ -320,13 +320,6 @@ def _check_spec(
         ):
             vio.append(Violation(kind, f"r2d2 {diff}"))
 
-        # --- megawarp on the transformed kernel -----------------------
-        vio.extend(
-            _megawarp_violations(
-                spec, config, kernel, launch_geom, dev_b, rkernel=rkernel,
-            )
-        )
-
     # fast-engine / reference timing equality on the original trace,
     # under the plans of every architecture that replays it
     darsie = _DARSIEPolicy(trace_a, with_scalar=True)
@@ -349,50 +342,38 @@ def _megawarp_violations(
     kernel: Kernel,
     launch_geom: Dict[str, Dim3],
     serial: Device,
-    rkernel: Optional[R2D2Kernel] = None,
     witness: Optional[Witness] = None,
 ) -> List[Violation]:
-    """Megawarp equivalence on one kernel, divergent ones included:
-    ``run_verify`` must find it bit-identical to serial (trace records +
-    memory, and the ``witness`` verdict when one is given); then the
-    committing path (``run_fast``) must leave the same memory as the
-    ``serial`` run, its trace must replay identically through every
-    timing engine, and it must pass the ``witness``.  With ``rkernel``
-    the transformed kernel runs instead, with launch-time
-    :class:`R2D2Values` and the R2D2 issue policy, and every detail
-    carries an ``r2d2`` prefix."""
-    label = "" if rkernel is None else "r2d2 "
+    """Megawarp equivalence on one original kernel, divergent ones
+    included: ``run_verify`` must find it bit-identical to serial (trace
+    records + memory, and the ``witness`` verdict when one is given);
+    then the committing path (``run_fast``) must leave the same memory
+    as the ``serial`` run, its trace must replay identically through
+    every timing engine, and it must pass the ``witness``."""
 
     def fresh():
         """A freshly prepared device and an executor of the launch."""
         dev, args, _ = _prepare_device(spec, config)
         launch = LaunchConfig(args=args, **launch_geom)
-        if rkernel is None:
-            ex = FunctionalExecutor(
-                kernel, launch, dev.memory, witness=witness
-            )
-        else:
-            ex = FunctionalExecutor(
-                rkernel.transformed, launch, dev.memory,
-                linear_values=R2D2Values(rkernel.plan, launch),
-            )
-        return dev, launch, ex
+        return dev, FunctionalExecutor(
+            kernel, launch, dev.memory, witness=witness
+        )
 
     try:
-        _, _, ex = fresh()
+        _, ex = fresh()
         ex.run_verify()
     except VectorMismatch as exc:
-        return [Violation("vector-mismatch", f"{label}{exc}")]
+        return [Violation("vector-mismatch", str(exc))]
     except Exception as exc:  # noqa: BLE001
         return [Violation(
-            "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
+            "vector-run-crash", f"{type(exc).__name__}: {exc}"
         )]
     try:
-        dev, launch, ex = fresh()
+        dev, ex = fresh()
         trace = ex.run_fast()
     except Exception as exc:  # noqa: BLE001
         return [Violation(
-            "vector-run-crash", f"{label}{type(exc).__name__}: {exc}"
+            "vector-run-crash", f"{type(exc).__name__}: {exc}"
         )]
     vio: List[Violation] = []
     if trace.witness is not None and not trace.witness.ok:
@@ -401,18 +382,11 @@ def _megawarp_violations(
         bad = np.flatnonzero(dev.memory.buf != serial.memory.buf)
         vio.append(Violation(
             "vector-commit-mismatch",
-            f"{label}memory differs at {bad.size} byte(s), first at "
-            f"address {int(bad[0])}",
+            f"memory differs at {bad.size} byte(s), first at address "
+            f"{int(bad[0])}",
         ))
-    timing = {}
-    if rkernel is not None:
-        counts = R2D2Arch().linear_phase_counts(rkernel, launch, config)
-        timing = dict(
-            policy=_R2D2Policy(rkernel, counts, config),
-            regs_per_thread=rkernel.register_usage.original_regs_per_thread,
-        )
-    for kind, diff in _timing_engine_diffs(config, trace, **timing):
-        vio.append(Violation(kind, f"{label}vectorized {diff}"))
+    for kind, diff in _timing_engine_diffs(config, trace):
+        vio.append(Violation(kind, f"vectorized {diff}"))
     return vio
 
 

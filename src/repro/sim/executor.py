@@ -14,7 +14,10 @@ launch ends; the launch's columns are assembled like the megawarp's.
 
 The executor is shared by every architecture variant: the baseline runs
 original kernels, R2D2 runs transformed kernels whose ``%lr``/``%cr``
-operands are resolved through a :class:`LinearValueProvider`.
+operands are resolved through a :class:`LinearValueProvider`, each warp
+as one row.  Transformed kernels execute only here, never on the
+megawarp; both engines check R2D2's operand witness on original
+launches with one function (:func:`witness_holds`).
 All variants must produce bit-identical memory contents — the integration
 tests enforce it.
 """
@@ -22,14 +25,16 @@ tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..isa.cfg import ControlFlowGraph
 from ..isa.instruction import Instruction
 from ..isa.kernel import Kernel, LaunchConfig
-from ..isa.opcodes import AtomOp, CmpOp, DType, Opcode
+from ..isa.opcodes import CmpOp, DType, Opcode
 from ..isa.operands import (
     CoeffRegOperand,
     Imm,
@@ -67,23 +72,11 @@ class ExecutionError(RuntimeError):
 class LinearValueProvider(Protocol):
     """Resolves R2D2 register-table operands at execution time."""
 
-    def lr_lane_values(self, lr_id: int, warp: "WarpContext") -> np.ndarray:
-        """Per-lane value of linear register ``lr_id``."""
-
-    def cr_value(self, cr_id: int) -> int:
-        """Kernel-uniform value of coefficient register ``cr_id``."""
-
-    def lr_parts(
-        self,
-        lr_id: int,
-        warps: Sequence["WarpContext"],
-        blocks: Sequence[Tuple[int, int, int]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Linear register ``lr_id`` split for batched execution: a
-        ``(len(warps), 32)`` thread part over ``warps`` and a
-        ``(len(blocks),)`` block part over block coordinates, such that
-        ``thread[w] + block[b]`` equals :meth:`lr_lane_values` of warp
-        ``w`` in block ``b`` bit for bit."""
+    def operand(self, op: object, tid: Sequence[np.ndarray],
+                ctaid: Sequence[np.ndarray]):
+        """``op`` (an immediate, ``%cr``, ``%lr`` or :class:`LinearRef`)
+        in ``R`` warps with ``(R, 32)`` ``tid.x/y/z`` lanes and ``(R, 1)``
+        ``ctaid.x/y/z`` values: a Python scalar or ``(R, 32)`` lanes."""
 
 
 class WitnessSite(NamedTuple):
@@ -99,12 +92,12 @@ class WitnessSite(NamedTuple):
 
 class Witness(NamedTuple):
     """The operand witness of one launch of an original kernel: at every
-    site, each engine evaluates the transformed operands exactly as it
-    would in the transformed launch (through ``values``) on the original
-    warp state, and compares them with the original operands on every
-    active lane — a move with the value the original definition writes,
-    and with the ``uniform`` flag its row gets.  The verdict lands on the
-    trace (:class:`~repro.sim.trace.WitnessVerdict`)."""
+    site, both engines evaluate the transformed operands through
+    ``values`` — the method the transformed launch executes with on the
+    serial interpreter — on the original warps, and compare them with
+    the original operands on every active lane (:func:`witness_holds`).
+    The verdict lands on the trace
+    (:class:`~repro.sim.trace.WitnessVerdict`)."""
 
     values: LinearValueProvider
     sites: Dict[int, WitnessSite]
@@ -121,6 +114,38 @@ def lanes_agree(a, b, active: np.ndarray) -> bool:
         return not ((a != b) & active).any()
     except (OverflowError, TypeError, ValueError):
         return False
+
+
+def witness_holds(site: WitnessSite, instr: Instruction,
+                  active: np.ndarray, srcs: list, result,
+                  operand: Callable[[object], object],
+                  compute: Callable[[Instruction, list], object]) -> bool:
+    """The operand witness at ``site`` over ``R`` rows of the original
+    ``instr``: ``active`` is their ``(R, 32)`` mask, ``srcs`` and
+    ``result`` what they read and wrote (a memory access's address slot
+    holds its full-lane addresses), ``operand`` evaluates a transformed
+    operand on the same rows (:meth:`LinearValueProvider.operand`) and
+    ``compute`` is the ALU.  A linear definition turned into a move must
+    write the original result with the same ``uniform`` flag; otherwise
+    every rewritten source must equal the original one, and all-scalar
+    sources must compute the original result (they compute in Python
+    ints, which do not wrap like the original's int64 lanes)."""
+    if site.move is not None:
+        value = operand(site.move)
+        return lanes_agree(
+            result, FunctionalExecutor._coerce_result(value, instr.dtype),
+            active,
+        ) and np.array_equal(
+            uniform_cols([value], active), uniform_cols(srcs, active)
+        )
+    tsrcs = list(srcs)
+    for slot, op in site.operands:
+        tsrcs[slot] = operand(op)
+        if not lanes_agree(srcs[slot], tsrcs[slot], active):
+            return False
+    if result is None or any(np.ndim(s) for s in tsrcs):
+        return True
+    return lanes_agree(result, compute(instr, tsrcs), active)
 
 
 @dataclass
@@ -266,10 +291,6 @@ class FunctionalExecutor:
         self.launch = launch
         self.memory = memory
         self.witness = witness
-        # A witnessed launch resolves the transformed operands through
-        # the witness's values (the original kernel reads none itself).
-        if linear_values is None and witness is not None:
-            linear_values = witness.values
         self.linear_values = linear_values
         self._sites: Dict[int, WitnessSite] = (
             witness.sites if witness is not None else {}
@@ -532,16 +553,8 @@ class FunctionalExecutor:
             return op.value
         if isinstance(op, SpecialReg):
             return self._special(warp, op)
-        if isinstance(op, CoeffRegOperand):
-            return self._provider().cr_value(op.cr_id)
-        if isinstance(op, LinearRegOperand):
-            values = self._provider().lr_lane_values(op.lr_id, warp)
-            offset = op.disp
-            if op.cr_id is not None:
-                offset = offset + self._provider().cr_value(op.cr_id)
-            if offset:
-                values = values + offset
-            return values
+        if isinstance(op, (CoeffRegOperand, LinearRegOperand)):
+            return self._linear(self._provider(), warp, op)
         raise ExecutionError(f"cannot fetch operand {op!r}")
 
     def _provider(self) -> LinearValueProvider:
@@ -551,6 +564,17 @@ class FunctionalExecutor:
                 "was supplied"
             )
         return self.linear_values
+
+    @staticmethod
+    def _linear(values: LinearValueProvider, warp: WarpContext,
+                op: object):
+        """R2D2 operand ``op`` resolved by ``values`` for ``warp`` as one
+        row: a scalar or the warp's 32 lanes."""
+        value = values.operand(
+            op, (warp.tid_x[None], warp.tid_y[None], warp.tid_z[None]),
+            np.array(warp.block_xyz, dtype=np.int64).reshape(3, 1, 1),
+        )
+        return value[0] if np.ndim(value) else value
 
     def _special(self, warp: WarpContext, sreg: SpecialReg) -> object:
         if sreg is SpecialReg.TID_X:
@@ -584,12 +608,7 @@ class FunctionalExecutor:
         if isinstance(op, MemRef):
             return warp.read(op.base) + op.disp
         if isinstance(op, LinearRef):
-            disp = op.disp
-            if op.cr_id is not None:
-                disp = disp + self._provider().cr_value(op.cr_id)
-            if op.lr_id is None:
-                return np.full(WARP_SIZE, disp, dtype=np.int64)
-            return self._provider().lr_lane_values(op.lr_id, warp) + disp
+            return self._linear(self._provider(), warp, op)
         raise ExecutionError(f"not a memory operand: {op!r}")
 
     # ------------------------------------------------------------------
@@ -630,7 +649,7 @@ class FunctionalExecutor:
             return
 
         srcs = [self._fetch(warp, s) for s in instr.srcs]
-        result = self._compute(instr, srcs, warp)
+        result = self._compute(instr, srcs)
         if instr.dst is not None:
             warp.write(instr.dst, np.broadcast_to(
                 np.asarray(result), (WARP_SIZE,)
@@ -641,44 +660,23 @@ class FunctionalExecutor:
 
     def _witness(self, warp: WarpContext, pc: int, instr: Instruction,
                  active: np.ndarray, srcs: list, result) -> None:
-        """Check the transformed operands at witness site ``pc`` against
-        this warp instruction's ``srcs`` (a memory access's address slot
-        holds its full-lane addresses) and ``result``."""
+        """:func:`witness_holds` at witness site ``pc`` on this warp
+        instruction, as one row."""
         verdict = self._verdict
         if verdict.failure:
             return
         verdict.rows += 1
-        site = self._sites[pc]
-        if site.move is not None:
-            value = self._fetch(warp, site.move)
-            row = active[None]
-            ok = lanes_agree(
-                result, self._coerce_result(value, instr.dtype), active
-            ) and uniform_cols([value], row)[0] == uniform_cols(srcs, row)[0]
-        else:
-            tsrcs = list(srcs)
-            ok = True
-            for slot, op in site.operands:
-                if isinstance(op, LinearRef):
-                    tsrcs[slot] = self._address(warp, op)
-                else:
-                    tsrcs[slot] = self._fetch(warp, op)
-                ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
-            if ok and result is not None and not any(
-                np.ndim(s) for s in tsrcs
-            ):
-                # All-scalar sources compute in python ints, which do
-                # not wrap like the original's int64 lanes.
-                ok = lanes_agree(
-                    result, self._compute(instr, tsrcs, warp), active
-                )
-        if not ok:
+        values = self.witness.values
+        if not witness_holds(
+            self._sites[pc], instr, active[None], srcs, result,
+            lambda op: self._linear(values, warp, op), self._compute,
+        ):
             verdict.failure = (
                 f"pc {pc} ({instr.opcode.value}), block "
                 f"{warp.block_xyz} warp {warp.warp_in_block}"
             )
 
-    def _compute(self, instr: Instruction, srcs: list, warp: WarpContext):
+    def _compute(self, instr: Instruction, srcs: list):
         op = instr.opcode
         dtype = instr.dtype
         if op is Opcode.MOV:

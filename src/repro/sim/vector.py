@@ -17,11 +17,11 @@ columns, for arbitrary control flow:
    drops a warp from the schedulable set until its block's arrival
    count completes; shared memory is a flat arena of per-block
    segments; atomics serialize in flattened block-major/warp-major
-   lane order.  R2D2-transformed launches run here too: each linear
-   register ``%lr`` becomes one ``(W, 32)`` matrix per chunk (thread
-   part per warp-in-block plus block part per block, from the launch's
-   :class:`~repro.sim.executor.LinearValueProvider`), and ``%cr``
-   coefficients are kernel-uniform scalars.
+   lane order.  Original launches that carry R2D2's operand witness
+   check it per PC group with the serial interpreter's function
+   (:func:`~repro.sim.executor.witness_holds`), through the launch's
+   :class:`~repro.sim.executor.LinearValueProvider`; transformed
+   launches themselves run only on the serial interpreter.
 
 2. **Soundness net.**  The serial executor orders memory effects:
    blocks in order, warps of a block round-robin between barriers.
@@ -54,8 +54,9 @@ columns, for arbitrary control flow:
    per-record references.
 
 Engine selection is vector → serial: the megawarp takes every launch it
-can, and the serial interpreter remains the reference implementation
-and last resort.
+can but R2D2-transformed ones (skip slug ``transformed-kernel``), and
+the serial interpreter remains the reference implementation and last
+resort.
 """
 
 from __future__ import annotations
@@ -68,21 +69,12 @@ import numpy as np
 from .. import obs
 from ..isa.instruction import Instruction
 from ..isa.opcodes import DType, Opcode
-from ..isa.operands import (
-    CoeffRegOperand,
-    Imm,
-    LinearRef,
-    LinearRegOperand,
-    MemRef,
-    ParamRef,
-    Reg,
-    SpecialReg,
-)
+from ..isa.operands import Imm, MemRef, ParamRef, Reg, SpecialReg
 from .executor import (
     ExecutionError,
     FunctionalExecutor,
     WARP_SIZE,
-    lanes_agree,
+    witness_holds,
 )
 from .memory import _NP_DTYPES, ByteSpace, MemoryError_
 from .trace import (
@@ -93,12 +85,14 @@ from .trace import (
     classify_rows,
     step_columns,
     trace_differences,
-    uniform_cols,
     warp_blocks,
 )
 
 #: Below this many warps the megawarp set-up outweighs the win.
 MIN_WARPS = 4
+
+_TIDS = (SpecialReg.TID_X, SpecialReg.TID_Y, SpecialReg.TID_Z)
+_CTAIDS = (SpecialReg.CTAID_X, SpecialReg.CTAID_Y, SpecialReg.CTAID_Z)
 
 #: Cap on warps per megawarp chunk; bounds the (W, 32)
 #: register-matrix footprint (4096 warps ≈ 1 MiB per live register).
@@ -134,9 +128,11 @@ class VectorReport:
 
     kernel: str
     engaged: bool
-    #: Skip/bail slug ("launch-too-small", "bailed-before" — the kernel
-    #: bailed on a memory conflict earlier on this device, the detail
-    #: names that reason —, "cross-warp-memory-conflict",
+    #: Skip/bail slug ("transformed-kernel" — an R2D2-transformed
+    #: launch, which runs serially —, "launch-too-small",
+    #: "bailed-before" — the kernel bailed on a memory conflict earlier
+    #: on this device, the detail names that reason —,
+    #: "cross-warp-memory-conflict",
     #: "cross-block-memory-conflict",
     #: "memory-error", "deadlock", "hazard-log-overflow",
     #: "register-dtype-promotion", ...); empty when the launch
@@ -254,7 +250,6 @@ class _MegaWarpEngine(FunctionalExecutor):
         self.kernel = host.kernel
         self.launch = host.launch
         self.memory = memory
-        self.linear_values = host.linear_values
         self._sites = host._sites
         self._verdict = verdict
         self.max_warp_instructions = host.max_warp_instructions
@@ -299,11 +294,9 @@ class _MegaWarpEngine(FunctionalExecutor):
         }
         self._blockrow = np.arange(self.W, dtype=np.int64) // wpb
         self._gwarp = ids * wpb + self._warp_in_block
-        # R2D2 linear registers: lr_id -> (W, 32) matrix, built on first
-        # use from the provider's per-warp thread parts (over the tid
-        # rows above) and per-block block parts.
-        self._tid_warps = tid_rows
-        self._lr: Dict[int, np.ndarray] = {}
+        # R2D2 operands the witness reads: op -> its value over every
+        # warp of the chunk, evaluated on first use.
+        self._operands: Dict[object, object] = {}
 
         # -- register file: name -> (W, 32) matrix ---------------------
         self._regs: Dict[str, np.ndarray] = {}
@@ -546,7 +539,7 @@ class _MegaWarpEngine(FunctionalExecutor):
                                    values)
         else:
             srcs = [self._fetch_rows(s, rows) for s in instr.srcs]
-            result = self._compute(instr, srcs, None)
+            result = self._compute(instr, srcs)
             if instr.dst is not None:
                 self._write(instr.dst, rows, active, result)
             self._steps.append(
@@ -653,33 +646,7 @@ class _MegaWarpEngine(FunctionalExecutor):
                 SpecialReg.NCTAID_Z: grid.z,
             }
             return mapping[op]
-        # R2D2 operands: same operation order as FunctionalExecutor._fetch
-        # (python-int offset first, then one add), so int64 wraps, hashes
-        # and uniform/affine flags stay bit-identical.
-        if isinstance(op, CoeffRegOperand):
-            return self._provider().cr_value(op.cr_id)
-        if isinstance(op, LinearRegOperand):
-            values = self._lr_rows(op.lr_id, rows)
-            offset = op.disp
-            if op.cr_id is not None:
-                offset = offset + self._provider().cr_value(op.cr_id)
-            if offset:
-                values = values + offset
-            return values
         raise _VBail("unsupported-operand", repr(op))
-
-    def _lr_rows(self, lr_id: int, rows: np.ndarray) -> np.ndarray:
-        mat = self._lr.get(lr_id)
-        if mat is None:
-            grid = self.launch.grid
-            thread, block = self._provider().lr_parts(
-                lr_id, self._tid_warps,
-                [grid.linear_to_xyz(self.lo + b)
-                 for b in range(self.nblocks)],
-            )
-            mat = thread[self._warp_in_block] + block[self._blockrow, None]
-            self._lr[lr_id] = mat
-        return mat[rows]
 
     # -- memory instructions -------------------------------------------
     def _addr_matrix(self, op: object, rows: np.ndarray) -> np.ndarray:
@@ -687,13 +654,6 @@ class _MegaWarpEngine(FunctionalExecutor):
         in :meth:`FunctionalExecutor._address` operation order."""
         if isinstance(op, MemRef):
             return self._read(op.base, rows) + op.disp
-        if isinstance(op, LinearRef):
-            disp = op.disp
-            if op.cr_id is not None:
-                disp = disp + self._provider().cr_value(op.cr_id)
-            if op.lr_id is None:
-                return np.full((rows.size, WARP_SIZE), disp, dtype=np.int64)
-            return self._lr_rows(op.lr_id, rows) + disp
         raise _VBail("unsupported-operand", repr(op))
 
     def _shared_flat(self, pc: int, addrs: np.ndarray, rows: np.ndarray,
@@ -836,40 +796,28 @@ class _MegaWarpEngine(FunctionalExecutor):
 
     def _witness_rows(self, pc: int, instr: Instruction, rows: np.ndarray,
                       active: np.ndarray, srcs: list, result) -> None:
-        """:meth:`FunctionalExecutor._witness` over a PC group: the
-        transformed operands in this engine's own operand order, against
-        ``srcs`` (a memory access's full-lane address matrix in its
-        address slot) and ``result`` on every active lane of every
-        row."""
+        """:func:`~repro.sim.executor.witness_holds` at witness site
+        ``pc`` over a PC group."""
         verdict = self._verdict
         if verdict.failure:
             return
         verdict.rows += len(rows)
-        site = self._sites[pc]
-        if site.move is not None:
-            value = self._fetch_rows(site.move, rows)
-            ok = lanes_agree(
-                result, self._coerce_result(value, instr.dtype), active
-            ) and np.array_equal(
-                uniform_cols([value], active), uniform_cols(srcs, active)
-            )
-        else:
-            tsrcs = list(srcs)
-            ok = True
-            for slot, op in site.operands:
-                if isinstance(op, LinearRef):
-                    tsrcs[slot] = self._addr_matrix(op, rows)
-                else:
-                    tsrcs[slot] = self._fetch_rows(op, rows)
-                ok = ok and lanes_agree(srcs[slot], tsrcs[slot], active)
-            if ok and result is not None and not any(
-                np.ndim(s) for s in tsrcs
-            ):
-                ok = lanes_agree(
-                    result, self._compute(instr, tsrcs, None), active
-                )
-        if not ok:
+        if not witness_holds(
+            self._sites[pc], instr, active, srcs, result,
+            lambda op: self._operand(op, rows), self._compute,
+        ):
             verdict.failure = f"pc {pc} ({instr.opcode.value})"
+
+    def _operand(self, op: object, rows: np.ndarray):
+        """R2D2 operand ``op`` in warp ``rows``, from one evaluation by
+        the witness's values over every warp of the chunk."""
+        value = self._operands.get(op)
+        if value is None:
+            value = self._operands[op] = self.host.witness.values.operand(
+                op, [self._tid[s] for s in _TIDS],
+                [self._ctaid[s] for s in _CTAIDS],
+            )
+        return value[rows] if np.ndim(value) else value
 
     # -- hazard check ----------------------------------------------------
     def check_hazards(self) -> None:
@@ -964,9 +912,10 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
     committing nothing.  Attaches the launch's :class:`VectorReport` to
     ``trace`` and returns ``(fork, blocks, cols, verdict)`` (the
     operand witness's verdict, ``None`` without a witness), or ``None``
-    when the launch has fewer than ``min_warps`` warps, its kernel is in
-    the ``bailed`` memo, or the megawarp bails — a memory-conflict bail
-    then enters the memo."""
+    when the launch is R2D2-transformed (it has ``linear_values``), has
+    fewer than ``min_warps`` warps, its kernel is in the ``bailed`` memo,
+    or the megawarp bails — a memory-conflict bail then enters the
+    memo."""
     grid = host.launch.grid
     wpb = (host.launch.threads_per_block + WARP_SIZE - 1) // WARP_SIZE
     total_warps = grid.count * wpb
@@ -977,7 +926,9 @@ def _megawarp(host: FunctionalExecutor, trace: KernelTrace,
     obs.inc("vector.launches", kernel=host.kernel.name)
     obs.inc("vector.warps_total", total_warps, kernel=host.kernel.name)
     skip = None
-    if total_warps < min_warps:
+    if host.linear_values is not None:
+        skip = ("transformed-kernel", "R2D2 operands execute serially")
+    elif total_warps < min_warps:
         skip = ("launch-too-small", f"{total_warps} < {min_warps} warps")
     elif bailed is not None and host.kernel in bailed:
         skip = ("bailed-before", bailed[host.kernel])

@@ -96,9 +96,6 @@ class _CoefCodegen:
         self._next_cr += 1
         return Reg(f"%cg{self._next_cr}", DType.S64)
 
-    def named_cr(self, cr_id: int) -> Reg:
-        return Reg(f"%cr{cr_id}", DType.S64)
-
     def _symbol_reg(self, name: str) -> Reg:
         reg = self._symbol_regs.get(name)
         if reg is not None:

@@ -20,10 +20,13 @@ instructions on the same values":
 
 The dynamic half is the operand witness
 (:class:`~repro.sim.executor.Witness`): at each :class:`WitnessSite`,
-both functional engines evaluate T's operand on K's warp state exactly
-as T's launch would, and compare it with K's operand on every active
-lane.  Together the two make T's execution K's with the removed rows
-left out, so T's trace is K's trace taken through :attr:`new_pc`
+both functional engines evaluate T's operand on K's warps with
+:meth:`~repro.transform.values.R2D2Values.operand`, the method T's
+launch executes with (on the serial interpreter, the only engine that
+runs T), and compare it with K's operand on every active lane
+(:func:`~repro.sim.executor.witness_holds`).  Together the two make
+T's execution K's with the removed rows left out, so T's trace is K's
+trace taken through :attr:`new_pc`
 (:meth:`~repro.sim.trace.KernelTrace.derive`) in every column but
 ``src_hash``, and T's memory effects are K's.
 """

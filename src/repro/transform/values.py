@@ -9,16 +9,16 @@ computes; the timing model charges for the instructions separately).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..isa.kernel import LaunchConfig
 from ..isa.opcodes import DType, Opcode
+from ..isa.operands import CoeffRegOperand, Imm
 from ..linear.coeffvec import wrap_i64, wrap_to_dtype
 from ..linear.symbols import launch_env
 from ..linear.tables import DecouplePlan
-from ..sim.executor import WarpContext
 
 
 def _apply_scalar_op(
@@ -75,7 +75,9 @@ def _apply_scalar_op(
 
 
 class R2D2Values:
-    """A :class:`~repro.sim.executor.LinearValueProvider` for one launch."""
+    """A :class:`~repro.sim.executor.LinearValueProvider` for one launch:
+    :meth:`operand` resolves every R2D2 operand form for a stack of
+    warps."""
 
     def __init__(self, plan: DecouplePlan, launch: LaunchConfig) -> None:
         self.plan = plan
@@ -122,57 +124,34 @@ class R2D2Values:
         for cr_id, delta in plan.delta_exprs.items():
             self._cr[cr_id] = wrap_i64(delta.evaluate(self.env))
 
-        self._tr_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._br_cache: Dict[Tuple[int, Tuple[int, int, int]], int] = {}
-
     # ------------------------------------------------------------------
-    def cr_value(self, cr_id: int) -> int:
-        return self._cr[cr_id]
-
-    def tr_lane_values(self, tr_id: int, warp: WarpContext) -> np.ndarray:
-        key = (tr_id, warp.warp_in_block)
-        cached = self._tr_cache.get(key)
-        if cached is not None:
-            return cached
-        cx, cy, cz = self._thread_coeffs[tr_id]
-        values = cx * warp.tid_x + cy * warp.tid_y + cz * warp.tid_z
-        values = np.asarray(values, dtype=np.int64)
-        self._tr_cache[key] = values
-        return values
-
-    def br_value(self, lr_id: int, block_xyz: Tuple[int, int, int]) -> int:
-        key = (lr_id, block_xyz)
-        cached = self._br_cache.get(key)
-        if cached is not None:
-            return cached
-        cx, cy, cz = self._block_coeffs[lr_id]
-        bx, by, bz = block_xyz
-        value = wrap_i64(
-            self._block_consts[lr_id] + cx * bx + cy * by + cz * bz
-        )
-        self._br_cache[key] = value
-        return value
-
-    def lr_lane_values(self, lr_id: int, warp: WarpContext) -> np.ndarray:
-        entry = self.plan.entries[lr_id]
-        br = self.br_value(lr_id, warp.block_xyz)
-        if entry.tr_id is None:
-            return np.full(32, br, dtype=np.int64)
-        return self.tr_lane_values(entry.tr_id, warp) + br
-
-    def lr_parts(
-        self,
-        lr_id: int,
-        warps: Sequence[WarpContext],
-        blocks: Sequence[Tuple[int, int, int]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        thread = np.zeros((len(warps), 32), dtype=np.int64)
-        tr_id = self.plan.entries[lr_id].tr_id
-        if tr_id is not None:
-            for w, warp in enumerate(warps):
-                thread[w] = self.tr_lane_values(tr_id, warp)
-        block = np.fromiter(
-            (self.br_value(lr_id, xyz) for xyz in blocks),
-            dtype=np.int64, count=len(blocks),
-        )
-        return thread, block
+    def operand(self, op: object, tid: Sequence[np.ndarray],
+                ctaid: Sequence[np.ndarray]):
+        """R2D2 operand ``op`` as a transformed instruction reads it in
+        ``R`` warps, given their ``(R, 32)`` ``tid.x/y/z`` lanes and
+        their blocks' ``(R, 1)`` ``ctaid.x/y/z`` values: an immediate or
+        a ``%cr`` as a Python scalar, a ``%lr`` register or a
+        :class:`LinearRef` address as ``(R, 32)`` int64 lanes.  A linear
+        register is its thread part plus its block part, in int64 lanes
+        (both wrap exactly as the removed instructions' lanes would);
+        its displacement plus its ``%cr`` offset is then added as one
+        Python int."""
+        if isinstance(op, Imm):
+            return op.value
+        if isinstance(op, CoeffRegOperand):
+            return self._cr[op.cr_id]
+        offset = op.disp
+        if op.cr_id is not None:
+            offset = offset + self._cr[op.cr_id]
+        if op.lr_id is None:
+            return np.full(np.shape(tid[0]), offset, dtype=np.int64)
+        cx, cy, cz = self._block_coeffs[op.lr_id]
+        values = (self._block_consts[op.lr_id] + cx * ctaid[0]
+                  + cy * ctaid[1] + cz * ctaid[2])
+        tr_id = self.plan.entries[op.lr_id].tr_id
+        if tr_id is None:
+            values = np.repeat(values, np.shape(tid[0])[1], axis=1)
+        else:
+            cx, cy, cz = self._thread_coeffs[tr_id]
+            values = cx * tid[0] + cy * tid[1] + cz * tid[2] + values
+        return values + offset if offset else values

@@ -130,19 +130,6 @@ def matvec_reference(M: np.ndarray, x: np.ndarray,
     return (M64 @ x.astype(np.float64)).astype(np.float32)
 
 
-def f32_matmul_f32(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Reference matmul accumulating in float32 FMA order (k-major), to
-    mirror the kernel's rounding exactly when needed."""
-    ni, nk = A.shape
-    nk2, nj = B.shape
-    assert nk == nk2
-    acc = np.zeros((ni, nj), dtype=np.float32)
-    for k in range(nk):
-        acc = np.float32(A[:, k:k + 1] * B[k:k + 1, :]) + acc
-        acc = acc.astype(np.float32)
-    return acc
-
-
 # ----------------------------------------------------------------------
 # Reduction family (workloads/reduction)
 # ----------------------------------------------------------------------

@@ -43,19 +43,6 @@ def cc_kernel():
     return b.build()
 
 
-def cc_reference(row_ptr, col_idx, n, rounds):
-    labels = np.arange(n, dtype=np.int64)
-    for _ in range(rounds):
-        new = labels.copy()
-        for u in range(n):
-            for e in range(row_ptr[u], row_ptr[u + 1]):
-                v = col_idx[e]
-                if labels[u] < new[v]:
-                    new[v] = labels[u]
-        labels = np.minimum(labels, new)
-    return labels.astype(np.int32)
-
-
 class ConnectedComponentsWorkload(Workload):
     name = "connected-components"
     abbr = "CCMP"

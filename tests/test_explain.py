@@ -84,14 +84,6 @@ class TestDemotionEvents:
         reasons = {d["reason"] for d in demotes}
         assert "data-dependent-load" in reasons
 
-    def test_provenance_knob_disables_decisions(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_PROVENANCE, "0")
-        result = analyze_kernel(_divergent_kernel())
-        # DemotionEvents still collected (they are analysis output) ...
-        assert result.demotions
-        # ... but the run-level decision trace stays empty.
-        assert obs.snapshot()["decisions"] == []
-
 
 # ----------------------------------------------------------------------
 # DecisionTrace mechanics

@@ -21,12 +21,20 @@ from repro.harness import runner
 from repro.harness.runner import run_workload
 from repro.isa import DType, KernelBuilder, Param
 from repro.isa.kernel import Dim3, Kernel, LaunchConfig
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.operands import LinearRef, LinearRegOperand, MemRef, Reg
+from repro.isa.operands import (
+    CoeffRegOperand,
+    Imm,
+    LinearRef,
+    LinearRegOperand,
+    MemRef,
+    Reg,
+)
 from repro.sim import vector as vector_engine
 from repro.sim.caches import Cache
 from repro.sim.config import tiny
-from repro.sim.executor import FunctionalExecutor
+from repro.sim.executor import FunctionalExecutor, WitnessSite, witness_holds
 from repro.sim.gpu import Device, as_dim3
 from repro.sim.trace import trace_differences
 from repro.sim.vector import VectorMismatch
@@ -362,3 +370,42 @@ def test_engines_agree_on_the_verdict(monkeypatch):
                         disagree)
     with pytest.raises(VectorMismatch, match="witness verdict"):
         _verify_bp()
+
+
+# ----------------------------------------------------------------------
+# The witness function both engines call
+# ----------------------------------------------------------------------
+def _holds(site, opcode, srcs, result, values):
+    """``witness_holds`` on one row with every lane active, resolving
+    each transformed operand from ``values``."""
+    instr = Instruction(opcode, dtype=DType.S64, dst=Reg("%r", DType.S64),
+                        srcs=tuple(Reg(f"%s{i}", DType.S64)
+                                   for i in range(len(srcs))))
+    ex = FunctionalExecutor.__new__(FunctionalExecutor)
+    return witness_holds(
+        site, instr, np.ones((1, 32), dtype=bool), srcs, result,
+        values.__getitem__, ex._compute,
+    )
+
+
+def test_witness_compares_a_moves_uniform_flag():
+    """``and r, x, 0`` writes 0 everywhere from a non-uniform source; a
+    move of ``0`` writes the same lanes but makes the row uniform, which
+    the derived trace would not reproduce."""
+    lanes = np.arange(32, dtype=np.int64)
+    zeros = np.zeros(32, dtype=np.int64)
+    move = WitnessSite(move=Imm(0))
+    assert not _holds(move, Opcode.AND, [lanes, 0], zeros, {Imm(0): 0})
+    assert _holds(move, Opcode.AND, [zeros, 0], zeros, {Imm(0): 0})
+
+
+def test_witness_recomputes_all_scalar_sources():
+    """Sources rewritten to scalars compute in Python ints: 2**62 +
+    2**62 does not wrap the way the original int64 lanes did."""
+    site = WitnessSite(operands=((0, CoeffRegOperand(0)), (1, Imm(2**62))))
+    big = np.full(32, 2**62, dtype=np.int64)
+    values = {CoeffRegOperand(0): 2**62, Imm(2**62): 2**62}
+    assert not _holds(site, Opcode.ADD, [big, big], big + big, values)
+    small = np.full(32, 3, dtype=np.int64)
+    values = {CoeffRegOperand(0): 3, Imm(2**62): 3}
+    assert _holds(site, Opcode.ADD, [small, small], small + small, values)

@@ -31,7 +31,7 @@ def executor_compute(opcode, args):
     instr = Instruction(opcode, dtype=DType.S64, dst=None, srcs=())
     arrays = [np.array([a], dtype=np.int64) for a in args]
     ex = FunctionalExecutor.__new__(FunctionalExecutor)
-    result = ex._compute(instr, arrays, None)
+    result = ex._compute(instr, arrays)
     return int(np.asarray(result)[0])
 
 

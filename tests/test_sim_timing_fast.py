@@ -1,9 +1,7 @@
 """Event-driven timing engine (`sim/timing_fast.py`): bit-identity
 against the reference loop under ``TimingSimulator.run_verify``, engine
-dispatch through ``R2D2_VERIFY``, the precompilation cache, and the
-LRU cache model."""
+dispatch through ``R2D2_VERIFY``, and the LRU cache model."""
 
-import gc
 import json
 import pathlib
 
@@ -26,7 +24,6 @@ from repro.sim import (
     timing_differences,
     tiny,
 )
-from repro.sim.timing_fast import _PREP_CACHE, prep_for
 
 CORPUS = sorted(
     (pathlib.Path(__file__).parent / "corpus").glob("*.json")
@@ -313,48 +310,6 @@ class TestEngineDispatch:
     def test_lat_cache_removed(self):
         sim = TimingSimulator(tiny(), vadd_trace())
         assert not hasattr(sim, "_lat_cache")
-
-
-class TestPrepCache:
-    def test_same_trace_config_shares_prep(self):
-        cfg = tiny()
-        trace = vadd_trace(config=cfg)
-        sim1 = TimingSimulator(cfg, trace)
-        sim2 = TimingSimulator(cfg, trace)
-        assert prep_for(sim1) is prep_for(sim2)
-
-    def test_distinct_config_object_rebuilds(self):
-        trace = vadd_trace()
-        p1 = prep_for(TimingSimulator(tiny(), trace))
-        p2 = prep_for(TimingSimulator(tiny(), trace))
-        assert p1 is not p2
-
-    def test_custom_policy_identity_keyed(self):
-        cfg = tiny()
-        trace = vadd_trace(config=cfg)
-
-        class Extra(IssuePolicy):
-            def plan(self, trace):
-                modes, extra = super().plan(trace)
-                extra[:] = 3
-                return modes, extra
-
-        pol = Extra()
-        s1 = TimingSimulator(cfg, trace, policy=pol)
-        s2 = TimingSimulator(cfg, trace, policy=pol)
-        s3 = TimingSimulator(cfg, trace, policy=Extra())
-        assert prep_for(s1) is prep_for(s2)
-        assert prep_for(s3) is not prep_for(s1)
-
-    def test_cache_evicted_when_trace_collected(self):
-        cfg = tiny()
-        trace = vadd_trace(config=cfg)
-        key = id(trace)
-        prep_for(TimingSimulator(cfg, trace))
-        assert key in _PREP_CACHE
-        del trace
-        gc.collect()
-        assert key not in _PREP_CACHE
 
 
 class _ModelLRU:

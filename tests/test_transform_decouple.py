@@ -16,8 +16,13 @@ from repro.isa import (
     Param,
     validate_kernel,
 )
+from repro.arch.r2d2 import R2D2Arch
+from repro.isa.operands import Imm
+from repro.linear.coeffvec import wrap_i64
 from repro.sim import Device, tiny
+from repro.sim.gpu import as_dim3
 from repro.transform import R2D2Values, r2d2_transform
+from repro.workloads import factory as workload_factory
 
 
 def ptr(name):
@@ -244,8 +249,12 @@ class TestLinearValueProvider:
         rk = r2d2_transform(b.build())
         launch = LaunchConfig(Dim3(2), Dim3(32), args=(4096, 10))
         values = R2D2Values(rk.plan, launch)
+        tid, ctaid = _random_warps(np.random.default_rng(0), 1)
         # some coefficient register must hold n >> 1 == 5
-        assert 5 in [values.cr_value(e.cr_id) for e in rk.plan.scalars]
+        assert 5 in [
+            values.operand(CoeffRegOperand(e.cr_id), tid, ctaid)
+            for e in rk.plan.scalars
+        ]
 
     def test_lr_lane_values_match_direct_evaluation(self):
         kernel = simple_store_kernel()
@@ -255,7 +264,11 @@ class TestLinearValueProvider:
         from repro.sim.executor import WarpContext
         warp = WarpContext(1, (2, 0, 0), (64, 1, 1), 10)
         entry = rk.plan.entries[0]
-        got = values.lr_lane_values(entry.lr_id, warp)
+        got = values.operand(
+            LinearRegOperand(entry.lr_id),
+            (warp.tid_x[None], warp.tid_y[None], warp.tid_z[None]),
+            np.array([2, 0, 0]).reshape(3, 1, 1),
+        )[0]
         env = values.env
         for lane in (0, 13, 31):
             tid = (int(warp.tid_x[lane]), int(warp.tid_y[lane]),
@@ -264,3 +277,125 @@ class TestLinearValueProvider:
                 env, tid, (2, 0, 0)
             )
             assert got[lane] == expect
+
+    @pytest.mark.parametrize("abbr", ["RED0", "GAS", "STC", "RES", "2MM",
+                                      "LUD"])
+    def test_operand_rows_match_one_row_calls_and_python_ints(self, abbr):
+        """Every operand of every transformed launch of ``abbr`` at tiny
+        scale — between them ``%cr``, ``%lr`` with a displacement and a
+        ``%cr`` offset, and :class:`LinearRef` with and without ``%lr``
+        — over random warps."""
+        arch = R2D2Arch()
+        workload = workload_factory(abbr, "tiny")()
+        rng = np.random.default_rng(11)
+        checked = 0
+        for spec in workload.prepare(Device(tiny())):
+            launch = LaunchConfig(
+                grid=as_dim3(spec.grid), block=as_dim3(spec.block),
+                args=tuple(spec.args),
+            )
+            rk = arch.launch_kernel(spec.kernel, launch, tiny())
+            if rk is not None:
+                checked += _check_operands(
+                    R2D2Values(rk.plan, launch), _operands(rk), rng
+                )
+        assert checked
+
+    def test_operand_wraps_coefficients_near_int64_limits(self):
+        b = KernelBuilder("bigcoef", params=[
+            ptr("out"), Param("s", DType.S64), Param("t", DType.S64),
+        ])
+        out, s, t = b.param(0), b.param(1), b.param(2)
+        x = b.add(b.mul(b.tid_x(), s, DType.S64),
+                  b.mul(b.tid_z(), t, DType.S64), DType.S64)
+        x = b.add(x, b.mul(b.ctaid_y(), t, DType.S64), DType.S64)
+        b.st_global(b.addr(out, b.global_tid_x(), 8), x, DType.S64)
+        y = b.mul(b.ctaid_z(), s, DType.S64)
+        b.st_global(b.addr(out, y, 8, disp=8), y, DType.S64)
+        b.st_global(b.addr(out, b.global_tid_x(), 8, disp=16),
+                    b.add(s, t, DType.S64), DType.S64)
+        rk = r2d2_transform(b.build())
+        launch = LaunchConfig(
+            Dim3(2, 3, 2), Dim3(64), args=(4096, 2**63 - 5, -2**63 + 7),
+        )
+        values = R2D2Values(rk.plan, launch)
+        assert max(
+            abs(wrap_i64(c.evaluate(values.env)))
+            for e in rk.plan.entries for c in e.thread_part + e.block_part
+        ) > 2**62
+        ops = _operands(rk)
+        assert any(isinstance(op, CoeffRegOperand) for op in ops)
+        assert _check_operands(values, ops, np.random.default_rng(5))
+
+
+def _random_warps(rng, n_rows):
+    """``tid.x/y/z`` lanes ``(n_rows, 32)`` and ``ctaid.x/y/z`` values
+    ``(n_rows, 1)`` of random warps."""
+    tid = [rng.integers(0, 1024, (n_rows, 32)) for _ in range(3)]
+    ctaid = [rng.integers(0, 1 << 16, (n_rows, 1)) for _ in range(3)]
+    return tid, ctaid
+
+
+def _operands(rk):
+    """Every R2D2 operand a transformed kernel or its witness reads."""
+    forms = (CoeffRegOperand, LinearRegOperand, LinearRef)
+    ops = {op for instr in rk.transformed.instructions for op in instr.srcs
+           if isinstance(op, forms)}
+    for site in rk.translation().sites.values():
+        ops.update(op for _, op in site.operands)
+        if site.move is not None:
+            ops.add(site.move)
+    return ops
+
+
+def _lane_value(plan, env, op, tid, ctaid):
+    """``op`` on one lane from the plan's expressions, in Python ints
+    wrapped to int64 once."""
+    if isinstance(op, Imm):
+        return op.value
+    crs = {e.cr_id: e.expr for e in plan.scalars}
+    crs.update(plan.delta_exprs)
+    if isinstance(op, CoeffRegOperand):
+        return wrap_i64(crs[op.cr_id].evaluate(env))
+    total = op.disp
+    if op.cr_id is not None:
+        total += crs[op.cr_id].evaluate(env)
+    if op.lr_id is not None:
+        entry = plan.entries[op.lr_id]
+        total += entry.block_const.evaluate(env) + sum(
+            c.evaluate(env) * v
+            for c, v in zip(entry.thread_part + entry.block_part,
+                            tid + ctaid)
+        )
+    return wrap_i64(total)
+
+
+def _check_operands(values, ops, rng, n_rows=6):
+    """Assert that :meth:`R2D2Values.operand` over ``n_rows`` random warps
+    equals its one-row calls and the per-lane Python-int evaluation;
+    returns the number of operands checked."""
+    tid, ctaid = _random_warps(rng, n_rows)
+    for op in ops:
+        got = values.operand(op, tid, ctaid)
+        for r in range(n_rows):
+            row = values.operand(
+                op, [a[r:r + 1] for a in tid], [a[r:r + 1] for a in ctaid]
+            )
+            if np.ndim(got):
+                assert got.dtype == row.dtype == np.int64, op
+                assert got.shape == (n_rows, 32) and row.shape == (1, 32)
+                assert np.array_equal(got[r:r + 1], row), op
+                want = [
+                    _lane_value(
+                        values.plan, values.env, op,
+                        tuple(int(a[r, lane]) for a in tid),
+                        tuple(int(a[r, 0]) for a in ctaid),
+                    )
+                    for lane in range(32)
+                ]
+                assert got[r].tolist() == want, (op, r)
+            else:
+                assert row == got == _lane_value(
+                    values.plan, values.env, op, None, None
+                ), op
+    return len(ops)

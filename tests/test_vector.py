@@ -1,7 +1,7 @@
 """Megawarp vector engine: bit-identity with the serial interpreter on
-regular, divergent, irregular and R2D2-transformed kernels,
-hazard-driven fallback, the allocated-prefix fork, ``run_verify``, and
-report plumbing (see docs/PERFORMANCE.md)."""
+regular, divergent and irregular kernels, the serial path of
+R2D2-transformed kernels, hazard-driven fallback, the allocated-prefix
+fork, ``run_verify``, and report plumbing (see docs/PERFORMANCE.md)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,15 @@ import pytest
 from repro import obs
 from repro.arch.r2d2 import R2D2Arch
 from repro.harness.report import format_fallbacks, obs_kernel_table
-from repro.isa import AtomOp, CmpOp, DType, KernelBuilder, Param
+from repro.isa import (
+    AtomOp,
+    CmpOp,
+    DType,
+    KernelBuilder,
+    LinearRef,
+    LinearRegOperand,
+    Param,
+)
 from repro.isa.kernel import Dim3, LaunchConfig
 from repro.oracle.diff import check_spec
 from repro.oracle.kernelgen import KernelGen
@@ -22,7 +30,7 @@ from repro.sim import (
 )
 from repro.sim.gpu import as_dim3
 from repro.sim import vector as vector_engine
-from repro.sim.timing_fast import prep_for
+from repro.sim.timing_fast import _Prep
 from repro.sim.trace import trace_differences
 from repro.sim.memory import MemoryError_
 from repro.workloads import factory as workload_factory
@@ -247,7 +255,7 @@ class TestCommitPath:
 
     def test_prep_groups_warps_by_column_keys(self):
         trace, _ = _run(_vadd_kernel(), "fast")
-        prep = prep_for(TimingSimulator(tiny(), trace))
+        prep = _Prep(TimingSimulator(tiny(), trace))
         warps = [w for b in trace.blocks for w in b.warps]
         # Identical key rows share one group: a regular kernel has far
         # fewer signatures than warps.
@@ -524,6 +532,15 @@ def _run_r2d2(abbr):
     return traces, dev.memory.buf.copy()
 
 
+# The operand form an id names: the transformed kernel must read it.
+_OPERAND_FORMS = {
+    "GAS": lambda op: isinstance(op, LinearRef) and op.lr_id is None,
+    "STC": lambda op: isinstance(op, LinearRegOperand)
+    and op.cr_id is not None,
+    "RES": lambda op: isinstance(op, LinearRegOperand) and op.disp != 0,
+}
+
+
 @pytest.mark.parametrize(
     "abbr",
     ["RED0", "GAS", "STC", "RES", "2MM", "LUD"],
@@ -537,41 +554,33 @@ def _run_r2d2(abbr):
     ],
 )
 def test_transformed_launches_verify_and_commit(monkeypatch, abbr):
-    """``R2D2_VERIFY=1`` runs every R2D2 launch on both engines (a
-    divergence raises VectorMismatch); the committing path then engages
-    on every launch big enough and leaves the serial run's memory."""
-    monkeypatch.setenv("R2D2_VERIFY", "1")
-    traces, serial = _run_r2d2(abbr)
-    assert any(t.kernel.name.endswith(".r2d2") for t in traces)
-    assert all(t.vector.verified for t in traces)
-    monkeypatch.setenv("R2D2_VERIFY", "0")
-    traces, vectored = _run_r2d2(abbr)
-    assert np.array_equal(serial, vectored)
-    big = [
-        t.vector for t in traces
-        if t.vector.warps_total >= vector_engine.MIN_WARPS
-    ]
-    assert big and all(r.engaged and not r.bailed for r in big)
-
-
-def test_transformed_launch_chunked_verifies(monkeypatch):
-    """Chunks past the first resolve each %lr's block part from their
-    own block ids."""
-    monkeypatch.setattr(vector_engine, "DEFAULT_CHUNK_WARPS", 8)
-    monkeypatch.setenv("R2D2_VERIFY", "1")
-    traces, _ = _run_r2d2("2MM")
-    assert all(t.vector.verified for t in traces)
-
-
-def test_r2d2_launch_records_vector_engage(monkeypatch):
-    monkeypatch.setenv("R2D2_VERIFY", "0")
-    obs.reset()
-    _run_r2d2("RED0")
-    decisions = obs.snapshot_and_reset()["decisions"]
-    assert any(
-        d["engine"] == "vector" and d["decision"] == "engage"
-        and d["kernel"] == "reduce0_divergent.r2d2"
-        for d in decisions
+    """R2D2-transformed launches skip the megawarp (``transformed-kernel``,
+    before the size check: LUD's are small) under ``run_fast`` and under
+    ``R2D2_VERIFY=1``, pass the workload's check, and commit the traces
+    and memory of ``run_reference``."""
+    with monkeypatch.context() as m:
+        m.setattr(FunctionalExecutor, "run", FunctionalExecutor.run_reference)
+        want, want_mem = _run_r2d2(abbr)
+    for verify in ("0", "1"):
+        monkeypatch.setenv("R2D2_VERIFY", verify)
+        traces, mem = _run_r2d2(abbr)
+        assert np.array_equal(mem, want_mem)
+        transformed = [t for t in traces if t.kernel.name.endswith(".r2d2")]
+        assert transformed
+        assert all(
+            (t.vector.reason, t.vector.engaged, t.vector.bailed,
+             t.vector.verified)
+            == ("transformed-kernel", False, False, False)
+            for t in transformed
+        )
+        for got, ref in zip(traces, want):
+            assert trace_differences(
+                got.blocks, got.cols, ref.blocks, ref.cols
+            ) == []
+    form = _OPERAND_FORMS.get(abbr)
+    assert form is None or any(
+        form(op) for t in transformed
+        for instr in t.kernel.instructions for op in instr.srcs
     )
 
 
@@ -669,7 +678,7 @@ def test_run_workload_reports_vector_decisions():
 def test_run_workload_reports_r2d2_vector_decisions(monkeypatch):
     """R2D2 derives its traces from the baseline launches, so a default
     run reports only those; under ``R2D2_VERIFY=1`` the transformed
-    launches also execute and report their megawarp outcomes."""
+    launches also execute, serially, and report the megawarp's skip."""
     from repro.harness.experiments import _engine_summary
     from repro.harness.runner import run_workload
 
@@ -686,7 +695,8 @@ def test_run_workload_reports_r2d2_vector_decisions(monkeypatch):
         baseline, r2d2 = decisions[:n], decisions[n:]
         assert not any(d["kernel"].endswith(".r2d2") for d in baseline)
         assert all(
-            d["decision"] == "engage" and d["kernel"].endswith(".r2d2")
+            (d["decision"], d["reason"]) == ("skip", "transformed-kernel")
+            and d["kernel"].endswith(".r2d2")
             for d in r2d2
         )
         # the reduction ladder's engine cell reads the baseline launch

@@ -73,8 +73,9 @@ def test_functional_run_follows_the_switch(monkeypatch):
 
 def test_run_workload_verifies_both_layers(monkeypatch):
     """One R2D2_VERIFY=1 run of RED0 (baseline + R2D2) checks every
-    launch against the serial interpreter and every timing replay
-    against the reference loop."""
+    baseline launch against the serial interpreter and every timing
+    replay against the reference loop; the transformed launches run on
+    the serial interpreter alone."""
     monkeypatch.setenv("R2D2_VERIFY", "1")
     obs.reset()
     result = run_workload(
@@ -84,8 +85,15 @@ def test_run_workload_verifies_both_layers(monkeypatch):
     assert result.outputs_identical
     assert obs.counter_total("vector.verified") > 0
     kernels = {d["kernel"] for d in result.engine_decisions}
+    assert any(k.endswith(".r2d2") for k in kernels)
     for kernel in kernels:
-        assert obs.counter_value("vector.verified", kernel=kernel) == 1
+        transformed = kernel.endswith(".r2d2")
+        assert obs.counter_value("vector.verified", kernel=kernel) == (
+            0 if transformed else 1
+        )
+        assert obs.counter_value(
+            "vector.ineligible", kernel=kernel, reason="transformed-kernel"
+        ) == (1 if transformed else 0)
         assert obs.counter_value(
             "timing.engine", kernel=kernel, engine="verify"
         ) > 0
